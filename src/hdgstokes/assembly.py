@@ -16,6 +16,11 @@ pressure), s (facet pressure):
 
     A = [[A_uu, A_tu^T], [A_tu, A_tt]],   B = [[B_pu, 0], [B_su, 0]]
 
+Everything coupled to the cell velocity is stored per cell, as static
+condensation consumes it; A_uu, A_tu, B_pu and B_su are scattered from
+those blocks on access (probes, export, tests).  The element kernels
+are defined here once, for the norms of the spectra module as well.
+
 Pressure masses: M_p is the plain cell mass (identity in the modal
 basis); M_s carries the facet weight h_K+ + h_K- (interior) or h_K
 (boundary).
@@ -39,75 +44,130 @@ def _sym(batch):
     return 0.5 * (batch + batch.transpose(0, 2, 1))
 
 
-def _scatter(rows, cols, vals, shape):
+def _kernel(a, w, b):
+    """(m, i, j) batch of quadrature sums over q of a_qi w_q b_qj."""
+    return np.einsum("cqi,cq,cqj->cij", a, w, b, optimize=True)
+
+
+def _scatter(rows, cols, vals, shape, keep_zeros=True):
     """Accumulate batched dense blocks into CSR.
 
     rows (m, r), cols (m, c), vals (m, r, c); duplicate index pairs
-    are summed.
+    are summed, and exact zeros dropped unless keep_zeros.
     """
     m, r = rows.shape
     c = cols.shape[1]
     i = np.broadcast_to(rows[:, :, None], (m, r, c)).ravel()
     j = np.broadcast_to(cols[:, None, :], (m, r, c)).ravel()
-    return sp.coo_matrix((vals.ravel(), (i, j)), shape=shape).tocsr()
+    out = sp.coo_matrix((vals.ravel(), (i, j)), shape=shape).tocsr()
+    if not keep_zeros:
+        out.eliminate_zeros()
+    return out
 
 
 def _dof_maps(sp_):
-    nc, nf = sp_.mesh.num_cells, sp_.mesh.num_facets
-    nb, nbf, npc = sp_.nb, sp_.nbf, sp_.np_cell
-    cells = np.arange(nc)
-    facets = np.arange(nf)
-    maps = {
-        "u": cells[:, None] * 2 * nb + np.arange(2 * nb),
-        "u0": cells[:, None] * 2 * nb + np.arange(nb),
-        "u1": cells[:, None] * 2 * nb + nb + np.arange(nb),
-        "p": cells[:, None] * npc + np.arange(npc),
-        "t": facets[:, None] * 2 * nbf + np.arange(2 * nbf),
-        "s": facets[:, None] * nbf + np.arange(nbf),
-    }
-    maps["t0"] = facets[:, None] * 2 * nbf + np.arange(nbf)
-    maps["t1"] = maps["t0"] + nbf
-    return maps
+    nbf, npc = sp_.nbf, sp_.np_cell
+    cells = np.arange(sp_.mesh.num_cells)[:, None]
+    facets = np.arange(sp_.mesh.num_facets)[:, None]
+    t0 = facets * 2 * nbf + np.arange(nbf)
+    return {"p": cells * npc + np.arange(npc),
+            "s": facets * nbf + np.arange(nbf), "t0": t0, "t1": t0 + nbf}
 
 
 # -- batched element kernels (scalar, shared by both components) ------
 
 def scalar_stiffness(sp_):
     """(nc, nb, nb) cell gradient products."""
-    return _sym(np.einsum("cqi,cq,cqj->cij", sp_.gx, sp_.cell_qw, sp_.gx,
-                          optimize=True)
-                + np.einsum("cqi,cq,cqj->cij", sp_.gy, sp_.cell_qw, sp_.gy,
-                            optimize=True))
+    return _sym(_kernel(sp_.gx, sp_.cell_qw, sp_.gx)
+                + _kernel(sp_.gy, sp_.cell_qw, sp_.gy))
 
 
 def _side_weights(sp_, e):
     return sp_.facet_qw[sp_.mesh.cell_facets[:, e]]
 
 
-def _side_normal_derivative(sp_, e):
-    n = sp_.normal[:, e]
-    return (sp_.gx_f[:, e] * n[:, None, 0, None]
-            + sp_.gy_f[:, e] * n[:, None, 1, None])
+class Side:
+    """Side e of every cell: quadrature data and the per-side kernels,
+    each an (nc, rows, cols) batch.  w are the side's quadrature
+    weights, wpen = alpha/h_K w, phi the cell basis, dn its normal
+    derivative, psibar the facet basis."""
+
+    def __init__(self, sp_, e, alpha):
+        self.facets = sp_.mesh.cell_facets[:, e]
+        self.normal = n = sp_.normal[:, e]
+        self.w = _side_weights(sp_, e)
+        self.wpen = self.w * (alpha / sp_.mesh.h)[:, None]
+        self.phi = sp_.phi_f[:, e]
+        self.psibar = sp_.psibar[self.facets]
+        self.dn = (sp_.gx_f[:, e] * n[:, None, 0, None]
+                   + sp_.gy_f[:, e] * n[:, None, 1, None])
+
+    def penalty(self):
+        """alpha/h <phi, phi>, before symmetrization."""
+        return _kernel(self.phi, self.wpen, self.phi)
+
+    def consistency(self):
+        """<dn phi, phi>."""
+        return _kernel(self.dn, self.w, self.phi)
+
+    def facet_cell(self, consistency=True):
+        """Facet row, cell column of a: <dn w, vbar> - alpha/h <w, vbar>,
+        or only its penalty part."""
+        pen = _kernel(self.psibar, self.wpen, self.phi)
+        if not consistency:
+            return -pen
+        return _kernel(self.psibar, self.w, self.dn) - pen
+
+    def facet_facet(self):
+        """alpha/h <psibar, psibar>."""
+        return _sym(_kernel(self.psibar, self.wpen, self.psibar))
+
+    def normal_flux(self):
+        """(nc, nbf, 2 nb) facet-pressure rows <v.n, sbar>."""
+        return np.concatenate(
+            [np.einsum("cqi,cq,cqj,c->cij", self.psibar, self.w, self.phi,
+                       self.normal[:, d], optimize=True) for d in (0, 1)],
+            axis=2)
 
 
 def scalar_dg_penalty(sp_, alpha):
     """(nc, nb, nb) sum over sides of alpha/h <phi, phi>."""
-    pen = alpha / sp_.mesh.h
     out = np.zeros((sp_.mesh.num_cells, sp_.nb, sp_.nb))
     for e in range(sp_.nsides):
-        w = _side_weights(sp_, e) * pen[:, None]
-        ph = sp_.phi_f[:, e]
-        out += np.einsum("cqi,cq,cqj->cij", ph, w, ph, optimize=True)
+        out += Side(sp_, e, alpha).penalty()
     return _sym(out)
+
+
+def both_components(scalar):
+    """(m, 2n, 2n) block diagonal repeating a scalar (m, n, n) batch
+    for the two velocity components."""
+    m, n, _ = scalar.shape
+    out = np.zeros((m, 2 * n, 2 * n))
+    out[:, :n, :n] = scalar
+    out[:, n:, n:] = scalar
+    return out
 
 
 def local_divergence(sp_):
     """(nc, np_cell, 2*nb) blocks of -(q, div v)_K."""
-    bx = -np.einsum("cqi,cq,cqj->cij", sp_.psi, sp_.cell_qw, sp_.gx,
-                    optimize=True)
-    by = -np.einsum("cqi,cq,cqj->cij", sp_.psi, sp_.cell_qw, sp_.gy,
-                    optimize=True)
-    return np.concatenate([bx, by], axis=2)
+    return -np.concatenate([_kernel(sp_.psi, sp_.cell_qw, sp_.gx),
+                            _kernel(sp_.psi, sp_.cell_qw, sp_.gy)], axis=2)
+
+
+def cell_pressure_mass(sp_):
+    """(nc, np_cell, np_cell) cell masses (q, q)_K."""
+    return _sym(_kernel(sp_.psi, sp_.cell_qw, sp_.psi))
+
+
+def facet_mass(sp_, weights):
+    """(nf, nbf, nbf) facet masses <qbar, qbar>_f times a facet weight."""
+    return _sym(_kernel(sp_.psibar, sp_.facet_qw * weights[:, None],
+                        sp_.psibar))
+
+
+def facet_integrals(sp_):
+    """(nf, nbf) integrals of the facet basis over each facet."""
+    return np.einsum("fq,fqi->fi", sp_.facet_qw, sp_.psibar, optimize=True)
 
 
 def facet_mass_weights(mesh):
@@ -120,11 +180,14 @@ def facet_mass_weights(mesh):
 
 
 class BlockSystem:
-    """Assembled blocks plus constraint bookkeeping.
+    """Assembled system plus constraint bookkeeping.
 
-    Attributes ending in the block names of the module docstring hold
-    CSR matrices; L_u, L_t the velocity right-hand sides; g_values the
-    eliminated boundary datum embedded in a full facet-velocity vector.
+    Per cell: local_auu, the (2nb)^2 cell-velocity block, and
+    local_coupling, every row coupled to the cell velocity, with its
+    indices local_rows in the condensed t, p, s numbering.  Global: the
+    CSR blocks A_tt, M_p, M_s; the right-hand sides L_u, L_t; g_values,
+    the eliminated boundary datum.  A_uu, A_tu, B_pu and B_su are
+    scattered from the per-cell blocks on every access.
     """
 
     def __init__(self, sp_, alpha):
@@ -132,16 +195,62 @@ class BlockSystem:
         self.alpha = alpha
         self.constrained = sp_.constrained_facet_velocity_dofs
         self.g_values = np.zeros(sp_.n_ubar)
+        nc = sp_.mesh.num_cells
+        self._u = np.arange(sp_.n_u).reshape(nc, -1)
+        # stack rows, offset in the condensed numbering and size of each
+        # block: facet velocity per side (component-major), cell
+        # pressure, facet pressure per side
+        nt = sp_.nsides * 2 * sp_.nbf
+        npc = nt + sp_.np_cell
+        mk = npc + sp_.nsides * sp_.nbf
+        self.layout = {
+            "t": (slice(0, nt), 0, sp_.n_ubar),
+            "p": (slice(nt, npc), sp_.n_ubar, sp_.n_p),
+            "s": (slice(npc, mk), sp_.n_ubar + sp_.n_p, sp_.n_pbar)}
+        self.local_coupling = np.zeros((nc, mk, 2 * sp_.nb))
+        self.local_rows = np.empty((nc, mk), dtype=np.int64)
+
+    def local_block(self, key):
+        """(rows, values) of block 't', 'p' or 's' of the per-cell
+        coupling stack, rows numbered within that block."""
+        stack_rows, offset, _ = self.layout[key]
+        return (self.local_rows[:, stack_rows] - offset,
+                self.local_coupling[:, stack_rows])
+
+    def _times_u(self, key, keep_zeros=False):
+        rows, vals = self.local_block(key)
+        return _scatter(rows, self._u, vals,
+                        (self.layout[key][2], self.spaces.n_u), keep_zeros)
+
+    @property
+    def A_uu(self):
+        n_u = self.spaces.n_u
+        return _scatter(self._u, self._u, self.local_auu, (n_u, n_u),
+                        keep_zeros=False)
+
+    @property
+    def A_tu(self):
+        return self._times_u("t")
+
+    @property
+    def B_pu(self):
+        # the dense divergence blocks keep their exact zeros; the other
+        # blocks drop them, with the zero component blocks
+        return self._times_u("p", keep_zeros=True)
+
+    @property
+    def B_su(self):
+        return self._times_u("s")
 
     def velocity_matrix(self):
-        return sp.bmat([[self.A_uu, self.A_tu.T],
-                        [self.A_tu, self.A_tt]], format="csr")
+        A_tu = self.A_tu
+        return sp.bmat([[self.A_uu, A_tu.T], [A_tu, self.A_tt]],
+                       format="csr")
 
     def divergence_matrix(self):
-        z = sp.csr_matrix((self.B_pu.shape[0] + self.B_su.shape[0],
-                           self.spaces.n_ubar))
-        return sp.bmat([[sp.vstack([self.B_pu, self.B_su]), z]],
-                       format="csr")
+        B = sp.vstack([self.B_pu, self.B_su])
+        z = sp.csr_matrix((B.shape[0], self.spaces.n_ubar))
+        return sp.bmat([[B, z]], format="csr")
 
     def saddle_matrix(self):
         A = self.velocity_matrix()
@@ -157,81 +266,58 @@ class BlockSystem:
         return np.concatenate([self.L_u, self.L_t, np.zeros(np_tot)])
 
 
-def build_block_system(sp_, problem, bcs=True):
-    """Assemble all blocks; with bcs=True the boundary velocity datum
-    is projected and eliminated symmetrically."""
-    alpha = problem.alpha
-    mesh = sp_.mesh
-    nc, nf = mesh.num_cells, mesh.num_facets
-    nb, nbf, npc = sp_.nb, sp_.nbf, sp_.np_cell
+def velocity_blocks(sp_, alpha, consistency=True):
+    """BlockSystem holding the velocity form only: local_auu, the
+    facet-velocity rows of the per-cell stack, and A_tt.  Without the
+    consistency terms the same blocks form the velocity pair norm."""
+    nb, nbf = sp_.nb, sp_.nbf
     dm = _dof_maps(sp_)
-    pen = alpha / mesh.h
-
     bs = BlockSystem(sp_, alpha)
-
-    # cell-cell velocity block
-    S = scalar_stiffness(sp_)
-    auu = S.copy()
-    atu_rows, atu_cols, atu_vals = [], [], []
-    att_rows = []
-    bsu_rows = []
+    auu = scalar_stiffness(sp_)
+    att = []
     for e in range(sp_.nsides):
-        f = mesh.cell_facets[:, e]
-        w = _side_weights(sp_, e)
-        ph = sp_.phi_f[:, e]
-        dn = _side_normal_derivative(sp_, e)
-        psib = sp_.psibar[f]
-        wpen = w * pen[:, None]
-
-        auu += _sym(np.einsum("cqi,cq,cqj->cij", ph, wpen, ph,
-                            optimize=True))
-        X = np.einsum("cqi,cq,cqj->cij", dn, w, ph, optimize=True)
-        auu -= X + X.transpose(0, 2, 1)
-
-        # facet row, cell column: <dn w, vbar> - alpha/h <w, vbar>
-        T = (np.einsum("cqi,cq,cqj->cij", psib, w, dn, optimize=True)
-             - np.einsum("cqi,cq,cqj->cij", psib, wpen, ph, optimize=True))
-        # facet-facet penalty and the normal flux row <v.n, sbar>
-        P = _sym(np.einsum("cqi,cq,cqj->cij", psib, wpen, psib,
-                          optimize=True))
-        n = sp_.normal[:, e]
-        F0 = np.einsum("cqi,cq,cqj,c->cij", psib, w, ph, n[:, 0],
-                       optimize=True)
-        F1 = np.einsum("cqi,cq,cqj,c->cij", psib, w, ph, n[:, 1],
-                       optimize=True)
-
-        for comp, tkey, ukey in ((0, "t0", "u0"), (1, "t1", "u1")):
-            atu_rows.append(dm[tkey][f])
-            atu_cols.append(dm[ukey])
-            atu_vals.append(T)
-            att_rows.append((dm[tkey][f], P))
-        bsu_rows.append((dm["s"][f],
-                         np.concatenate([F0, F1], axis=2)))
-
-    # scatter the scalar cell block into both components
-    bs.A_uu = (_scatter(dm["u0"], dm["u0"], auu, (sp_.n_u, sp_.n_u))
-               + _scatter(dm["u1"], dm["u1"], auu, (sp_.n_u, sp_.n_u)))
-    bs.A_tu = sum(_scatter(r, c, v, (sp_.n_ubar, sp_.n_u))
-                  for r, c, v in zip(atu_rows, atu_cols, atu_vals))
+        side = Side(sp_, e, alpha)
+        auu += _sym(side.penalty())
+        if consistency:
+            X = side.consistency()
+            auu -= X + X.transpose(0, 2, 1)
+        T = side.facet_cell(consistency)
+        P = side.facet_facet()
+        for comp, key in enumerate(("t0", "t1")):
+            r = slice((2 * e + comp) * nbf, (2 * e + comp + 1) * nbf)
+            bs.local_coupling[:, r, comp * nb:(comp + 1) * nb] = T
+            bs.local_rows[:, r] = dm[key][side.facets]
+            att.append((dm[key][side.facets], P))
+    bs.local_auu = both_components(auu)
     bs.A_tt = sum(_scatter(r, r, v, (sp_.n_ubar, sp_.n_ubar))
-                  for r, v in att_rows)
-    bs.B_su = sum(_scatter(r, dm["u"], v, (sp_.n_pbar, sp_.n_u))
-                  for r, v in bsu_rows)
-    bs.B_pu = _scatter(dm["p"], dm["u"], local_divergence(sp_),
-                       (sp_.n_p, sp_.n_u))
+                  for r, v in att)
+    return bs
 
-    _store_local_blocks(bs, dm, auu, atu_vals, bsu_rows)
+
+def build_block_system(sp_, problem, bcs=True):
+    """Assemble the per-cell blocks, A_tt, the pressure masses and the
+    right-hand sides; with bcs=True the boundary velocity datum is
+    projected and eliminated symmetrically."""
+    bs = velocity_blocks(sp_, problem.alpha)
+    dm = _dof_maps(sp_)
+    nbf = sp_.nbf
+    s_rows, s_offset, _ = bs.layout["s"]
+    for e in range(sp_.nsides):
+        side = Side(sp_, e, problem.alpha)
+        r = slice(s_rows.start + e * nbf, s_rows.start + (e + 1) * nbf)
+        bs.local_coupling[:, r] = side.normal_flux()
+        bs.local_rows[:, r] = s_offset + dm["s"][side.facets]
+    p_rows, p_offset, _ = bs.layout["p"]
+    bs.local_coupling[:, p_rows] = local_divergence(sp_)
+    bs.local_rows[:, p_rows] = p_offset + dm["p"]
 
     # pressure masses (identity / weighted identity in the modal basis,
     # but assembled honestly)
-    mp = _sym(np.einsum("cqi,cq,cqj->cij", sp_.psi, sp_.cell_qw, sp_.psi,
-                        optimize=True))
-    bs.M_p = _scatter(dm["p"], dm["p"], mp, (sp_.n_p, sp_.n_p))
-    fw = facet_mass_weights(mesh)
-    ms = _sym(np.einsum("fqi,fq,fqj->fij", sp_.psibar,
-                        sp_.facet_qw * fw[:, None], sp_.psibar,
-                        optimize=True))
-    bs.M_s = _scatter(dm["s"], dm["s"], ms, (sp_.n_pbar, sp_.n_pbar))
+    bs.M_p = _scatter(dm["p"], dm["p"], cell_pressure_mass(sp_),
+                      (sp_.n_p, sp_.n_p))
+    bs.M_s = _scatter(dm["s"], dm["s"],
+                      facet_mass(sp_, facet_mass_weights(sp_.mesh)),
+                      (sp_.n_pbar, sp_.n_pbar))
 
     # body force
     F = _spaces._eval_vector(problem.body_force, sp_.cell_qp)
@@ -245,52 +331,6 @@ def build_block_system(sp_, problem, bcs=True):
     return bs
 
 
-def _store_local_blocks(bs, dm, auu, atu_vals, bsu_rows):
-    """Per-cell dense blocks for static condensation.
-
-    local_auu is the (2nb)^2 cell-velocity block (A_uu is cell-block
-    diagonal).  local_coupling stacks all rows of the system coupled
-    to the cell's interior velocity: facet-velocity rows side by side
-    (component-major per side), then cell pressure, then the cell's
-    facet-pressure rows.  local_rows holds the matching global indices
-    in the condensed ordering (t, then p, then s).
-    """
-    sp_ = bs.spaces
-    mesh = sp_.mesh
-    nc = mesh.num_cells
-    nb, nbf, npc = sp_.nb, sp_.nbf, sp_.np_cell
-    ns = sp_.nsides
-    mk = ns * 2 * nbf + npc + ns * nbf
-
-    lc = np.zeros((nc, mk, 2 * nb))
-    rows = np.empty((nc, mk), dtype=np.int64)
-    # atu_vals is ordered (side, component); both components share one
-    # scalar block per side
-    for e in range(ns):
-        f = mesh.cell_facets[:, e]
-        T = atu_vals[2 * e]
-        off = e * 2 * nbf
-        lc[:, off:off + nbf, :nb] = T
-        lc[:, off + nbf:off + 2 * nbf, nb:] = T
-        rows[:, off:off + nbf] = dm["t0"][f]
-        rows[:, off + nbf:off + 2 * nbf] = dm["t1"][f]
-    off = ns * 2 * nbf
-    lc[:, off:off + npc, :] = local_divergence(sp_)
-    rows[:, off:off + npc] = sp_.n_ubar + dm["p"]
-    off += npc
-    for e, (ridx, F) in enumerate(bsu_rows):
-        lc[:, off + e * nbf:off + (e + 1) * nbf, :] = F
-        rows[:, off + e * nbf:off + (e + 1) * nbf] = (
-            sp_.n_ubar + sp_.n_p + ridx)
-
-    la = np.zeros((nc, 2 * nb, 2 * nb))
-    la[:, :nb, :nb] = auu
-    la[:, nb:, nb:] = auu
-    bs.local_auu = la
-    bs.local_coupling = lc
-    bs.local_rows = rows
-
-
 def _eliminate(bs, g):
     """Symmetric elimination of the facet-velocity Dirichlet datum."""
     sp_ = bs.spaces
@@ -302,16 +342,19 @@ def _eliminate(bs, g):
 
     gc = np.zeros(sp_.n_ubar)
     gc[cI] = g[cI]
-    bs.L_u = bs.L_u - bs.A_tu.T @ gc
+    # the constrained facet-velocity rows of the per-cell stacks (the
+    # pressure rows are numbered from n_ubar up); gc vanishes on every
+    # other row, so A_cu^T gc = A_tu^T gc
+    cells, k = np.nonzero(np.isin(bs.local_rows, cI))
+    A_cu = _scatter(bs.local_rows[cells, k, None], bs._u[cells],
+                    bs.local_coupling[cells, k, None], (sp_.n_ubar, sp_.n_u))
+    bs.L_u = bs.L_u - A_cu.T @ gc
     bs.L_t = bs.L_t - bs.A_tt @ gc
     bs.L_t[cI] = g[cI]
 
-    bs.A_tu = (Df @ bs.A_tu).tocsr()
     bs.A_tt = (Df @ bs.A_tt @ Df + Dc).tocsr()
     bs.g_values = gc
-    # keep local condensation data consistent with the modified rows
-    mask = np.isin(bs.local_rows, cI)
-    bs.local_coupling[mask] = 0.0
+    bs.local_coupling[cells, k] = 0.0
 
 
 def boundary_flux_per_facet(sp_, g):

@@ -77,6 +77,15 @@ class RunConfig:
         for name in ("alpha", "tol", "jitter"):
             setattr(self, name, float(getattr(self, name)))
         self.seed = int(self.seed)
+        if not 0.0 <= self.jitter <= 0.3:
+            raise ConfigError("mesh jitter must lie in [0, 0.3]")
+        if not self.alpha > 0.0:
+            raise ConfigError("alpha must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ConfigError("tol must be positive and finite")
+        x0, y0, x1, y1 = self.domain
+        if not (x1 > x0 and y1 > y0):
+            raise ConfigError("domain needs x0 < x1 and y0 < y1")
 
     @classmethod
     def from_file(cls, path):

@@ -1,23 +1,24 @@
 """Block preconditioners for the condensed saddle-point system.
 
-Four kinds, all symmetric:
+Four kinds, all symmetric positive definite:
 
-  PM      bdiag(Rbar, M_p, M_s)            positive definite
-  PC      bdiag(Rbar, -C_pp, -C_ss)        positive definite
-  PM-SGS  symmetric block Gauss-Seidel around bdiag(Rbar, -M_p, -M_s)
-  PC-SGS  symmetric block Gauss-Seidel around bdiag(Rbar, C_pp, C_ss)
+  PM      bdiag(Rbar, M_p, M_s)
+  PC      bdiag(Rbar, -C_pp, -C_ss)
+  PM-SGS  symmetric block Gauss-Seidel around bdiag(Rbar, M_p, M_s)
+  PC-SGS  symmetric block Gauss-Seidel around bdiag(Rbar, -C_pp, -C_ss)
 
 Rbar approximates the inverse of the condensed velocity block: an
 exact sparse factorization, or a fixed number of smoothed-aggregation
 V(1,1) cycles with the constant trace fields as near-nullspace.
 
 The SGS kinds compose (P_L + P_D) P_D^-1 (P_D + P_L^T) with P_L the
-strictly lower block triangle of the condensed operator.  They are
-congruent to their indefinite diagonal, hence symmetric *indefinite*;
-MINRES can still run on them in practice, and the solver reports a
-breakdown honestly if the Lanczos inner product loses positivity.
-The inverse application below never multiplies by Rbar itself, so the
-multigrid mode (where only the inverse action exists) works unchanged.
+strictly lower block triangle of the condensed operator.  The sweep
+diagonal P_D takes the positive-definite pressure blocks (M_p, M_s or
+-C_pp, -C_ss), so the composed operator is congruent to a positive
+definite diagonal, hence symmetric positive definite as MINRES
+requires.  The inverse application below never multiplies by Rbar
+itself, so the multigrid mode (where only the inverse action exists)
+works unchanged.
 """
 
 import numpy as np
@@ -105,13 +106,12 @@ class Preconditioner:
     """One of the four block preconditioners; `apply` maps a condensed
     residual to the preconditioned vector."""
 
-    def __init__(self, cs, kind, rbar, solve2, solve3, sgs_sign):
+    def __init__(self, cs, kind, rbar, solve2, solve3):
         self.cs = cs
         self.kind = kind
         self.rbar = rbar
         self._solve2 = solve2
         self._solve3 = solve3
-        self._sgs_sign = sgs_sign
         self.is_sgs = kind.endswith("SGS")
         if self.is_sgs:
             self.Bp = cs.Bbar_p
@@ -125,14 +125,11 @@ class Preconditioner:
             return np.concatenate([self.rbar.apply(r1),
                                    self._solve2(r2),
                                    self._solve3(r3)])
-        s = self._sgs_sign
-        d2 = lambda v: s * self._solve2(v)
-        d3 = lambda v: s * self._solve3(v)
         y1 = self.rbar.apply(r1)
-        y2 = d2(r2 - self.Bp @ y1)
-        y3 = d3(r3 - self.Bs @ y1 - self.Csp @ y2)
+        y2 = self._solve2(r2 - self.Bp @ y1)
+        y3 = self._solve3(r3 - self.Bs @ y1 - self.Csp @ y2)
         z3 = y3
-        z2 = y2 - d2(self.Cps @ z3)
+        z2 = y2 - self._solve2(self.Cps @ z3)
         z1 = y1 - self.rbar.apply(self.Bp.T @ z2 + self.Bs.T @ z3)
         return np.concatenate([z1, z2, z3])
 
@@ -163,4 +160,4 @@ def build_preconditioner(cs, M_p, M_s, kind="PM", rbar_mode="exact",
     # The sweep diagonal takes the positive-definite block variants so
     # the composed operator (P_L + P_D) P_D^-1 (P_L^T + P_D) is SPD,
     # which MINRES requires.
-    return Preconditioner(cs, kind, rbar, lu2.solve, lu3.solve, 1.0)
+    return Preconditioner(cs, kind, rbar, lu2.solve, lu3.solve)

@@ -15,6 +15,8 @@ dense eigensolvers on desk-scale meshes:
 * pointwise divergence and interelement normal-flux checks of a
   computed velocity (exactly zero, up to roundoff, on triangles).
 
+The norms are built from the element kernels of the assembly module.
+
 Deflation is done by restricting a pencil to the subspace orthogonal
 to given vectors, parameterized by eliminating one coordinate per
 constraint; restricted eigenvalues do not depend on that choice.
@@ -31,75 +33,44 @@ from . import spaces as _spaces
 
 # -- norm matrices ----------------------------------------------------
 
-def velocity_dg_norm_matrix(sp_, alpha):
-    """Broken H1 norm with boundary penalty on cell velocities:
-    sum_K |grad v|^2 + alpha/h |v|^2_dK."""
-    dm = _assembly._dof_maps(sp_)
-    loc = (_assembly.scalar_stiffness(sp_)
-           + _assembly.scalar_dg_penalty(sp_, alpha))
-    shape = (sp_.n_u, sp_.n_u)
-    return (_assembly._scatter(dm["u0"], dm["u0"], loc, shape)
-            + _assembly._scatter(dm["u1"], dm["u1"], loc, shape))
-
-
 def velocity_pair_norm_matrix(sp_, alpha):
     """Norm of the (cell, facet) velocity pair:
-    sum_K |grad v|^2 + alpha/h |vbar - v|^2_dK."""
-    mesh = sp_.mesh
-    dm = _assembly._dof_maps(sp_)
-    pen = alpha / mesh.h
-    uu = _assembly.scalar_stiffness(sp_)
-    tu, tt = [], []
-    for e in range(sp_.nsides):
-        f = mesh.cell_facets[:, e]
-        w = _assembly._side_weights(sp_, e)
-        wpen = w * pen[:, None]
-        ph = sp_.phi_f[:, e]
-        psib = sp_.psibar[f]
-        uu += _assembly._sym(np.einsum("cqi,cq,cqj->cij", ph, wpen, ph,
-                                       optimize=True))
-        tu.append((f, -np.einsum("cqi,cq,cqj->cij", psib, wpen, ph,
-                                 optimize=True)))
-        tt.append((f, _assembly._sym(
-            np.einsum("cqi,cq,cqj->cij", psib, wpen, psib, optimize=True))))
-    su, st = (sp_.n_u, sp_.n_u), (sp_.n_ubar, sp_.n_u)
-    stt = (sp_.n_ubar, sp_.n_ubar)
-    N_uu = (_assembly._scatter(dm["u0"], dm["u0"], uu, su)
-            + _assembly._scatter(dm["u1"], dm["u1"], uu, su))
-    N_tu = sum(_assembly._scatter(dm[tk][f], dm[uk], v, st)
-               for f, v in tu for tk, uk in (("t0", "u0"), ("t1", "u1")))
-    N_tt = sum(_assembly._scatter(dm[tk][f], dm[tk][f], v, stt)
-               for f, v in tt for tk in ("t0", "t1"))
-    return sp.bmat([[N_uu, N_tu.T], [N_tu, N_tt]], format="csr")
+    sum_K |grad v|^2 + alpha/h |vbar - v|^2_dK, the velocity form
+    without its consistency terms."""
+    return _assembly.velocity_blocks(sp_, alpha,
+                                     consistency=False).velocity_matrix()
+
+
+def _dg_schur(sp_, alpha, R):
+    """Per-cell R N^-1 R^T for a stack R of rows acting on the cell
+    velocity, with N the cell DG norm |grad v|^2_K + alpha/h |v|^2_dK."""
+    N = _assembly.both_components(_assembly.scalar_stiffness(sp_)
+                                  + _assembly.scalar_dg_penalty(sp_, alpha))
+    W = np.linalg.solve(np.linalg.cholesky(N), R.transpose(0, 2, 1))
+    return np.einsum("cnm,cnk->cmk", W, W, optimize=True)
 
 
 def trace_seminorm_matrix(sp_):
     """Mean-deflated trace seminorm on facet velocities:
     sum_K h_K^-1 |vbar - m_K(vbar)|^2_dK with the boundary mean m_K."""
     mesh = sp_.mesh
+    cf = mesh.cell_facets
     nbf, ns = sp_.nbf, sp_.nsides
-    mass = _assembly._sym(np.einsum("fqi,fq,fqj->fij", sp_.psibar,
-                                    sp_.facet_qw, sp_.psibar, optimize=True))
-    ints = np.einsum("fq,fqi->fi", sp_.facet_qw, sp_.psibar, optimize=True)
-    perim = mesh.facet_lengths[mesh.cell_facets].sum(axis=1)
+    nc, m = mesh.num_cells, ns * nbf
+    mass = _assembly.facet_mass(sp_, np.ones(mesh.num_facets))
+    perim = mesh.facet_lengths[cf].sum(axis=1)
 
-    nc = mesh.num_cells
-    m = ns * nbf
     loc = np.zeros((nc, m, m))
-    b = np.zeros((nc, m))
     for e in range(ns):
-        f = mesh.cell_facets[:, e]
-        loc[:, e * nbf:(e + 1) * nbf, e * nbf:(e + 1) * nbf] = mass[f]
-        b[:, e * nbf:(e + 1) * nbf] = ints[f]
+        loc[:, e * nbf:(e + 1) * nbf, e * nbf:(e + 1) * nbf] = mass[cf[:, e]]
+    b = _assembly.facet_integrals(sp_)[cf].reshape(nc, m)
     loc -= b[:, :, None] * b[:, None, :] / perim[:, None, None]
     loc /= mesh.h[:, None, None]
 
-    rows = np.empty((nc, m), dtype=np.int64)
     dm = _assembly._dof_maps(sp_)
     out = sp.csr_matrix((sp_.n_ubar, sp_.n_ubar))
     for key in ("t0", "t1"):
-        for e in range(ns):
-            rows[:, e * nbf:(e + 1) * nbf] = dm[key][mesh.cell_facets[:, e]]
+        rows = dm[key][cf].reshape(nc, m)
         out = out + _assembly._scatter(rows, rows, loc,
                                        (sp_.n_ubar, sp_.n_ubar))
     return out
@@ -230,23 +201,12 @@ def coercivity_bounds(bs, alpha=None):
 def cell_infsup(sp_, alpha):
     """Per-cell inf-sup constants of the divergence coupling against
     the cell DG norm; returns one beta per cell (no deflation)."""
-    S1 = (_assembly.scalar_stiffness(sp_)
-          + _assembly.scalar_dg_penalty(sp_, alpha))
-    nc, nb = sp_.mesh.num_cells, sp_.nb
-    N = np.zeros((nc, 2 * nb, 2 * nb))
-    N[:, :nb, :nb] = S1
-    N[:, nb:, nb:] = S1
-    D = _assembly.local_divergence(sp_)
-    L = np.linalg.cholesky(N)
-    W = np.linalg.solve(L, D.transpose(0, 2, 1))
-    G = np.einsum("cnm,cnk->cmk", W, W, optimize=True)
+    G = _dg_schur(sp_, alpha, _assembly.local_divergence(sp_))
     # transform by the (near-identity) local pressure mass
-    Mloc = _assembly._sym(np.einsum("cqi,cq,cqj->cij", sp_.psi,
-                                    sp_.cell_qw, sp_.psi, optimize=True))
-    Lm = np.linalg.cholesky(Mloc)
+    Lm = np.linalg.cholesky(_assembly.cell_pressure_mass(sp_))
     Y = np.linalg.solve(Lm, G)
-    G = np.linalg.solve(Lm, Y.transpose(0, 2, 1)).transpose(0, 2, 1)
-    G = 0.5 * (G + G.transpose(0, 2, 1))
+    G = _assembly._sym(
+        np.linalg.solve(Lm, Y.transpose(0, 2, 1)).transpose(0, 2, 1))
     w = np.linalg.eigvalsh(G)
     return np.sqrt(np.maximum(w[:, 0], 0.0))
 
@@ -256,18 +216,8 @@ def facet_infsup(bs):
     norm: sqrt of the smallest eigenvalue of
     (B_su N_dg^-1 B_su^T, M_s)."""
     sp_ = bs.spaces
-    S1 = (_assembly.scalar_stiffness(sp_)
-          + _assembly.scalar_dg_penalty(sp_, bs.alpha))
-    nc, nb = sp_.mesh.num_cells, sp_.nb
-    N = np.zeros((nc, 2 * nb, 2 * nb))
-    N[:, :nb, :nb] = S1
-    N[:, nb:, nb:] = S1
-    off = sp_.nsides * 2 * sp_.nbf + sp_.np_cell
-    Bs = bs.local_coupling[:, off:, :]
-    rows = bs.local_rows[:, off:] - sp_.n_ubar - sp_.n_p
-    L = np.linalg.cholesky(N)
-    W = np.linalg.solve(L, Bs.transpose(0, 2, 1))
-    G = np.einsum("cnm,cnk->cmk", W, W, optimize=True)
+    rows, Bs = bs.local_block("s")
+    G = _dg_schur(sp_, bs.alpha, Bs)
     Gs = _assembly._scatter(rows, rows, G, (sp_.n_pbar, sp_.n_pbar))
     w = sla.eigh(_dense(Gs), _dense(bs.M_s), eigvals_only=True)
     return float(np.sqrt(max(w[0], 0.0)))

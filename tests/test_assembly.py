@@ -13,6 +13,16 @@ def raw_jitter(tri_jitter, cavity):
     return sp_, assembly.build_block_system(sp_, cavity, bcs=False)
 
 
+# every element type and degree, for checks of the global blocks
+# derived from the per-cell blocks
+ELEMENTS = [(m, k) for m in ("tri_jitter", "quad_jitter") for k in (1, 2, 3)]
+
+
+def _raw_system(request, mesh_name, k, cavity):
+    sp_ = spaces.build_spaces(request.getfixturevalue(mesh_name), k)
+    return sp_, assembly.build_block_system(sp_, cavity, bcs=False)
+
+
 def _trace_matched(sp_, fn):
     u = spaces.project_velocity(sp_, fn)
     t = spaces.project_facet_velocity(sp_, fn)
@@ -27,8 +37,9 @@ def test_velocity_matrix_exactly_symmetric(sys_jitter):
     assert abs(S - S.T).max() == 0.0
 
 
-def test_a_form_matches_matrix(raw_jitter):
-    sp_, bs = raw_jitter
+@pytest.mark.parametrize("mesh_name,k", ELEMENTS)
+def test_a_form_matches_matrix(request, mesh_name, k, cavity):
+    sp_, bs = _raw_system(request, mesh_name, k, cavity)
     A = bs.velocity_matrix()
     rng = np.random.default_rng(0)
     for _ in range(4):
@@ -85,8 +96,9 @@ def test_b_form_skeleton_constant_sees_boundary_flux(raw_jitter):
     assert abs(val - 4.0) < 1e-12
 
 
-def test_divergence_matrix_applies_b_form(raw_jitter):
-    sp_, bs = raw_jitter
+@pytest.mark.parametrize("mesh_name,k", ELEMENTS)
+def test_divergence_matrix_applies_b_form(request, mesh_name, k, cavity):
+    sp_, bs = _raw_system(request, mesh_name, k, cavity)
     B = bs.divergence_matrix()
     rng = np.random.default_rng(3)
     u = rng.standard_normal(sp_.n_u)

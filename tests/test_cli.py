@@ -83,6 +83,9 @@ def test_config_parses_ini(tmp_path):
     {"degree": 4}, {"degree": 0}, {"pc": "ILU"}, {"shape": "hexagon"},
     {"method": "cg"}, {"rbar": "ilu"}, {"problem": "channel"},
     {"nx": 0}, {"maxiter": 0},
+    {"jitter": 0.5}, {"jitter": -0.1}, {"alpha": -1.0}, {"alpha": 0.0},
+    {"tol": 0.0}, {"tol": float("inf")}, {"domain": (1.0, -1.0, -1.0, 1.0)},
+    {"domain": (-1.0, 1.0, 1.0, 1.0)},
 ])
 def test_config_rejects_bad_values(kw):
     with pytest.raises(cli.ConfigError):
@@ -199,10 +202,18 @@ def test_main_accepts_config_before_or_after_subcommand(tmp_path):
 
 
 def test_main_exit_codes(tmp_path, capsys):
-    bad = _ini(tmp_path, "[discretization]\ndegree = 7\n", name="bad.ini")
-    rc = cli.main(["solve", "--config", bad, "--out", str(tmp_path / "x")])
-    assert rc == 2
-    assert "configuration error" in capsys.readouterr().err
+    for bad_text in ("[discretization]\ndegree = 7\n",
+                     "[mesh]\njitter = 0.5\n",
+                     "[discretization]\nalpha = -1\n",
+                     "[solver]\ntol = 0\n",
+                     "[solver]\ntol = nan\n",
+                     "[mesh]\ndomain = 1 -1 -1 1\n",
+                     "[mesh]\ndomain = -1 1 1 1\n"):
+        bad = _ini(tmp_path, bad_text, name="bad.ini")
+        rc = cli.main(["solve", "--config", bad,
+                       "--out", str(tmp_path / "x")])
+        assert rc == 2, bad_text
+        assert "configuration error" in capsys.readouterr().err
 
     slow = _ini(tmp_path, """
         [mesh]

@@ -34,8 +34,11 @@ def test_constrained_rows_identity(sys4x4):
         assert cs.rhs[dof] == bs.g_values[dof]
 
 
-def test_schur_identity_small(sys2, sys_jitter):
-    for _, bs, cs in (sys2, sys_jitter):
+def test_schur_identity_small(sys2, sys_jitter, quad_jitter):
+    sp_ = spaces.build_spaces(quad_jitter, 3)
+    bs = assembly.build_block_system(sp_, spaces.lid_driven_cavity(3, 54.0))
+    quad3 = (sp_, bs, condense.condense(bs))
+    for _, bs, cs in (sys2, sys_jitter, quad3):
         assert spectra.condensed_schur_identity(bs, cs) < 1e-12
 
 
