@@ -34,7 +34,7 @@ class ConfigError(Exception):
 _DEFAULTS = {
     "shape": "triangle", "nx": 8, "ny": 8, "jitter": 0.0, "seed": 0,
     "domain": (-1.0, -1.0, 1.0, 1.0),
-    "degree": 2, "alpha": 24.0,
+    "degree": 2, "alpha": None,     # None: spaces.default_alpha(degree)
     "problem": "cavity",
     "method": "minres", "tol": 1e-8, "maxiter": 1000, "restart": 50,
     "pc": "PM", "rbar": "exact", "cycles": 4,
@@ -74,6 +74,8 @@ class RunConfig:
                 raise ConfigError("%s must be positive" % name)
             setattr(self, name, v)
         self.degree = int(self.degree)
+        if self.alpha is None:
+            self.alpha = spaces.default_alpha(self.degree)
         for name in ("alpha", "tol", "jitter"):
             setattr(self, name, float(getattr(self, name)))
         self.seed = int(self.seed)

@@ -1,10 +1,14 @@
 """Preconditioned Krylov solvers for the condensed saddle-point system.
 
 minres is the Paige-Saunders recurrence with a symmetric (positive or
-indefinite) preconditioner applied on the left; convergence is judged
-on the recomputed unpreconditioned residual, not the recurrence
-estimate.  The estimate (preconditioner-norm residual) is monotone and
-kept in the report for diagnostics.
+indefinite) preconditioner applied on the left.  It costs one matvec
+per iteration: the unpreconditioned residual b - A x is updated by
+recurrence, with A w carried alongside each search direction w and
+built from the A v the Lanczos step already computed.  Convergence is
+judged on the true residual: it is recomputed once the updated one
+reaches tol, and if it is still above tol the recurrence restarts from
+it and the iteration goes on.  The preconditioner-norm estimate is
+monotone and kept in the report for diagnostics.
 
 gmres is restarted GMRES with the preconditioner applied on the right,
 so its recurrence estimate *is* the true residual norm; it tolerates
@@ -67,12 +71,15 @@ def _projector(nullspace):
 
 
 def minres(A, b, pc=None, tol=1e-8, maxiter=1000, nullspace=None,
-           stride=1, label=""):
+           label=""):
     """Left-preconditioned MINRES.
 
     pc applies the inverse of the preconditioner.  Breakdown of the
     Lanczos inner product (r, pc r) <= 0 - possible when pc is
-    indefinite - is reported, never silently ignored.
+    indefinite - is reported, never silently ignored.  `residuals`
+    holds the relative residual of every iteration: the updated one,
+    or the true one where it was recomputed (always the last entry of
+    a converged solve).
     """
     t0 = time.perf_counter()
     matvec = _as_matvec(A)
@@ -111,7 +118,10 @@ def minres(A, b, pc=None, tol=1e-8, maxiter=1000, nullspace=None,
     phibar = beta1
     w = np.zeros_like(b)
     w2 = np.zeros_like(b)
+    Aw = np.zeros_like(b)
+    Aw2 = np.zeros_like(b)
     r2 = r1
+    res = b.copy()
 
     itn = 0
     converged = False
@@ -119,11 +129,12 @@ def minres(A, b, pc=None, tol=1e-8, maxiter=1000, nullspace=None,
     while itn < maxiter:
         itn += 1
         v = y / beta
-        y = proj(matvec(v))
-        if itn >= 2:
-            y -= (beta / oldb) * r1
+        # Av is kept for the A w recurrence, so y is updated out of
+        # place (proj returns its argument when there is no nullspace)
+        Av = proj(matvec(v))
+        y = Av if itn == 1 else Av - (beta / oldb) * r1
         alfa = v @ y
-        y -= (alfa / beta) * r2
+        y = y - (alfa / beta) * r2
         r1 = r2
         r2 = y
         y = proj(apply_pc(r2))
@@ -145,18 +156,22 @@ def minres(A, b, pc=None, tol=1e-8, maxiter=1000, nullspace=None,
         phi = cs * phibar
         phibar = sn * phibar
 
-        w1 = w2
-        w2 = w
+        w1, Aw1 = w2, Aw2
+        w2, Aw2 = w, Aw
         w = (v - oldeps * w1 - delta * w2) / gamma
+        Aw = (Av - oldeps * Aw1 - delta * Aw2) / gamma
         x = x + phi * w
+        res = res - phi * Aw
         pc_residuals.append(phibar)
 
-        if itn % stride == 0 or phibar <= tol * bnorm or beta == 0.0:
-            relres = np.linalg.norm(b - matvec(x)) / bnorm
-            residuals.append(relres)
-            if relres <= tol:
-                converged = True
-                break
+        relres = np.linalg.norm(res) / bnorm
+        if relres <= tol or beta == 0.0:
+            res = b - matvec(x)
+            relres = np.linalg.norm(res) / bnorm
+        residuals.append(relres)
+        if relres <= tol:
+            converged = True
+            break
         if beta == 0.0:
             breakdown = "Lanczos subspace exhausted at iteration %d" % itn
             break

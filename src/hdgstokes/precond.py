@@ -9,7 +9,12 @@ Four kinds, all symmetric positive definite:
 
 Rbar approximates the inverse of the condensed velocity block: an
 exact sparse factorization, or a fixed number of smoothed-aggregation
-V(1,1) cycles with the constant trace fields as near-nullspace.
+V(1,1) cycles with the constant trace fields as near-nullspace.  Every
+factorization here is `amg.spd_lu` (symmetric minimum-degree ordering,
+diagonal pivots), since all factored blocks are SPD.  The modal bases
+are orthonormal, so the pressure masses of the PM kinds are diagonal:
+they are applied as r / diag(M), after checking that the off-diagonal
+part is at roundoff level; a mass that is not diagonal is refused.
 
 The SGS kinds compose (P_L + P_D) P_D^-1 (P_D + P_L^T) with P_L the
 strictly lower block triangle of the condensed operator.  The sweep
@@ -22,17 +27,17 @@ works unchanged.
 """
 
 import numpy as np
-import scipy.sparse.linalg as spla
+import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
 from . import spaces as _spaces
-from .amg import SmoothedAggregation
+from .amg import SmoothedAggregation, spd_lu
 
 KINDS = ("PM", "PC", "PM-SGS", "PC-SGS")
 
 
 class OperatorApprox:
-    """Approximate inverse of an SPD matrix: 'exact' (sparse LU) or
+    """Approximate inverse of an SPD matrix: 'exact' (`spd_lu`) or
     'multigrid' (fixed V-cycle count).  Tiny problems silently degrade
     multigrid to the exact mode; `degraded` records that."""
 
@@ -48,7 +53,7 @@ class OperatorApprox:
             self.degraded = True
         self.mode = mode
         if mode == "exact":
-            self.lu = spla.splu(A.tocsc())
+            self.lu = spd_lu(A)
             self.amg = None
         else:
             self.amg = SmoothedAggregation(A, near_null,
@@ -58,6 +63,19 @@ class OperatorApprox:
         if self.mode == "exact":
             return self.lu.solve(r)
         return self.amg.solve(r, cycles=self.cycles)
+
+
+def _diagonal_solver(M, name):
+    """r -> M^-1 r for a matrix that is diagonal up to roundoff.
+
+    Raises ValueError when a row's off-diagonal absolute sum exceeds
+    1e-12 of its (positive) diagonal entry."""
+    M = sp.csr_matrix(M)
+    d = M.diagonal()
+    off = np.abs(M - sp.diags(d)).sum(axis=1).A1
+    if not np.all(d > 0.0) or np.any(off > 1e-12 * d):
+        raise ValueError("%s matrix is not positive diagonal" % name)
+    return lambda r: r / d
 
 
 def generalized_extremes(A, apply_inv, iters=30, seed=11):
@@ -138,7 +156,8 @@ def build_preconditioner(cs, M_p, M_s, kind="PM", rbar_mode="exact",
                          cycles=4):
     """Assemble one of the four preconditioners for a condensed system.
 
-    M_p, M_s are the assembled pressure mass blocks.  The velocity
+    M_p, M_s are the assembled pressure mass blocks; the PM kinds
+    require them diagonal and raise ValueError otherwise.  The velocity
     block approximation uses the constant trace fields (zeroed on
     constrained DOFs) as multigrid near-nullspace.
     """
@@ -152,12 +171,12 @@ def build_preconditioner(cs, M_p, M_s, kind="PM", rbar_mode="exact",
                           near_null=near)
 
     if kind.startswith("PM"):
-        lu2 = spla.splu(M_p.tocsc())
-        lu3 = spla.splu(M_s.tocsc())
+        solve2 = _diagonal_solver(M_p, "cell pressure mass")
+        solve3 = _diagonal_solver(M_s, "facet pressure mass")
     else:
-        lu2 = spla.splu((-cs.C_pp).tocsc())
-        lu3 = spla.splu((-cs.C_ss).tocsc())
+        solve2 = spd_lu(-cs.C_pp).solve
+        solve3 = spd_lu(-cs.C_ss).solve
     # The sweep diagonal takes the positive-definite block variants so
     # the composed operator (P_L + P_D) P_D^-1 (P_L^T + P_D) is SPD,
     # which MINRES requires.
-    return Preconditioner(cs, kind, rbar, lu2.solve, lu3.solve)
+    return Preconditioner(cs, kind, rbar, solve2, solve3)

@@ -298,23 +298,33 @@ def interpolate_boundary(spaces, g):
     return vec
 
 
+def default_alpha(degree):
+    """Interior-penalty parameter used when none is given:
+    max(24, 6 k^2), i.e. 24, 24, 54 for k = 1, 2, 3.  Neither term
+    alone keeps the velocity form coercive: 24 fails on triangles at
+    k = 3, and 6 k^2 = 6 fails at k = 1."""
+    return max(24.0, 6.0 * degree ** 2)
+
+
 class ProblemSpec:
     """Viscosity-normalized problem data.
 
     body_force, boundary_velocity : callables (x, y) -> (fx, fy) taking
-    array arguments; alpha is the interior-penalty stabilization.
+    array arguments; alpha is the interior-penalty stabilization,
+    `default_alpha(degree)` when None.
     """
 
-    def __init__(self, degree=2, alpha=24.0, body_force=None,
+    def __init__(self, degree=2, alpha=None, body_force=None,
                  boundary_velocity=None):
         zero = lambda x, y: (np.zeros_like(x), np.zeros_like(x))
         self.degree = degree
-        self.alpha = float(alpha)
+        self.alpha = float(default_alpha(degree) if alpha is None
+                           else alpha)
         self.body_force = body_force or zero
         self.boundary_velocity = boundary_velocity or zero
 
 
-def lid_driven_cavity(degree=2, alpha=24.0):
+def lid_driven_cavity(degree=2, alpha=None):
     """Cavity on [-1,1]^2: lid velocity (1 - x^4, 0), walls at rest.
 
     The lid profile vanishes at the corners, so the datum is continuous

@@ -92,6 +92,16 @@ def test_config_rejects_bad_values(kw):
         cli.RunConfig(**kw)
 
 
+def test_config_default_alpha_depends_on_degree(tmp_path):
+    assert [cli.RunConfig(degree=k).alpha for k in (1, 2, 3)] == \
+        [24.0, 24.0, 54.0]
+    assert cli.RunConfig(degree=3, alpha=24.0).alpha == 24.0
+    path = _ini(tmp_path, "[discretization]\ndegree = 3\nalpha = 30\n")
+    assert cli.RunConfig.from_file(path).alpha == 30.0
+    assert spaces.lid_driven_cavity(degree=3).alpha == 54.0
+    assert spaces.ProblemSpec(degree=1).alpha == 24.0
+
+
 def test_config_rejects_unknown_option_and_missing_file(tmp_path):
     path = _ini(tmp_path, "[solver]\nweird = 3\n")
     with pytest.raises(cli.ConfigError):
@@ -137,6 +147,17 @@ def test_solve_reports_nonconvergence(tmp_path):
     cfg = cli.RunConfig(nx=2, ny=2, tol=1e-14, maxiter=2)
     rc = cli.run_solve(cfg, str(tmp_path / "bad"))
     assert rc == 1
+
+
+@pytest.mark.parametrize("kind", ["PM", "PM-SGS"])
+def test_solve_k3_triangles_default_alpha_converges(tmp_path, kind):
+    # alpha = 24 is not coercive here: PM broke down, PM-SGS stalled
+    cfg = cli.RunConfig(degree=3, pc=kind)
+    assert cfg.alpha == 54.0
+    assert cli.run_solve(cfg, str(tmp_path)) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["solver"]["converged"] is True
+    assert report["solver"]["breakdown"] is None
 
 
 def test_study_is_deterministic(tmp_path):

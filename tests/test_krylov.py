@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 from hdgstokes import krylov
@@ -10,6 +11,14 @@ def _spd(n, seed):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n))
     return A @ A.T + n * np.eye(n)
+
+
+def _path_laplacian(n):
+    """1D path-graph Laplacian; its kernel is the constants."""
+    main = 2.0 * np.ones(n)
+    main[0] = main[-1] = 1.0
+    return sp.diags([main, -np.ones(n - 1), -np.ones(n - 1)],
+                    [0, -1, 1]).tocsr()
 
 
 def test_minres_solves_spd():
@@ -60,11 +69,9 @@ def test_minres_preconditioned_residual_monotone():
 
 
 def test_minres_nullspace_projection():
-    # 1D path-graph Laplacian: kernel = constants, rhs in the range
+    # kernel = constants, rhs in the range
     n = 25
-    main = 2.0 * np.ones(n)
-    main[0] = main[-1] = 1.0
-    A = sp.diags([main, -np.ones(n - 1), -np.ones(n - 1)], [0, -1, 1]).tocsr()
+    A = _path_laplacian(n)
     nv = np.ones(n) / np.sqrt(n)
     rng = np.random.default_rng(5)
     b = A @ rng.standard_normal(n)
@@ -72,6 +79,44 @@ def test_minres_nullspace_projection():
     assert rep.converged
     assert abs(rep.x @ nv) < 1e-10 * np.linalg.norm(rep.x)
     assert rep.nullspace_residual < 1e-10
+
+
+@pytest.mark.parametrize("case", ["dense", "nullspace"])
+@pytest.mark.parametrize("j", [5, 10, 15])
+def test_minres_recorded_residual_is_true_residual(case, j):
+    # the residual updated by recurrence must track b - A x_j
+    if case == "dense":
+        A, nv = _spd(60, 12), None
+        b = np.cos(np.arange(60.0))
+    else:
+        n = 40
+        A, nv = _path_laplacian(n), np.ones(n) / np.sqrt(n)
+        b = A @ np.random.default_rng(13).standard_normal(n)
+    rep = krylov.minres(A, b, tol=1e-14, maxiter=j, nullspace=nv)
+    assert rep.iterations == j and len(rep.residuals) == j
+    true = np.linalg.norm(b - A @ rep.x) / np.linalg.norm(b)
+    assert abs(rep.residuals[j - 1] - true) <= 1e-12
+
+
+@pytest.mark.parametrize("nullspace", [False, True])
+def test_minres_one_matvec_per_iteration(nullspace):
+    n = 60
+    if nullspace:
+        A, nv = _path_laplacian(n), np.ones(n) / np.sqrt(n)
+        b = A @ np.sin(np.arange(n, dtype=float))
+    else:
+        A, nv = _spd(n, 14), None
+        b = np.ones(n)
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return A @ x
+
+    rep = krylov.minres(counted, b, tol=1e-10, maxiter=500, nullspace=nv)
+    assert rep.converged
+    assert np.linalg.norm(b - A @ rep.x) <= 1e-10 * np.linalg.norm(b)
+    assert len(calls) <= rep.iterations + 2
 
 
 def test_minres_maxiter_exhaustion():
@@ -113,9 +158,7 @@ def test_gmres_restart_cycles():
 
 def test_gmres_nullspace_projection():
     n = 25
-    main = 2.0 * np.ones(n)
-    main[0] = main[-1] = 1.0
-    A = sp.diags([main, -np.ones(n - 1), -np.ones(n - 1)], [0, -1, 1]).tocsr()
+    A = _path_laplacian(n)
     nv = np.ones(n) / np.sqrt(n)
     b = A @ np.sin(np.arange(n, dtype=float))
     rep = krylov.gmres(A, b, tol=1e-10, maxiter=200, nullspace=nv)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from hdgstokes import assembly, condense, krylov, mesh, precond, spaces
 
@@ -53,6 +54,33 @@ def test_block_diagonal_application(small):
     assert np.allclose(cs.Abar @ z1, r1, atol=1e-10)
     assert np.allclose(bs.M_p @ z2, r2, atol=1e-12)
     assert np.allclose(bs.M_s @ z3, r3, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", ["triangle", "quadrilateral"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_diagonal_mass_apply_matches_sparse_lu(shape, k):
+    m = mesh.generate(3, 3, shape, jitter=0.2, seed=5)
+    sp_ = spaces.build_spaces(m, k)
+    bs = assembly.build_block_system(sp_, spaces.lid_driven_cavity(k))
+    cs = condense.condense(bs)
+    pc = precond.build_preconditioner(cs, bs.M_p, bs.M_s, "PM")
+    r = np.random.default_rng(6).standard_normal(cs.size)
+    _, r2, r3 = cs.split(r)
+    _, z2, z3 = cs.split(pc.apply(r))
+    for M, rr, z in ((bs.M_p, r2, z2), (bs.M_s, r3, z3)):
+        want = spla.splu(M.tocsc()).solve(rr)
+        assert np.abs(z - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_non_diagonal_mass_refused(small):
+    bs, cs = small
+    n = bs.M_p.shape[0]
+    coupled = (bs.M_p + 1e-3 * sp.eye(n, k=1)
+               + 1e-3 * sp.eye(n, k=-1)).tocsr()
+    with pytest.raises(ValueError, match="not positive diagonal"):
+        precond.build_preconditioner(cs, coupled, bs.M_s, "PM")
+    with pytest.raises(ValueError, match="not positive diagonal"):
+        precond.build_preconditioner(cs, bs.M_p, -bs.M_s, "PM-SGS")
 
 
 def test_pc_pressure_blocks_are_element_schur(small):
@@ -126,6 +154,15 @@ def test_operator_approx_exact_and_degraded(small):
     mg = precond.OperatorApprox(cs.Abar, mode="multigrid")
     assert mg.degraded
     assert np.allclose(mg.apply(r), exact.apply(r))
+
+
+def test_exact_velocity_block_fill(cavity):
+    # symmetric minimum-degree ordering; COLAMD gives a ratio of 4.65
+    m = mesh.generate(16, 16)
+    sp_ = spaces.build_spaces(m, cavity.degree)
+    cs = condense.condense(assembly.build_block_system(sp_, cavity))
+    exact = precond.OperatorApprox(cs.Abar, mode="exact")
+    assert exact.lu.nnz / cs.Abar.nnz <= 4.0
 
 
 def test_multigrid_certificate_and_solve(cavity):
