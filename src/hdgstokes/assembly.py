@@ -23,7 +23,9 @@ are defined here once, for the norms of the spectra module as well.
 
 Pressure masses: M_p is the plain cell mass (identity in the modal
 basis); M_s carries the facet weight h_K+ + h_K- (interior) or h_K
-(boundary).
+(boundary).  Both are diagonal because the modal bases are
+orthonormal; `mass_diagonal` is the one check of that, for the
+preconditioners and the spectral probes alike.
 
 Dirichlet data on the facet velocity is eliminated symmetrically:
 constrained rows/columns of A are cleared, the diagonal is set to one,
@@ -168,6 +170,19 @@ def facet_mass(sp_, weights):
 def facet_integrals(sp_):
     """(nf, nbf) integrals of the facet basis over each facet."""
     return np.einsum("fq,fqi->fi", sp_.facet_qw, sp_.psibar, optimize=True)
+
+
+def mass_diagonal(M, name):
+    """Diagonal of a mass matrix that is diagonal up to roundoff.
+
+    Raises ValueError when a row's off-diagonal absolute sum exceeds
+    1e-12 of its (positive) diagonal entry."""
+    M = sp.csr_matrix(M)
+    d = M.diagonal()
+    off = np.abs(M - sp.diags(d)).sum(axis=1).A1
+    if not np.all(d > 0.0) or np.any(off > 1e-12 * d):
+        raise ValueError("%s matrix is not positive diagonal" % name)
+    return d
 
 
 def facet_mass_weights(mesh):

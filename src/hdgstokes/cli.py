@@ -91,7 +91,8 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path):
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(
+            inline_comment_prefixes=(";", "#"))
         read = parser.read(path)
         if not read:
             raise ConfigError("cannot read config file %r" % path)

@@ -13,8 +13,9 @@ V(1,1) cycles with the constant trace fields as near-nullspace.  Every
 factorization here is `amg.spd_lu` (symmetric minimum-degree ordering,
 diagonal pivots), since all factored blocks are SPD.  The modal bases
 are orthonormal, so the pressure masses of the PM kinds are diagonal:
-they are applied as r / diag(M), after checking that the off-diagonal
-part is at roundoff level; a mass that is not diagonal is refused.
+they are applied as r / diag(M), after `assembly.mass_diagonal` has
+checked that the off-diagonal part is at roundoff level; a mass that is
+not diagonal is refused.
 
 The SGS kinds compose (P_L + P_D) P_D^-1 (P_D + P_L^T) with P_L the
 strictly lower block triangle of the condensed operator.  The sweep
@@ -27,9 +28,9 @@ works unchanged.
 """
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
+from . import assembly as _assembly
 from . import spaces as _spaces
 from .amg import SmoothedAggregation, spd_lu
 
@@ -66,15 +67,8 @@ class OperatorApprox:
 
 
 def _diagonal_solver(M, name):
-    """r -> M^-1 r for a matrix that is diagonal up to roundoff.
-
-    Raises ValueError when a row's off-diagonal absolute sum exceeds
-    1e-12 of its (positive) diagonal entry."""
-    M = sp.csr_matrix(M)
-    d = M.diagonal()
-    off = np.abs(M - sp.diags(d)).sum(axis=1).A1
-    if not np.all(d > 0.0) or np.any(off > 1e-12 * d):
-        raise ValueError("%s matrix is not positive diagonal" % name)
+    """r -> M^-1 r for a mass that `assembly.mass_diagonal` accepts."""
+    d = _assembly.mass_diagonal(M, name)
     return lambda r: r / d
 
 

@@ -17,16 +17,24 @@ dense eigensolvers on desk-scale meshes:
 
 The norms are built from the element kernels of the assembly module.
 
-Deflation is done by restricting a pencil to the subspace orthogonal
-to given vectors, parameterized by eliminating one coordinate per
-constraint; restricted eigenvalues do not depend on that choice.
+The pressure masses are diagonal (orthonormal modal bases, checked by
+`assembly.mass_diagonal`), so every pressure pencil (S, M) is solved
+as the standard symmetric problem D^-1/2 S D^-1/2 with D = diag(M).
+The constant pressure is deflated with one Householder reflector that
+maps the scaled constant onto the first coordinate, whose row and
+column are then dropped.  Schur complements B A^-1 B^T are formed
+densely from the `amg.spd_lu` factorization of A.  The coercivity
+pencil, whose pair norm is not diagonal, is restricted to the
+subspace orthogonal to the constant fields by eliminating one
+coordinate per constraint; restricted eigenvalues do not depend on
+that choice.
 """
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
+from . import amg as _amg
 from . import assembly as _assembly
 from . import spaces as _spaces
 
@@ -105,16 +113,48 @@ def _restricted_pencil(S, M, constraints):
     return restrict(S), restrict(M)
 
 
+def _mass_pencil_eigvals(S, M, c=None, subset=None):
+    """Eigenvalues of the pencil (S, M) for a diagonal mass M, on the
+    M-orthogonal complement of c when c is given.  Overwrites S.
+
+    With D = diag(M) the pencil is the standard problem
+    H = D^-1/2 S D^-1/2, and the constraint c^T M x = 0 reads
+    v^T y = 0 for y = D^1/2 x, v = D^1/2 c.  The Householder reflector
+    P = I - 2 w w^T with P v = -+e_1 maps that complement onto the
+    trailing coordinates, so the restricted spectrum is that of
+    (P H P)[1:, 1:]."""
+    d = _assembly.mass_diagonal(M, "pressure mass")
+    s = 1.0 / np.sqrt(d)
+    S *= s[:, None]
+    S *= s
+    if c is not None:
+        w = c / s
+        w /= np.linalg.norm(w)
+        w[0] += np.copysign(1.0, w[0])
+        w /= np.linalg.norm(w)
+        u = S @ w
+        z = 2.0 * u - 2.0 * (w @ u) * w
+        # P H P = H - w z^T - z w^T
+        S -= np.outer(w, z)
+        S -= np.outer(z, w)
+        S = S[1:, 1:]
+    return sla.eigvalsh(S, overwrite_a=True, check_finite=False,
+                        subset_by_index=subset)
+
+
 def _dense(A):
     return A.toarray() if sp.issparse(A) else np.asarray(A)
 
 
 def _schur_dense(A, B):
-    """B A^-1 B^T with a sparse factorization of A, dense result."""
-    lu = spla.splu(sp.csc_matrix(A))
+    """B A^-1 B^T with the `spd_lu` factorization of A, dense result."""
+    lu = _amg.spd_lu(A)
     m = B.shape[0]
     S = np.empty((m, m))
-    step = 512
+    # 32 right-hand sides per solve: on the 10,944-dof velocity matrix
+    # of 16x16 triangles at k = 2 (2 vCPU) that costs about 1.0 ms per
+    # column, against 1.5 ms with 512-column blocks
+    step = 32
     for j in range(0, m, step):
         cols = B[j:j + step].toarray().T
         S[:, j:j + step] = B @ lu.solve(cols)
@@ -128,12 +168,8 @@ def schur_spectrum(bs, deflate=True):
     constant pressure deflated; returns (lmin, lmax)."""
     A = bs.velocity_matrix()
     B = bs.divergence_matrix().tocsr()
-    S = _schur_dense(A, B)
-    M = _dense(bs.pressure_mass())
-    if deflate:
-        c = _spaces.constant_pressure_vector(bs.spaces)
-        S, M = _restricted_pencil(S, M, M @ c)
-    w = sla.eigh(S, M, eigvals_only=True)
+    c = _spaces.constant_pressure_vector(bs.spaces) if deflate else None
+    w = _mass_pencil_eigvals(_schur_dense(A, B), bs.pressure_mass(), c)
     return float(w[0]), float(w[-1])
 
 
@@ -151,13 +187,12 @@ def element_block_spectrum(cs, M_p, M_s, deflate=False):
     blocks, so the restricted pencil is solved as one problem."""
     if deflate:
         C = sla.block_diag(_dense(-cs.C_pp), _dense(-cs.C_ss))
-        M = sla.block_diag(_dense(M_p), _dense(M_s))
+        M = sp.block_diag([M_p, M_s])
         c = _spaces.constant_pressure_vector(cs.spaces)
-        Cr, Mr = _restricted_pencil(C, M, M @ c)
-        w = sla.eigh(Cr, Mr, eigvals_only=True)
+        w = _mass_pencil_eigvals(C, M, c)
         return float(w[0]), float(w[-1])
-    wp = sla.eigh(_dense(-cs.C_pp), _dense(M_p), eigvals_only=True)
-    ws = sla.eigh(_dense(-cs.C_ss), _dense(M_s), eigvals_only=True)
+    wp = _mass_pencil_eigvals(_dense(-cs.C_pp), M_p)
+    ws = _mass_pencil_eigvals(_dense(-cs.C_ss), M_s)
     return (float(min(wp[0], ws[0])), float(max(wp[-1], ws[-1])))
 
 
@@ -219,7 +254,7 @@ def facet_infsup(bs):
     rows, Bs = bs.local_block("s")
     G = _dg_schur(sp_, bs.alpha, Bs)
     Gs = _assembly._scatter(rows, rows, G, (sp_.n_pbar, sp_.n_pbar))
-    w = sla.eigh(_dense(Gs), _dense(bs.M_s), eigvals_only=True)
+    w = _mass_pencil_eigvals(_dense(Gs), bs.M_s, subset=[0, 0])
     return float(np.sqrt(max(w[0], 0.0)))
 
 

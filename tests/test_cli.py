@@ -1,4 +1,6 @@
 import json
+import pathlib
+import re
 import textwrap
 
 import numpy as np
@@ -77,6 +79,15 @@ def test_config_parses_ini(tmp_path):
     assert (cfg.method, cfg.tol, cfg.restart) == ("gmres", 1e-6, 30)
     assert (cfg.pc, cfg.rbar, cfg.cycles) == ("PC-SGS", "multigrid", 2)
     assert (cfg.verify_nx, cfg.verify_levels) == (2, 2)
+
+
+def test_readme_example_config_is_the_default(tmp_path):
+    """The README's example INI, inline comments included, spells out
+    the defaults."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    cfg = cli.RunConfig.from_file(_ini(tmp_path, block))
+    assert vars(cfg) == vars(cli.RunConfig())
 
 
 @pytest.mark.parametrize("kw", [

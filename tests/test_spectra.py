@@ -1,7 +1,10 @@
+import copy
 import json
 
 import numpy as np
+import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from hdgstokes import assembly, condense, mesh, spaces, spectra
 
@@ -14,8 +17,26 @@ def _complement(vectors, n):
     return sla.null_space(C)
 
 
-def test_schur_spectrum_matches_dense_oracle(sys2):
-    sp_, bs, _ = sys2
+@pytest.fixture(scope="module", params=["sys2", "tri_k1", "quad_jitter_k3"])
+def oracle_sys(request):
+    """Spaces, blocks and condensed system for the dense oracles: the
+    two-cell k = 2 system, jittered triangles at k = 1, and jittered
+    quads at k = 3 with alpha = 54."""
+    if request.param == "sys2":
+        return request.getfixturevalue("sys2")
+    if request.param == "tri_k1":
+        m, prob = request.getfixturevalue("tri_jitter"), \
+            spaces.lid_driven_cavity(degree=1)
+    else:
+        m, prob = request.getfixturevalue("quad_jitter"), \
+            spaces.lid_driven_cavity(degree=3, alpha=54.0)
+    sp_ = spaces.build_spaces(m, prob.degree)
+    bs = assembly.build_block_system(sp_, prob)
+    return sp_, bs, condense.condense(bs)
+
+
+def test_schur_spectrum_matches_dense_oracle(oracle_sys):
+    sp_, bs, _ = oracle_sys
     A = bs.velocity_matrix().toarray()
     B = bs.divergence_matrix().toarray()
     M = bs.pressure_mass().toarray()
@@ -35,8 +56,8 @@ def test_constant_pressure_rayleigh_quotient_zero(sys2):
     assert abs(lo) < 1e-10
 
 
-def test_element_block_spectrum_matches_dense_oracle(sys2):
-    sp_, bs, cs = sys2
+def test_element_block_spectrum_matches_dense_oracle(oracle_sys):
+    sp_, bs, cs = oracle_sys
     Auu = bs.A_uu.toarray()
     Sp = bs.B_pu.toarray() @ np.linalg.solve(Auu, bs.B_pu.toarray().T)
     Ss = bs.B_su.toarray() @ np.linalg.solve(Auu, bs.B_su.toarray().T)
@@ -45,7 +66,42 @@ def test_element_block_spectrum_matches_dense_oracle(sys2):
     lo, hi = spectra.element_block_spectrum(cs, bs.M_p, bs.M_s)
     assert abs(lo - min(wp[0], ws[0])) < 1e-9
     assert abs(hi - max(wp[-1], ws[-1])) < 1e-9
-    assert lo > 0 and hi < 1.0
+    assert lo > 0
+    # the upper bound below 1 is a low-degree property: at k = 3 the
+    # top eigenvalue is 1.58 on the jittered quads (1.98 on triangles)
+    if sp_.degree < 3:
+        assert hi < 1.0
+
+
+def test_element_block_spectrum_deflated_matches_dense_oracle(oracle_sys):
+    sp_, bs, cs = oracle_sys
+    C = sla.block_diag(-cs.C_pp.toarray(), -cs.C_ss.toarray())
+    M = bs.pressure_mass().toarray()
+    c = spaces.constant_pressure_vector(sp_)
+    Z = _complement(M @ c, len(c))
+    w = sla.eigh(Z.T @ C @ Z, Z.T @ M @ Z, eigvals_only=True)
+    lo, hi = spectra.element_block_spectrum(cs, bs.M_p, bs.M_s,
+                                            deflate=True)
+    assert abs(lo - w[0]) < 1e-9 * abs(w[0])
+    assert abs(hi - w[-1]) < 1e-9 * abs(w[-1])
+    assert lo > 0
+
+
+def test_probes_refuse_non_diagonal_mass(sys2):
+    """The probes solve standard problems on diag(M), so they refuse a
+    mass with off-diagonal entries, as the preconditioner does."""
+    _, bs, cs = sys2
+    n = bs.M_p.shape[0]
+    coupled = (bs.M_p + 1e-3 * sp.eye(n, k=1)
+               + 1e-3 * sp.eye(n, k=-1)).tocsr()
+    bad = copy.copy(bs)
+    bad.M_p = coupled
+    with pytest.raises(ValueError, match="not positive diagonal"):
+        spectra.schur_spectrum(bad)
+    for deflate in (False, True):
+        with pytest.raises(ValueError, match="not positive diagonal"):
+            spectra.element_block_spectrum(cs, coupled, bs.M_s,
+                                           deflate=deflate)
 
 
 def test_element_block_spectrum_deflated_bracket_nests(sys2):
@@ -128,10 +184,10 @@ def test_cell_infsup_matches_dense_oracle(tri2):
     assert abs(got - np.sqrt(w[0])) < 1e-11
 
 
-def test_facet_infsup_matches_element_schur(sys2):
+def test_facet_infsup_matches_element_schur(oracle_sys):
     """The facet rows' pencil is (B_su N^-1 B_su^T, M_s) with N the
     cell DG norm; check positivity and the dense reduction."""
-    sp_, bs, _ = sys2
+    sp_, bs, _ = oracle_sys
     val = spectra.facet_infsup(bs)
     assert val > 0
     S1 = (assembly.scalar_stiffness(sp_)
