@@ -12,6 +12,12 @@ Eliminated identity rows show up as isolated graph nodes with a zero
 near-nullspace row; they become smoother-only singleton aggregates,
 which the Gauss-Seidel sweep solves exactly.
 
+Cycles take an (n,) or an (n, m) right-hand side: the sparse products,
+the triangular Gauss-Seidel solves and the coarse `spd_lu` solve act
+on every column at once.  The solver builds its hierarchy on the
+scalar block of one velocity component and cycles both components as
+one two-column block.
+
 `spd_lu` is the sparse factorization of every SPD matrix the solver
 factors (the coarsest level here, the exact velocity block and the
 pressure Schur blocks in `precond`): a symmetric minimum-degree
@@ -135,7 +141,8 @@ class _Level:
 
 
 class SmoothedAggregation:
-    """Multigrid hierarchy; `cycle` applies one symmetric V(1,1) cycle."""
+    """Multigrid hierarchy; `cycle` applies one symmetric V(1,1) cycle
+    to an (n,) or (n, m) right-hand side."""
 
     def __init__(self, A, near_null, coarse_size=60, max_levels=12,
                  omega=4.0 / 3.0):

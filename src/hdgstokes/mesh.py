@@ -42,34 +42,27 @@ class Mesh:
     # -- topology ----------------------------------------------------
 
     def _build_facets(self):
+        """Facets numbered by first appearance in cell-major edge order;
+        each keeps the orientation of its first cell."""
         nc, npc = self.cells.shape
-        lookup = {}
-        facets = []
-        facet_cells = []
-        cell_facets = np.empty((nc, npc), dtype=np.int64)
-        cell_facet_sign = np.empty((nc, npc), dtype=np.int64)
-        for c in range(nc):
-            for e in range(npc):
-                a = self.cells[c, e]
-                b = self.cells[c, (e + 1) % npc]
-                key = (a, b) if a < b else (b, a)
-                f = lookup.get(key)
-                if f is None:
-                    f = len(facets)
-                    lookup[key] = f
-                    facets.append((a, b))
-                    facet_cells.append([c, -1])
-                    cell_facet_sign[c, e] = 1
-                else:
-                    if facet_cells[f][1] != -1:
-                        raise ValueError("facet shared by more than two cells")
-                    facet_cells[f][1] = c
-                    cell_facet_sign[c, e] = -1
-                cell_facets[c, e] = f
-        self.facets = np.array(facets, dtype=np.int64)
-        self.facet_cells = np.array(facet_cells, dtype=np.int64)
-        self.cell_facets = cell_facets
-        self.cell_facet_sign = cell_facet_sign
+        a = self.cells.ravel()
+        b = np.roll(self.cells, -1, axis=1).ravel()
+        key = np.minimum(a, b) * (self.cells.max() + 1) + np.maximum(a, b)
+        _, first, inverse, count = np.unique(
+            key, return_index=True, return_inverse=True, return_counts=True)
+        if np.any(count > 2):
+            raise ValueError("facet shared by more than two cells")
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(first))
+        edge_facet = rank[inverse]
+        owner = first[inverse] == np.arange(nc * npc)
+        head = np.sort(first)
+        self.facets = np.column_stack([a[head], b[head]])
+        self.facet_cells = np.full((len(head), 2), -1, dtype=np.int64)
+        self.facet_cells[:, 0] = head // npc
+        self.facet_cells[edge_facet[~owner], 1] = np.flatnonzero(~owner) // npc
+        self.cell_facets = edge_facet.reshape(nc, npc)
+        self.cell_facet_sign = np.where(owner, 1, -1).reshape(nc, npc)
         self.boundary_mask = self.facet_cells[:, 1] < 0
 
     def _build_geometry(self):

@@ -7,9 +7,13 @@ Four kinds, all symmetric positive definite:
   PM-SGS  symmetric block Gauss-Seidel around bdiag(Rbar, M_p, M_s)
   PC-SGS  symmetric block Gauss-Seidel around bdiag(Rbar, -C_pp, -C_ss)
 
-Rbar approximates the inverse of the condensed velocity block: an
-exact sparse factorization, or a fixed number of smoothed-aggregation
-V(1,1) cycles with the constant trace fields as near-nullspace.  Every
+Rbar approximates the inverse of the condensed velocity block.  That
+block is two copies of one scalar operator (`condense` checks it), so
+Rbar is built on the scalar block `cs.Abar_scalar` alone: an exact
+sparse factorization, or a fixed number of smoothed-aggregation V(1,1)
+cycles with the constant scalar facet field as near-nullspace.  It is
+applied to both components at once, as the (n_t/2, 2) block
+`cs.component_columns(r)`, in both sweeps of the SGS kinds too.  Every
 factorization here is `amg.spd_lu` (symmetric minimum-degree ordering,
 diagonal pivots), since all factored blocks are SPD.  The modal bases
 are orthonormal, so the pressure masses of the PM kinds are diagonal:
@@ -40,7 +44,8 @@ KINDS = ("PM", "PC", "PM-SGS", "PC-SGS")
 class OperatorApprox:
     """Approximate inverse of an SPD matrix: 'exact' (`spd_lu`) or
     'multigrid' (fixed V-cycle count).  Tiny problems silently degrade
-    multigrid to the exact mode; `degraded` records that."""
+    multigrid to the exact mode; `degraded` records that.  `apply`
+    takes an (n,) or (n, m) right-hand side."""
 
     def __init__(self, A, mode="exact", cycles=4, near_null=None,
                  coarse_size=60):
@@ -131,18 +136,23 @@ class Preconditioner:
             self.Csp = cs.C_ps.T.tocsr()
             self.Cps = cs.C_ps
 
+    def _solve1(self, r1):
+        """Rbar on both velocity components as one two-column block."""
+        cs = self.cs
+        return cs.component_vector(self.rbar.apply(cs.component_columns(r1)))
+
     def apply(self, r):
         r1, r2, r3 = self.cs.split(r)
         if not self.is_sgs:
-            return np.concatenate([self.rbar.apply(r1),
+            return np.concatenate([self._solve1(r1),
                                    self._solve2(r2),
                                    self._solve3(r3)])
-        y1 = self.rbar.apply(r1)
+        y1 = self._solve1(r1)
         y2 = self._solve2(r2 - self.Bp @ y1)
         y3 = self._solve3(r3 - self.Bs @ y1 - self.Csp @ y2)
         z3 = y3
         z2 = y2 - self._solve2(self.Cps @ z3)
-        z1 = y1 - self.rbar.apply(self.Bp.T @ z2 + self.Bs.T @ z3)
+        z1 = y1 - self._solve1(self.Bp.T @ z2 + self.Bs.T @ z3)
         return np.concatenate([z1, z2, z3])
 
 
@@ -152,17 +162,18 @@ def build_preconditioner(cs, M_p, M_s, kind="PM", rbar_mode="exact",
 
     M_p, M_s are the assembled pressure mass blocks; the PM kinds
     require them diagonal and raise ValueError otherwise.  The velocity
-    block approximation uses the constant trace fields (zeroed on
-    constrained DOFs) as multigrid near-nullspace.
+    block approximation is built on the scalar block `cs.Abar_scalar`;
+    its multigrid near-nullspace is the constant scalar facet field,
+    zeroed on constrained DOFs.
     """
     if kind not in KINDS:
         raise ValueError("unknown preconditioner kind %r; expected one of %s"
                          % (kind, ", ".join(KINDS)))
     sp_ = cs.spaces
-    near = _spaces.constant_facet_velocity_fields(sp_).copy()
+    near = _spaces.constant_facet_velocity_fields(sp_)[:, 0].copy()
     near[sp_.constrained_facet_velocity_dofs] = 0.0
-    rbar = OperatorApprox(cs.Abar, mode=rbar_mode, cycles=cycles,
-                          near_null=near)
+    rbar = OperatorApprox(cs.Abar_scalar, mode=rbar_mode, cycles=cycles,
+                          near_null=cs.component_columns(near)[:, 0])
 
     if kind.startswith("PM"):
         solve2 = _diagonal_solver(M_p, "cell pressure mass")

@@ -7,7 +7,8 @@ dense eigensolvers on desk-scale meshes:
   against the pressure mass, full and condensed, with the constant
   pressure deflated;
 * coercivity and boundedness constants of the velocity form against
-  the velocity pair norm, with the two constant fields deflated;
+  the velocity pair norm, with the two constant fields deflated (on
+  one component: both are copies of one scalar form);
 * per-cell divergence inf-sup constants (no deflation: the local
   bound covers constant pressures, since cell velocities carry no
   boundary condition);
@@ -210,7 +211,8 @@ def condensed_schur_identity(bs, cs):
 
 def coercivity_bounds(bs, alpha=None):
     """Extreme eigenvalues of the velocity form against the pair norm,
-    on the complement of the two constant fields.
+    on the complement of the two constant fields, measured on one
+    velocity component with its constant deflated.
 
     Call with an *unconstrained* system (bcs=False): the claim is
     about the bilinear form itself.  Returns (c_lower, c_upper); a
@@ -219,16 +221,18 @@ def coercivity_bounds(bs, alpha=None):
     sp_ = bs.spaces
     if alpha is None:
         alpha = bs.alpha
-    A = _dense(bs.velocity_matrix())
-    N = _dense(velocity_pair_norm_matrix(sp_, alpha))
-    consts = []
-    for d in range(2):
-        fn = (lambda x, y: (np.ones_like(x), np.zeros_like(x))) if d == 0 \
-            else (lambda x, y: (np.zeros_like(x), np.ones_like(x)))
-        consts.append(np.concatenate([
-            _spaces.project_velocity(sp_, fn),
-            _spaces.project_facet_velocity(sp_, fn)]))
-    Ar, Nr = _restricted_pencil(A, N, np.column_stack(consts))
+    # `assembly.velocity_blocks` builds both components from one scalar
+    # kernel, so the pencil is two copies of its component-0 block
+    comp = np.concatenate([
+        sp_.velocity_coeffs(np.arange(sp_.n_u))[:, 0].ravel(),
+        sp_.n_u + sp_.facet_velocity_coeffs(np.arange(sp_.n_ubar))[:, 0]
+        .ravel()])
+    A = _dense(bs.velocity_matrix()[comp][:, comp])
+    N = _dense(velocity_pair_norm_matrix(sp_, alpha)[comp][:, comp])
+    one = lambda x, y: (np.ones_like(x), np.zeros_like(x))
+    const = np.concatenate([_spaces.project_velocity(sp_, one),
+                            _spaces.project_facet_velocity(sp_, one)])
+    Ar, Nr = _restricted_pencil(A, N, const[comp])
     w = sla.eigh(Ar, Nr, eigvals_only=True)
     return float(w[0]), float(w[-1])
 

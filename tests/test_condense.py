@@ -1,6 +1,15 @@
 import numpy as np
+import pytest
+import scipy.sparse as sp
 
 from hdgstokes import assembly, condense, mesh, spaces, spectra
+
+
+def _component_dofs(sp_, comp):
+    """Facet-velocity dofs of one component, in facet order."""
+    nf, nbf = sp_.mesh.num_facets, sp_.nbf
+    return (np.arange(nf)[:, None] * 2 * nbf + comp * nbf
+            + np.arange(nbf)).ravel()
 
 
 def test_sizes(sys4x4):
@@ -124,3 +133,51 @@ def test_recovery_solves_local_problems(sys4x4):
     res = (bs.A_uu @ u + bs.A_tu.T @ ubar
            + bs.B_pu.T @ p + bs.B_su.T @ pbar - bs.L_u)
     assert np.abs(res).max() < 1e-10 * max(np.abs(bs.L_u).max(), 1.0)
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.2])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("shape", ["triangle", "quadrilateral"])
+def test_velocity_block_is_two_copies_of_scalar_block(shape, k, jitter):
+    m = mesh.generate(3, 3, shape, jitter=jitter, seed=8)
+    sp_ = spaces.build_spaces(m, k)
+    cs = condense.condense(
+        assembly.build_block_system(sp_, spaces.lid_driven_cavity(k)))
+    i0, i1 = _component_dofs(sp_, 0), _component_dofs(sp_, 1)
+    A = cs.Abar.tocsr()
+    assert A[i0][:, i1].count_nonzero() == 0
+    assert A[i1][:, i0].count_nonzero() == 0
+    A00, A11 = A[i0][:, i0], A[i1][:, i1]
+    assert abs(A11 - A00).max() <= 1e-12 * abs(A00).max()
+    assert abs(cs.Abar_scalar - A00).max() == 0.0
+    x = np.random.default_rng(1).standard_normal(cs.n_t)
+    X = cs.component_columns(x)
+    assert np.array_equal(X, np.column_stack([x[i0], x[i1]]))
+    assert np.array_equal(cs.component_vector(X), x)
+    y = cs.component_vector(cs.Abar_scalar @ X)
+    assert np.abs(y - A @ x).max() <= 1e-12 * np.abs(A @ x).max()
+
+
+def _perturbed_condense(bs, i, j, value):
+    """condense after adding `value` at (i, j) and (j, i) of A_tt."""
+    n = bs.A_tt.shape[0]
+    E = sp.coo_matrix(([value, value], ([i, j], [j, i])), shape=(n, n))
+    bs.A_tt = (bs.A_tt + E).tocsr()
+    return condense.condense(bs)
+
+
+def test_coupled_or_unequal_components_refused(tri_jitter, cavity):
+    sp_ = spaces.build_spaces(tri_jitter, cavity.degree)
+    interior = np.flatnonzero(~tri_jitter.boundary_mask)[0]
+    a = interior * 2 * sp_.nbf          # component 0, mode 0
+    b = a + sp_.nbf                     # component 1, mode 0
+    bs = assembly.build_block_system(sp_, cavity)
+    scale = abs(bs.A_tt).max()
+    with pytest.raises(ValueError, match="coupled"):
+        _perturbed_condense(bs, a, b + 1, 1e-3 * scale)
+    bs = assembly.build_block_system(sp_, cavity)
+    with pytest.raises(ValueError, match="differ"):
+        _perturbed_condense(bs, b, b + 1, 1e-9 * scale)
+    # a difference at rounding level is accepted
+    bs = assembly.build_block_system(sp_, cavity)
+    _perturbed_condense(bs, b, b + 1, 1e-15 * scale)

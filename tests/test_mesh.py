@@ -96,6 +96,59 @@ def test_jitter_reproducible_and_bounded():
     assert np.array_equal(a.vertices[on_bnd], ref.vertices[on_bnd])
 
 
+def _loop_facets(cells):
+    """Reference facet construction: one pass over the cell edges in
+    cell-major order, numbering facets by first appearance."""
+    nc, npc = cells.shape
+    lookup, facets, facet_cells = {}, [], []
+    cell_facets = np.empty((nc, npc), dtype=np.int64)
+    cell_facet_sign = np.empty((nc, npc), dtype=np.int64)
+    for c in range(nc):
+        for e in range(npc):
+            a, b = cells[c, e], cells[c, (e + 1) % npc]
+            key = (a, b) if a < b else (b, a)
+            f = lookup.get(key)
+            if f is None:
+                f = len(facets)
+                lookup[key] = f
+                facets.append((a, b))
+                facet_cells.append([c, -1])
+                cell_facet_sign[c, e] = 1
+            else:
+                if facet_cells[f][1] != -1:
+                    raise ValueError("facet shared by more than two cells")
+                facet_cells[f][1] = c
+                cell_facet_sign[c, e] = -1
+            cell_facets[c, e] = f
+    facet_cells = np.array(facet_cells, dtype=np.int64)
+    return {"facets": np.array(facets, dtype=np.int64),
+            "facet_cells": facet_cells, "cell_facets": cell_facets,
+            "cell_facet_sign": cell_facet_sign,
+            "boundary_mask": facet_cells[:, 1] < 0}
+
+
+@pytest.mark.parametrize("refined", [False, True])
+@pytest.mark.parametrize("shape", ["triangle", "quadrilateral"])
+def test_facets_match_reference_loop(shape, refined):
+    m = mesh.generate(7, 5, shape, jitter=0.2, seed=11)
+    if refined:
+        m = mesh.refine(m)
+    for name, want in _loop_facets(m.cells).items():
+        got = getattr(m, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+def test_facet_shared_by_three_cells_rejected():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0],
+                      [0.5, 2.0]])
+    cells = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+    for build in (_loop_facets,
+                  lambda c: mesh.Mesh(verts, c, "triangle")):
+        with pytest.raises(ValueError, match="more than two cells"):
+            build(cells)
+
+
 def test_generate_rejects_bad_input():
     with pytest.raises(ValueError):
         mesh.generate(0, 3)

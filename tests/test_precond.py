@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from hdgstokes import assembly, condense, krylov, mesh, precond, spaces
+from hdgstokes import amg, assembly, condense, krylov, mesh, precond, spaces
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +165,47 @@ def test_exact_velocity_block_fill(cavity):
     assert exact.lu.nnz / cs.Abar.nnz <= 4.0
 
 
+@pytest.mark.parametrize("shape", ["triangle", "quadrilateral"])
+def test_velocity_apply_matches_full_block_lu(shape):
+    k = 3 if shape == "quadrilateral" else 2
+    m = mesh.generate(4, 3, shape, jitter=0.2, seed=9)
+    sp_ = spaces.build_spaces(m, k)
+    bs = assembly.build_block_system(sp_, spaces.lid_driven_cavity(k))
+    cs = condense.condense(bs)
+    pc = precond.build_preconditioner(cs, bs.M_p, bs.M_s, "PM")
+    r = np.random.default_rng(7).standard_normal(cs.size)
+    r1, _, _ = cs.split(r)
+    z1, _, _ = cs.split(pc.apply(r))
+    want = amg.spd_lu(cs.Abar).solve(r1)
+    assert np.abs(z1 - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_scalar_block_halves_fill(cavity):
+    m = mesh.generate(16, 16)
+    sp_ = spaces.build_spaces(m, cavity.degree)
+    bs = assembly.build_block_system(sp_, cavity)
+    cs = condense.condense(bs)
+    pc = precond.build_preconditioner(cs, bs.M_p, bs.M_s, "PM")
+    assert cs.Abar_scalar.shape[0] * 2 == cs.n_t
+    assert 2 * pc.rbar.lu.nnz <= amg.spd_lu(cs.Abar).nnz
+
+
+def test_multigrid_two_column_apply_matches_columns(cavity):
+    m = mesh.generate(12, 12)
+    sp_ = spaces.build_spaces(m, cavity.degree)
+    bs = assembly.build_block_system(sp_, cavity)
+    cs = condense.condense(bs)
+    pc = precond.build_preconditioner(cs, bs.M_p, bs.M_s, "PM",
+                                      rbar_mode="multigrid", cycles=2)
+    assert pc.rbar.mode == "multigrid"
+    R = np.random.default_rng(8).standard_normal((cs.n_t // 2, 2))
+    Z = pc.rbar.apply(R)
+    assert Z.shape == R.shape
+    for j in range(2):
+        z = pc.rbar.apply(R[:, j].copy())
+        assert np.abs(Z[:, j] - z).max() <= 1e-12 * np.abs(z).max()
+
+
 def test_multigrid_certificate_and_solve(cavity):
     m = mesh.generate(12, 12)
     sp_ = spaces.build_spaces(m, cavity.degree)
@@ -173,7 +214,9 @@ def test_multigrid_certificate_and_solve(cavity):
     pc = precond.build_preconditioner(cs, bs.M_p, bs.M_s, "PM",
                                       rbar_mode="multigrid", cycles=4)
     assert not pc.rbar.degraded
-    lo, hi = precond.generalized_extremes(cs.Abar, pc.rbar.apply)
+    # Rbar acts on one velocity component; Abar is two copies of that
+    # block, so the scalar pair has the spectrum of the full pair
+    lo, hi = precond.generalized_extremes(cs.Abar_scalar, pc.rbar.apply)
     assert 0.2 < lo <= hi < 1.0 + 1e-6
     rep = krylov.minres(cs.matrix(), cs.rhs, pc.apply, tol=1e-8,
                         maxiter=900, nullspace=cs.nullspace_vector())
