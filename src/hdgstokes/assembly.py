@@ -197,7 +197,9 @@ def facet_mass_weights(mesh):
 class BlockSystem:
     """Assembled system plus constraint bookkeeping.
 
-    Per cell: local_auu, the (2nb)^2 cell-velocity block, and
+    Per cell: local_auu_scalar, the nb^2 block of one cell-velocity
+    component (the form acts on both components alike, so it is stored
+    once; local_auu is the derived (2nb)^2 block of both), and
     local_coupling, every row coupled to the cell velocity, with its
     indices local_rows in the condensed t, p, s numbering.  Global: the
     CSR blocks A_tt, M_p, M_s; the right-hand sides L_u, L_t; g_values,
@@ -236,6 +238,10 @@ class BlockSystem:
         rows, vals = self.local_block(key)
         return _scatter(rows, self._u, vals,
                         (self.layout[key][2], self.spaces.n_u), keep_zeros)
+
+    @property
+    def local_auu(self):
+        return both_components(self.local_auu_scalar)
 
     @property
     def A_uu(self):
@@ -282,7 +288,7 @@ class BlockSystem:
 
 
 def velocity_blocks(sp_, alpha, consistency=True):
-    """BlockSystem holding the velocity form only: local_auu, the
+    """BlockSystem holding the velocity form only: local_auu_scalar, the
     facet-velocity rows of the per-cell stack, and A_tt.  Without the
     consistency terms the same blocks form the velocity pair norm."""
     nb, nbf = sp_.nb, sp_.nbf
@@ -303,7 +309,7 @@ def velocity_blocks(sp_, alpha, consistency=True):
             bs.local_coupling[:, r, comp * nb:(comp + 1) * nb] = T
             bs.local_rows[:, r] = dm[key][side.facets]
             att.append((dm[key][side.facets], P))
-    bs.local_auu = both_components(auu)
+    bs.local_auu_scalar = auu
     bs.A_tt = sum(_scatter(r, r, v, (sp_.n_ubar, sp_.n_ubar))
                   for r, v in att)
     return bs

@@ -10,8 +10,17 @@ operator is
       Bbar = -[B_pu; B_su] A_uu^-1 A_tu^T
       C    = -[B_pu; B_su] A_uu^-1 [B_pu; B_su]^T
 
-computed per cell as R_K A_uu^-1 R_K^T = W^T W with W = L^-1 R_K^T,
-which keeps the scattered matrix exactly symmetric.  The identity
+The cell block A_uu of a cell is two copies of one scalar nb x nb
+block A_0 (`BlockSystem.local_auu_scalar`), so it is factored once per
+cell, A_0 = L L^T, and the per-cell Schur piece is
+
+    R_K A_uu^-1 R_K^T = W^T W,   W = [L^-1 C_0^T; L^-1 C_1^T]
+
+with C_d the columns of R_K that belong to velocity component d.  L^-1
+is formed by forward substitution and applied as batched matrix
+products, here and in `recover_velocity`.  The stack of -W^T W goes to
+CSR in one COO conversion with int32 indices, A_tt folded into it (see
+`_assemble`); K comes out exactly symmetric.  The identity
 Bbar Abar^-1 Bbar^T - C = B A^-1 B^T holds as exact block algebra and
 is verified, not assumed, by the spectra module.
 
@@ -87,20 +96,29 @@ class CondensedSystem:
 def condense(bs):
     """Eliminate interior velocities from an assembled BlockSystem."""
     sp_ = bs.spaces
-    nc = sp_.mesh.num_cells
+    nc, nb = sp_.mesh.num_cells, sp_.nb
     cs = CondensedSystem(sp_)
 
-    L = np.linalg.cholesky(bs.local_auu)
-    W = np.linalg.solve(L, bs.local_coupling.transpose(0, 2, 1))
-    S = np.einsum("cnm,cnk->cmk", W, W, optimize=True)
-
-    N = cs.size
+    # W^T = [C_0 Linv^T, C_1 Linv^T]: the component column blocks C_d of
+    # the coupling stack times the inverse factor of the scalar block
+    Linv = _lower_inverse(np.linalg.cholesky(bs.local_auu_scalar))
     rows = bs.local_rows
-    schur = _assembly._scatter(rows, rows, -S, (N, N))
-    K = (sp.bmat([[bs.A_tt, None], [None, sp.csr_matrix(
-        (cs.n_p + cs.n_s, cs.n_p + cs.n_s))]], format="csr") + schur)
-    K.sum_duplicates()
-    cs.K = K.tocsr()
+    mk = rows.shape[1]
+    Wt = (bs.local_coupling.reshape(nc, 2 * mk, nb)
+          @ Linv.transpose(0, 2, 1)).reshape(nc, mk, 2 * nb)
+    V = Wt @ Wt.transpose(0, 2, 1)
+    V *= -1.0
+
+    # rhs: [L_t; 0; 0] - R A_uu^-1 L_u
+    wf = bs.L_u.reshape(nc, 2, nb) @ Linv.transpose(0, 2, 1)
+    corr = (Wt @ wf.reshape(nc, 2 * nb, 1))[..., 0]
+    del Wt
+    rhs = np.concatenate([bs.L_t, np.zeros(cs.n_p + cs.n_s)])
+    np.add.at(rhs, rows.ravel(), -corr.ravel())
+    cs.rhs = rhs
+
+    cs.K = _assemble(bs, V, cs.size)
+    del V
 
     nt, np_ = cs.n_t, cs.n_p
     cs.Abar = cs.K[:nt, :nt]
@@ -111,19 +129,57 @@ def condense(bs):
     cs.C_ss = cs.K[nt + np_:, nt + np_:]
     cs.Abar_scalar = _component_block(cs)
 
-    # rhs: [L_t; 0; 0] - R A_uu^-1 L_u
-    f_loc = bs.L_u.reshape(nc, -1)
-    wf = np.linalg.solve(L, f_loc[..., None])[..., 0]
-    corr = np.einsum("cnm,cn->cm", W, wf, optimize=True)
-    rhs = np.concatenate([bs.L_t, np.zeros(cs.n_p + cs.n_s)])
-    np.add.at(rhs, rows.ravel(), -corr.ravel())
-    cs.rhs = rhs
-
-    cs.chol = L
+    cs.chol_inv = Linv
     cs.local_rows = rows
     cs.local_coupling = bs.local_coupling
     cs.L_u = bs.L_u.copy()
     return cs
+
+
+def _lower_inverse(L):
+    """Inverses of a batch (m, n, n) of lower triangular matrices, by
+    forward substitution on the identity, one row at a time."""
+    X = np.zeros_like(L)
+    for i in range(L.shape[1]):
+        d = L[:, i, i, None]
+        X[:, i, :i] = -(L[:, i, None, :i] @ X[:, :i, :i])[:, 0] / d
+        X[:, i, i] = 1.0 / d[:, 0]
+    return X
+
+
+def _assemble(bs, V, N):
+    """K in CSR from the per-cell Schur stack V (local_rows squared,
+    modified in place) and A_tt, in one COO to CSR conversion.
+
+    A_tt couples the dofs of one facet only, so each facet's block is
+    added to the stack of the first cell of that facet.  An entry of K
+    then sums at most two cell contributions, which floating-point
+    addition does in either order alike: K is exactly symmetric.
+    Exact zeros, such as the cross-component facet-velocity entries,
+    are not stored."""
+    sp_ = bs.spaces
+    mesh = sp_.mesh
+    m2 = 2 * sp_.nbf
+    att = bs.A_tt.tocoo()
+    f = att.row // m2
+    if np.any(att.col // m2 != f):
+        raise ValueError("A_tt couples the velocities of distinct facets")
+    blocks = np.zeros((mesh.num_facets, m2, m2))
+    np.add.at(blocks, (f, att.row % m2, att.col % m2), att.data)
+    cells = np.arange(mesh.num_cells)
+    for e in range(sp_.nsides):
+        fe = mesh.cell_facets[:, e]
+        own = mesh.facet_cells[fe, 0] == cells
+        side = slice(e * m2, (e + 1) * m2)
+        V[own, side, side] += blocks[fe[own]]
+
+    rows = bs.local_rows.astype(np.int32)
+    mk = rows.shape[1]
+    i = np.repeat(rows, mk, axis=1).ravel()
+    j = np.tile(rows, (1, mk)).ravel()
+    K = sp.csr_matrix((V.ravel(), (i, j)), shape=(N, N))
+    K.eliminate_zeros()
+    return K
 
 
 def _component_block(cs):
@@ -142,14 +198,15 @@ def _component_block(cs):
 
 def recover_velocity(cs, ubar, p, pbar, L_u=None):
     """Interior velocity from the condensed solution:
-    u = A_uu^-1 (L_u - A_tu^T ubar - B_pu^T p - B_su^T pbar), per cell."""
+    u = A_uu^-1 (L_u - A_tu^T ubar - B_pu^T p - B_su^T pbar), per cell
+    and per component."""
     nc = cs.spaces.mesh.num_cells
     y = np.concatenate([ubar, p, pbar])
     yl = y[cs.local_rows]
     f = (cs.L_u if L_u is None else L_u).reshape(nc, -1)
     rhs = f - np.einsum("cmn,cm->cn", cs.local_coupling, yl, optimize=True)
-    z = np.linalg.solve(cs.chol, rhs[..., None])
-    u = np.linalg.solve(cs.chol.transpose(0, 2, 1), z)[..., 0]
+    Linv = cs.chol_inv
+    u = (rhs.reshape(nc, 2, -1) @ Linv.transpose(0, 2, 1)) @ Linv
     return u.ravel()
 
 

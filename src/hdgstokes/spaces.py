@@ -14,6 +14,13 @@ relies on.  The representation of the constant function 1 is
 sqrt(|K|) (resp. sqrt(|F|)) in the first mode, not an all-ones
 vector.
 
+The monomials at a set of points are gathered from two power tables,
+x^0..x^k and y^0..y^k of the local coordinates, built once per point
+set and shared by the velocity and pressure bases and the gradients.
+Each power is the same `**` as one evaluated per monomial, and the
+gathered arrays are C-ordered, so the bases are the same bytes as with
+per-monomial powers.
+
 Degree-of-freedom layout (all block-major):
   cell velocity   dof(c, comp, i) = c*2*nb + comp*nb + i
   cell pressure   dof(c, i)       = c*np + i
@@ -37,15 +44,28 @@ def _cell_exponents(cell_type, k):
     return ex, ey
 
 
-def _mono(x, y, ex, ey):
-    return x[..., None] ** ex * y[..., None] ** ey
+def _power_tables(xl, k):
+    """Tables x^0..x^k and y^0..y^k of local coordinates xl (..., 2),
+    along a new last axis."""
+    e = np.arange(k + 1)
+    return xl[..., 0, None] ** e, xl[..., 1, None] ** e
 
 
-def _mono_grad(x, y, ex, ey):
-    dx = np.where(ex > 0, ex * x[..., None] ** np.maximum(ex - 1, 0)
-                  * y[..., None] ** ey, 0.0)
-    dy = np.where(ey > 0, ey * y[..., None] ** np.maximum(ey - 1, 0)
-                  * x[..., None] ** ex, 0.0)
+def _gather(table, ex):
+    # np.take returns a C-ordered array; table[..., ex] does not, and
+    # the Gram sums of _orthonormalize depend on the memory order
+    return np.take(table, ex, axis=-1)
+
+
+def _mono(Px, Py, ex, ey):
+    return _gather(Px, ex) * _gather(Py, ey)
+
+
+def _mono_grad(Px, Py, ex, ey):
+    dx = np.where(ex > 0, ex * _gather(Px, np.maximum(ex - 1, 0))
+                  * _gather(Py, ey), 0.0)
+    dy = np.where(ey > 0, ey * _gather(Py, np.maximum(ey - 1, 0))
+                  * _gather(Px, ex), 0.0)
     return dx, dy
 
 
@@ -108,11 +128,11 @@ class SpaceSet:
         self.facet_qp, self.facet_qw = quadrature.facet_rule(mesh, nqf)
 
         # cell bases, orthonormalized against the exact Gram matrix
-        xl = self._local_coords(self.cell_qp)
-        Vv = _mono(xl[..., 0], xl[..., 1], self.ex_v, self.ey_v)
-        Vp = _mono(xl[..., 0], xl[..., 1], self.ex_p, self.ey_p)
-        self.coeff_v = _orthonormalize(Vv, self.cell_qw)
-        self.coeff_p = _orthonormalize(Vp, self.cell_qw)
+        P = self._powers(self.cell_qp)
+        self.coeff_v = _orthonormalize(_mono(*P, self.ex_v, self.ey_v),
+                                       self.cell_qw)
+        self.coeff_p = _orthonormalize(_mono(*P, self.ex_p, self.ey_p),
+                                       self.cell_qw)
 
         # facet basis in the arc-length coordinate
         xi = self._facet_coords(self.facet_qp, np.arange(nf))
@@ -120,8 +140,8 @@ class SpaceSet:
         self.coeff_f = _orthonormalize(Vf, self.facet_qw)
 
         # evaluation tables at cell points
-        self.phi, self.gx, self.gy = self.cell_basis_at(self.cell_qp)
-        self.psi = self.pressure_basis_at(self.cell_qp)
+        self.phi, self.gx, self.gy = self._cell_basis(P)
+        self.psi = self._pressure_basis(P)
 
         # traces at facet points, per cell side
         self.phi_f = np.empty((nc, self.nsides, nqf, self.nb))
@@ -161,20 +181,29 @@ class SpaceSet:
         rel = pts - 0.5 * (a + b)[:, None, :]
         return np.einsum("fqd,fd->fq", rel, that) / L[:, None]
 
-    def cell_basis_at(self, pts):
-        """Velocity scalar basis and physical gradients at physical
-        points, batched per cell: pts (nc, m, 2)."""
-        xl = self._local_coords(pts)
-        V = _mono(xl[..., 0], xl[..., 1], self.ex_v, self.ey_v)
-        Dx, Dy = _mono_grad(xl[..., 0], xl[..., 1], self.ex_v, self.ey_v)
+    def _powers(self, pts):
+        """Power tables of the local coordinates of pts (nc, m, 2), up
+        to degree k; shared by the velocity and pressure bases and the
+        gradients."""
+        return _power_tables(self._local_coords(pts), self.degree)
+
+    def _cell_basis(self, P):
+        V = _mono(*P, self.ex_v, self.ey_v)
+        Dx, Dy = _mono_grad(*P, self.ex_v, self.ey_v)
         h = self.mesh.h[:, None, None]
         phi = V @ self.coeff_v
         return phi, (Dx @ self.coeff_v) / h, (Dy @ self.coeff_v) / h
 
+    def _pressure_basis(self, P):
+        return _mono(*P, self.ex_p, self.ey_p) @ self.coeff_p
+
+    def cell_basis_at(self, pts):
+        """Velocity scalar basis and physical gradients at physical
+        points, batched per cell: pts (nc, m, 2)."""
+        return self._cell_basis(self._powers(pts))
+
     def pressure_basis_at(self, pts):
-        xl = self._local_coords(pts)
-        V = _mono(xl[..., 0], xl[..., 1], self.ex_p, self.ey_p)
-        return V @ self.coeff_p
+        return self._pressure_basis(self._powers(pts))
 
     def facet_basis_at(self, pts, facets):
         """Scalar facet basis at physical points on the given facets;

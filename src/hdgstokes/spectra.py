@@ -159,7 +159,21 @@ def _schur_dense(A, B):
     for j in range(0, m, step):
         cols = B[j:j + step].toarray().T
         S[:, j:j + step] = B @ lu.solve(cols)
-    return 0.5 * (S + S.T)
+    _symmetrize(S)
+    return S
+
+
+def _symmetrize(S):
+    """S <- (S + S^T) / 2 in place, one pair of 256 x 256 blocks at a
+    time, so no full-size temporary is held."""
+    n, step = S.shape[0], 256
+    for i in range(0, n, step):
+        for j in range(i, n, step):
+            upper = S[i:i + step, j:j + step]
+            lower = S[j:j + step, i:i + step]
+            avg = 0.5 * (upper + lower.T)
+            upper[...] = avg
+            lower[...] = avg.T
 
 
 # -- probes -----------------------------------------------------------

@@ -181,3 +181,74 @@ def test_coupled_or_unequal_components_refused(tri_jitter, cavity):
     # a difference at rounding level is accepted
     bs = assembly.build_block_system(sp_, cavity)
     _perturbed_condense(bs, b, b + 1, 1e-15 * scale)
+    # A_tt couples the velocities of one facet only
+    other = np.flatnonzero(~tri_jitter.boundary_mask)[1] * 2 * sp_.nbf
+    bs = assembly.build_block_system(sp_, cavity)
+    with pytest.raises(ValueError, match="distinct facets"):
+        _perturbed_condense(bs, a, other, 1e-3 * scale)
+
+
+def _full_block_oracle(bs, y, f):
+    """Dense K, rhs and recovered velocity from the inverse of the
+    whole (2nb)^2 cell block local_auu, both components at once."""
+    sp_ = bs.spaces
+    nt = sp_.n_ubar
+    N = nt + sp_.n_p + sp_.n_pbar
+    Ainv = np.linalg.inv(bs.local_auu)
+    R = bs.local_coupling
+    rows = bs.local_rows
+    K = np.zeros((N, N))
+    K[:nt, :nt] = bs.A_tt.toarray()
+    np.add.at(K, (rows[:, :, None], rows[:, None, :]),
+              -(R @ Ainv @ R.transpose(0, 2, 1)))
+    rhs = np.concatenate([bs.L_t, np.zeros(N - nt)])
+    np.add.at(rhs, rows, -(R @ Ainv @ f[..., None])[..., 0])
+    u = Ainv @ (f - np.einsum("cmn,cm->cn", R, y[rows]))[..., None]
+    return K, rhs, u.ravel()
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.2])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("shape", ["triangle", "quadrilateral"])
+def test_condense_matches_full_block_oracle(shape, k, jitter):
+    m = mesh.generate(3, 3, shape, jitter=jitter, seed=8)
+    sp_ = spaces.build_spaces(m, k)
+    bs = assembly.build_block_system(sp_, spaces.lid_driven_cavity(k))
+    cs = condense.condense(bs)
+    nc = m.num_cells
+    rng = np.random.default_rng(3)
+    y = rng.standard_normal(cs.size)
+    K, rhs, u = _full_block_oracle(bs, y, bs.L_u.reshape(nc, -1))
+    tol = 1e-13 * np.abs(K).max()
+    assert np.abs(cs.K.toarray() - K).max() <= tol
+    assert np.abs(cs.rhs - rhs).max() <= tol
+    got = condense.recover_velocity(cs, *cs.split(y))
+    assert np.abs(got - u).max() <= 1e-13 * np.abs(u).max()
+    t = y[:cs.n_t]
+    _, _, lift = _full_block_oracle(bs, np.concatenate(
+        [t, np.zeros(cs.size - cs.n_t)]), np.zeros((nc, 2 * sp_.nb)))
+    got = condense.lift_traces(cs, t)
+    assert np.abs(got - lift).max() <= 1e-13 * np.abs(lift).max()
+    # no stored entries, not even zeros, between the two components
+    i0, i1 = _component_dofs(sp_, 0), _component_dofs(sp_, 1)
+    assert cs.K[i0][:, i1].nnz == 0 and cs.K[i1][:, i0].nnz == 0
+
+
+def test_unequal_cell_velocity_components_refused(tri_jitter, cavity):
+    """Condensation solves one component's cell block for both; a
+    coupling that treats the two components differently is refused."""
+    sp_ = spaces.build_spaces(tri_jitter, cavity.degree)
+    nb, nbf = sp_.nb, sp_.nbf
+    cell = tri_jitter.facet_cells[~tri_jitter.boundary_mask][0, 0]
+    side = 2 * nbf * list(tri_jitter.cell_facets[cell]).index(
+        np.flatnonzero(~tri_jitter.boundary_mask)[0])
+    bs = assembly.build_block_system(sp_, cavity)
+    # facet-velocity row of component 1, its own columns
+    bs.local_coupling[cell, side + nbf, nb:] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match="differ"):
+        condense.condense(bs)
+    bs = assembly.build_block_system(sp_, cavity)
+    # facet-velocity row of component 0, columns of component 1
+    bs.local_coupling[cell, side, nb:] = bs.local_coupling[cell, side, :nb]
+    with pytest.raises(ValueError, match="coupled"):
+        condense.condense(bs)

@@ -155,3 +155,63 @@ def test_cavity_datum(cavity):
     wx, wy = g(x, -np.ones_like(x))
     assert np.allclose(wx, 0.0) and np.allclose(wy, 0.0)
     assert cavity.alpha == 24.0 and cavity.degree == 2
+
+
+def _power_monomials(x, y, ex, ey):
+    """The per-monomial power formula the tables replace."""
+    return x[..., None] ** ex * y[..., None] ** ey
+
+
+def _power_monomial_grads(x, y, ex, ey):
+    dx = np.where(ex > 0, ex * x[..., None] ** np.maximum(ex - 1, 0)
+                  * y[..., None] ** ey, 0.0)
+    dy = np.where(ey > 0, ey * y[..., None] ** np.maximum(ey - 1, 0)
+                  * x[..., None] ** ex, 0.0)
+    return dx, dy
+
+
+def _reference_tables(s):
+    """Coefficients and evaluation tables of `s`, rebuilt from the
+    per-monomial power formula."""
+    def local(pts):
+        xl = s._local_coords(pts)
+        return xl[..., 0], xl[..., 1]
+
+    x, y = local(s.cell_qp)
+    ref = {"coeff_v": spaces._orthonormalize(
+               _power_monomials(x, y, s.ex_v, s.ey_v), s.cell_qw),
+           "coeff_p": spaces._orthonormalize(
+               _power_monomials(x, y, s.ex_p, s.ey_p), s.cell_qw)}
+    h = s.mesh.h[:, None, None]
+
+    def basis(pts):
+        x, y = local(pts)
+        dx, dy = _power_monomial_grads(x, y, s.ex_v, s.ey_v)
+        return (_power_monomials(x, y, s.ex_v, s.ey_v) @ ref["coeff_v"],
+                (dx @ ref["coeff_v"]) / h, (dy @ ref["coeff_v"]) / h)
+
+    ref["phi"], ref["gx"], ref["gy"] = basis(s.cell_qp)
+    ref["psi"] = _power_monomials(x, y, s.ex_p, s.ey_p) @ ref["coeff_p"]
+    sides = [basis(s.facet_qp[s.mesh.cell_facets[:, e]])
+             for e in range(s.nsides)]
+    for i, name in enumerate(("phi_f", "gx_f", "gy_f")):
+        ref[name] = np.stack([t[i] for t in sides], axis=1)
+    return ref
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.2])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("shape", ["triangle", "quadrilateral"])
+def test_power_tables_match_power_formula(shape, k, jitter):
+    """The power-table bases are the same bytes as the per-monomial
+    formula; that needs C-ordered monomial arrays, because the Gram
+    sums of the orthonormalization follow the memory order."""
+    s = spaces.build_spaces(mesh.generate(3, 3, shape, jitter=jitter,
+                                          seed=8), k)
+    for name, table in _reference_tables(s).items():
+        assert np.array_equal(getattr(s, name), table), name
+    P = s._powers(s.cell_qp)
+    for arr in (spaces._mono(*P, s.ex_v, s.ey_v),
+                spaces._mono(*P, s.ex_p, s.ey_p),
+                *spaces._mono_grad(*P, s.ex_v, s.ey_v)):
+        assert arr.flags.c_contiguous

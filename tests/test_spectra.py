@@ -274,3 +274,14 @@ def test_report_round_trips_json():
     assert d["schur"] == [0.1, 2.0]
     assert d["betas"] == [0.5, 0.5]
     assert d["nested"] == {"a": 1.5, "b": [2]}
+
+
+def test_symmetrize_in_place_is_the_average():
+    """The blocked in-place average equals 0.5 * (S + S^T) bit for bit,
+    on block boundaries and off them."""
+    rng = np.random.default_rng(4)
+    for n in (1, 255, 256, 257, 600):
+        S = rng.standard_normal((n, n))
+        ref = 0.5 * (S + S.T)
+        spectra._symmetrize(S)
+        assert np.array_equal(S, ref), n
