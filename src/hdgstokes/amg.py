@@ -12,15 +12,11 @@ Eliminated identity rows show up as isolated graph nodes with a zero
 near-nullspace row; they become smoother-only singleton aggregates,
 which the Gauss-Seidel sweep solves exactly.
 
-Cycles take an (n,) or an (n, m) right-hand side: the prolongations,
-the coarse-level products, the triangular Gauss-Seidel solves and the
-coarse `spd_lu` solve act on every column at once.  The finest-level
-products go one column at a time, because there scipy's single-vector
-CSR kernel is faster than its multi-vector one (9,408 rows: 0.37 ms
-for two columns against 0.55 ms as a block; on the coarser levels the
-block is faster), with bit-identical results.  The solver builds its
-hierarchy on the scalar block of one velocity component and cycles
-both components as one two-column block.
+Cycles take an (n,) or an (n, m) right-hand side: the sparse products,
+the triangular Gauss-Seidel solves and the coarse `spd_lu` solve act
+on every column at once.  The solver builds its hierarchy on the
+scalar block of one velocity component and cycles both components as
+one two-column block.
 
 `spd_lu` is the sparse factorization of every SPD matrix the solver
 factors (the coarsest level here, the exact velocity block and the
@@ -28,8 +24,6 @@ pressure Schur blocks in `precond`): a symmetric minimum-degree
 ordering of A^T + A with the pivots taken from the diagonal, which
 halves the fill of the column ordering SuperLU uses by default.
 """
-
-import operator
 
 import numpy as np
 import scipy.sparse as sp
@@ -181,22 +175,14 @@ class SmoothedAggregation:
         level = self.levels[lvl]
         if level.coarse is not None:
             return level.coarse.solve(b)
-        times = _by_columns if lvl == 0 else operator.matmul
         x = level.forward_gs(b)
-        r = b - times(level.A, x)
+        r = b - level.A @ x
         x = x + level.P @ self.cycle(level.P.T @ r, lvl + 1)
-        r = b - times(level.A, x)
+        r = b - level.A @ x
         return x + level.backward_gs(r)
 
     def solve(self, b, cycles=1):
         x = self.cycle(b)
         for _ in range(cycles - 1):
-            x = x + self.cycle(b - _by_columns(self.levels[0].A, x))
+            x = x + self.cycle(b - self.levels[0].A @ x)
         return x
-
-
-def _by_columns(A, x):
-    """A @ x for an (n,) or (n, m) x, one column at a time."""
-    if x.ndim == 1:
-        return A @ x
-    return np.column_stack([A @ x[:, i] for i in range(x.shape[1])])

@@ -201,10 +201,12 @@ class BlockSystem:
     component (the form acts on both components alike, so it is stored
     once; local_auu is the derived (2nb)^2 block of both), and
     local_coupling, every row coupled to the cell velocity, with its
-    indices local_rows in the condensed t, p, s numbering.  Global: the
-    CSR blocks A_tt, M_p, M_s; the right-hand sides L_u, L_t; g_values,
-    the eliminated boundary datum.  A_uu, A_tu, B_pu and B_su are
-    scattered from the per-cell blocks on every access.
+    indices local_rows in the condensed t, p, s numbering.  Per facet:
+    facet_att, the (2nbf)^2 block of A_tt on the facet's velocity dofs
+    (A_tt couples no two facets).  Global: the CSR blocks M_p, M_s; the
+    right-hand sides L_u, L_t; g_values, the eliminated boundary datum.
+    A_uu, A_tu, A_tt, B_pu and B_su are scattered from the per-cell and
+    per-facet blocks on every access.
     """
 
     def __init__(self, sp_, alpha):
@@ -214,6 +216,7 @@ class BlockSystem:
         self.g_values = np.zeros(sp_.n_ubar)
         nc = sp_.mesh.num_cells
         self._u = np.arange(sp_.n_u).reshape(nc, -1)
+        self._t = np.arange(sp_.n_ubar).reshape(sp_.mesh.num_facets, -1)
         # stack rows, offset in the condensed numbering and size of each
         # block: facet velocity per side (component-major), cell
         # pressure, facet pressure per side
@@ -234,6 +237,21 @@ class BlockSystem:
         return (self.local_rows[:, stack_rows] - offset,
                 self.local_coupling[:, stack_rows])
 
+    def add_facet_blocks(self, V):
+        """Add each facet's block of A_tt to V, a per-cell stack of
+        (local_rows)^2 blocks, at the rows of the facet's side in the
+        stack of the facet's first cell; V is modified in place."""
+        mesh = self.spaces.mesh
+        stack_rows = self.layout["t"][0]
+        m2 = self._t.shape[1]
+        cells = np.arange(mesh.num_cells)
+        for e in range(self.spaces.nsides):
+            fe = mesh.cell_facets[:, e]
+            own = mesh.facet_cells[fe, 0] == cells
+            side = slice(stack_rows.start + e * m2,
+                         stack_rows.start + (e + 1) * m2)
+            V[own, side, side] += self.facet_att[fe[own]]
+
     def _times_u(self, key, keep_zeros=False):
         rows, vals = self.local_block(key)
         return _scatter(rows, self._u, vals,
@@ -247,6 +265,12 @@ class BlockSystem:
     def A_uu(self):
         n_u = self.spaces.n_u
         return _scatter(self._u, self._u, self.local_auu, (n_u, n_u),
+                        keep_zeros=False)
+
+    @property
+    def A_tt(self):
+        n_t = self.spaces.n_ubar
+        return _scatter(self._t, self._t, self.facet_att, (n_t, n_t),
                         keep_zeros=False)
 
     @property
@@ -289,13 +313,13 @@ class BlockSystem:
 
 def velocity_blocks(sp_, alpha, consistency=True):
     """BlockSystem holding the velocity form only: local_auu_scalar, the
-    facet-velocity rows of the per-cell stack, and A_tt.  Without the
+    facet-velocity rows of the per-cell stack, and facet_att.  Without the
     consistency terms the same blocks form the velocity pair norm."""
     nb, nbf = sp_.nb, sp_.nbf
     dm = _dof_maps(sp_)
     bs = BlockSystem(sp_, alpha)
     auu = scalar_stiffness(sp_)
-    att = []
+    bs.facet_att = np.zeros((sp_.mesh.num_facets, 2 * nbf, 2 * nbf))
     for e in range(sp_.nsides):
         side = Side(sp_, e, alpha)
         auu += _sym(side.penalty())
@@ -308,17 +332,16 @@ def velocity_blocks(sp_, alpha, consistency=True):
             r = slice((2 * e + comp) * nbf, (2 * e + comp + 1) * nbf)
             bs.local_coupling[:, r, comp * nb:(comp + 1) * nb] = T
             bs.local_rows[:, r] = dm[key][side.facets]
-            att.append((dm[key][side.facets], P))
+            c = slice(comp * nbf, (comp + 1) * nbf)
+            np.add.at(bs.facet_att[:, c, c], side.facets, P)
     bs.local_auu_scalar = auu
-    bs.A_tt = sum(_scatter(r, r, v, (sp_.n_ubar, sp_.n_ubar))
-                  for r, v in att)
     return bs
 
 
 def build_block_system(sp_, problem, bcs=True):
-    """Assemble the per-cell blocks, A_tt, the pressure masses and the
-    right-hand sides; with bcs=True the boundary velocity datum is
-    projected and eliminated symmetrically."""
+    """Assemble the per-cell and per-facet blocks, the pressure masses
+    and the right-hand sides; with bcs=True the boundary velocity datum
+    is projected and eliminated symmetrically."""
     bs = velocity_blocks(sp_, problem.alpha)
     dm = _dof_maps(sp_)
     nbf = sp_.nbf
@@ -358,8 +381,6 @@ def _eliminate(bs, g):
     cI = bs.constrained
     free = np.ones(sp_.n_ubar)
     free[cI] = 0.0
-    Df = sp.diags(free)
-    Dc = sp.diags(1.0 - free)
 
     gc = np.zeros(sp_.n_ubar)
     gc[cI] = g[cI]
@@ -373,7 +394,11 @@ def _eliminate(bs, g):
     bs.L_t = bs.L_t - bs.A_tt @ gc
     bs.L_t[cI] = g[cI]
 
-    bs.A_tt = (Df @ bs.A_tt @ Df + Dc).tocsr()
+    # constrained rows and columns of A_tt cleared, unit diagonal there
+    ff = free[bs._t]
+    bs.facet_att *= ff[:, :, None] * ff[:, None, :]
+    f, i = np.nonzero(ff == 0.0)
+    bs.facet_att[f, i, i] = 1.0
     bs.g_values = gc
     bs.local_coupling[cells, k] = 0.0
 

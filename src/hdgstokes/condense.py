@@ -151,28 +151,13 @@ def _assemble(bs, V, N):
     """K in CSR from the per-cell Schur stack V (local_rows squared,
     modified in place) and A_tt, in one COO to CSR conversion.
 
-    A_tt couples the dofs of one facet only, so each facet's block is
-    added to the stack of the first cell of that facet.  An entry of K
-    then sums at most two cell contributions, which floating-point
-    addition does in either order alike: K is exactly symmetric.
-    Exact zeros, such as the cross-component facet-velocity entries,
-    are not stored."""
-    sp_ = bs.spaces
-    mesh = sp_.mesh
-    m2 = 2 * sp_.nbf
-    att = bs.A_tt.tocoo()
-    f = att.row // m2
-    if np.any(att.col // m2 != f):
-        raise ValueError("A_tt couples the velocities of distinct facets")
-    blocks = np.zeros((mesh.num_facets, m2, m2))
-    np.add.at(blocks, (f, att.row % m2, att.col % m2), att.data)
-    cells = np.arange(mesh.num_cells)
-    for e in range(sp_.nsides):
-        fe = mesh.cell_facets[:, e]
-        own = mesh.facet_cells[fe, 0] == cells
-        side = slice(e * m2, (e + 1) * m2)
-        V[own, side, side] += blocks[fe[own]]
-
+    Each facet's block of A_tt is added to the stack of the facet's
+    first cell (`BlockSystem.add_facet_blocks`).  An entry of K then
+    sums at most two cell contributions, which floating-point addition
+    does in either order alike: K is exactly symmetric.  Exact zeros,
+    such as the cross-component facet-velocity entries, are not
+    stored."""
+    bs.add_facet_blocks(V)
     rows = bs.local_rows.astype(np.int32)
     mk = rows.shape[1]
     i = np.repeat(rows, mk, axis=1).ravel()

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from hdgstokes import assembly, condense, mesh, spaces, spectra
 
@@ -159,10 +158,13 @@ def test_velocity_block_is_two_copies_of_scalar_block(shape, k, jitter):
 
 
 def _perturbed_condense(bs, i, j, value):
-    """condense after adding `value` at (i, j) and (j, i) of A_tt."""
-    n = bs.A_tt.shape[0]
-    E = sp.coo_matrix(([value, value], ([i, j], [j, i])), shape=(n, n))
-    bs.A_tt = (bs.A_tt + E).tocsr()
+    """condense after adding `value` at (i, j) and (j, i) of A_tt, two
+    distinct velocity dofs of one facet."""
+    m2 = bs.facet_att.shape[1]
+    f, a, b = i // m2, i % m2, j % m2
+    assert j // m2 == f and a != b
+    bs.facet_att[f, a, b] += value
+    bs.facet_att[f, b, a] += value
     return condense.condense(bs)
 
 
@@ -181,11 +183,6 @@ def test_coupled_or_unequal_components_refused(tri_jitter, cavity):
     # a difference at rounding level is accepted
     bs = assembly.build_block_system(sp_, cavity)
     _perturbed_condense(bs, b, b + 1, 1e-15 * scale)
-    # A_tt couples the velocities of one facet only
-    other = np.flatnonzero(~tri_jitter.boundary_mask)[1] * 2 * sp_.nbf
-    bs = assembly.build_block_system(sp_, cavity)
-    with pytest.raises(ValueError, match="distinct facets"):
-        _perturbed_condense(bs, a, other, 1e-3 * scale)
 
 
 def _full_block_oracle(bs, y, f):
