@@ -10,9 +10,13 @@ Four kinds, all symmetric positive definite:
 Rbar approximates the inverse of the condensed velocity block.  That
 block is two copies of one scalar operator (`condense` checks it), so
 Rbar is built on the scalar block `cs.Abar_scalar` alone: an exact
-sparse factorization, or a fixed number of smoothed-aggregation V(1,1)
-cycles with the constant scalar facet field as near-nullspace.  It is
-applied to both components at once, as the (n_t/2, 2) block
+sparse factorization, or a fixed number of two-level auxiliary-space
+cycles (`amg.AuxiliarySpace`): facet-block Jacobi sweeps around an
+exact solve on continuous P1 over the interior mesh vertices, mapped
+into the facet basis by `spaces.vertex_trace_prolongator`.  Its
+spectral bracket against the scalar block does not move under mesh
+refinement, so neither do the iteration counts.  It is applied to
+both components at once, as the (n_t/2, 2) block
 `cs.component_columns(r)`, in both sweeps of the SGS kinds too.  Every
 factorization here is `amg.spd_lu` (symmetric minimum-degree ordering,
 diagonal pivots), since all factored blocks are SPD.  The modal bases
@@ -36,34 +40,43 @@ from scipy.linalg import eigh_tridiagonal
 
 from . import assembly as _assembly
 from . import spaces as _spaces
-from .amg import SmoothedAggregation, spd_lu
+from .amg import AuxiliarySpace, spd_lu
 
 KINDS = ("PM", "PC", "PM-SGS", "PC-SGS")
+# multigrid on this many rows or fewer degrades to the exact mode
+_MIN_MULTIGRID_ROWS = 240
+# the benchmark's span hook for the multigrid setup, until it renames it
+SmoothedAggregation = AuxiliarySpace
 
 
 class OperatorApprox:
-    """Approximate inverse of an SPD matrix: 'exact' (`spd_lu`) or
-    'multigrid' (fixed V-cycle count).  Tiny problems silently degrade
-    multigrid to the exact mode; `degraded` records that.  `apply`
-    takes an (n,) or (n, m) right-hand side."""
+    """Approximate inverse of the scalar trace block `cs.Abar_scalar`:
+    'exact' (`spd_lu`) or 'multigrid' (a fixed number of
+    auxiliary-space cycles per apply, `amg.AuxiliarySpace`, with the
+    continuous P1 coarse space of `spaces.vertex_trace_prolongator`
+    and facet-block Jacobi smoothing).  Tiny problems, and meshes
+    without an interior vertex, silently degrade multigrid to the
+    exact mode; `degraded` records that.  `apply` takes an (n,) or
+    (n, m) right-hand side."""
 
-    def __init__(self, A, mode="exact", cycles=4, near_null=None,
-                 coarse_size=60):
+    def __init__(self, A, mode="exact", cycles=4, spaces=None):
         if mode not in ("exact", "multigrid"):
             raise ValueError("mode must be 'exact' or 'multigrid'")
         self.shape = A.shape
         self.cycles = cycles
         self.degraded = False
-        if mode == "multigrid" and A.shape[0] <= 4 * coarse_size:
-            mode = "exact"
-            self.degraded = True
+        if mode == "multigrid":
+            P = (_spaces.vertex_trace_prolongator(spaces)
+                 if A.shape[0] > _MIN_MULTIGRID_ROWS else None)
+            if P is None or P.shape[1] == 0:
+                mode = "exact"
+                self.degraded = True
         self.mode = mode
         if mode == "exact":
             self.lu = spd_lu(A)
             self.amg = None
         else:
-            self.amg = SmoothedAggregation(A, near_null,
-                                           coarse_size=coarse_size)
+            self.amg = SmoothedAggregation(A, P, spaces.nbf)
 
     def apply(self, r):
         if self.mode == "exact":
@@ -162,18 +175,13 @@ def build_preconditioner(cs, M_p, M_s, kind="PM", rbar_mode="exact",
 
     M_p, M_s are the assembled pressure mass blocks; the PM kinds
     require them diagonal and raise ValueError otherwise.  The velocity
-    block approximation is built on the scalar block `cs.Abar_scalar`;
-    its multigrid near-nullspace is the constant scalar facet field,
-    zeroed on constrained DOFs.
+    block approximation is built on the scalar block `cs.Abar_scalar`.
     """
     if kind not in KINDS:
         raise ValueError("unknown preconditioner kind %r; expected one of %s"
                          % (kind, ", ".join(KINDS)))
-    sp_ = cs.spaces
-    near = _spaces.constant_facet_velocity_fields(sp_)[:, 0].copy()
-    near[sp_.constrained_facet_velocity_dofs] = 0.0
     rbar = OperatorApprox(cs.Abar_scalar, mode=rbar_mode, cycles=cycles,
-                          near_null=cs.component_columns(near)[:, 0])
+                          spaces=cs.spaces)
 
     if kind.startswith("PM"):
         solve2 = _diagonal_solver(M_p, "cell pressure mass")

@@ -29,6 +29,7 @@ Degree-of-freedom layout (all block-major):
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import quadrature
 
@@ -302,6 +303,30 @@ def constant_facet_velocity_fields(spaces):
     e1 = project_facet_velocity(spaces, lambda x, y: (np.zeros_like(x),
                                                       np.ones_like(x)))
     return np.column_stack([e0, e1])
+
+
+def vertex_trace_prolongator(spaces):
+    """Continuous P1 on the interior mesh vertices, in the scalar facet
+    basis: a (n_ubar/2, interior vertices) CSR matrix, rows in facet
+    order.  Column j is the facet-wise L2 projection of the hat
+    function of interior vertex j, which is linear along every facet
+    (on quadrilaterals too), so it is zero on boundary facets."""
+    mesh = spaces.mesh
+    nf, nbf = mesh.num_facets, spaces.nbf
+    # along a facet the hats of its end vertices are 1/2 -+ xi; facet
+    # modes from the third on are orthogonal to linears
+    xi = spaces._facet_coords(spaces.facet_qp, np.arange(nf))
+    hats = np.stack([0.5 - xi, 0.5 + xi], axis=1)
+    vals = hats @ (spaces.facet_qw[..., None] * spaces.psibar[..., :2])
+    interior = np.ones(mesh.num_vertices, dtype=bool)
+    interior[mesh.facets[mesh.boundary_mask]] = False
+    column = np.cumsum(interior) - 1
+    keep = np.broadcast_to(interior[mesh.facets][..., None], vals.shape)
+    cols = np.broadcast_to(column[mesh.facets][..., None], vals.shape)
+    rows = np.broadcast_to(np.arange(nf)[:, None, None] * nbf
+                           + np.arange(2), vals.shape)
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                         shape=(nf * nbf, int(interior.sum())))
 
 
 def interpolate_boundary(spaces, g):

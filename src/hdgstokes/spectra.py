@@ -116,14 +116,21 @@ def _restricted_pencil(S, M, constraints):
 
 def _mass_pencil_eigvals(S, M, c=None, subset=None):
     """Eigenvalues of the pencil (S, M) for a diagonal mass M, on the
-    M-orthogonal complement of c when c is given.  Overwrites S.
+    M-orthogonal complement of c when c is given.  S is symmetric; it
+    is overwritten.
 
     With D = diag(M) the pencil is the standard problem
     H = D^-1/2 S D^-1/2, and the constraint c^T M x = 0 reads
     v^T y = 0 for y = D^1/2 x, v = D^1/2 c.  The Householder reflector
     P = I - 2 w w^T with P v = -+e_1 maps that complement onto the
     trailing coordinates, so the restricted spectrum is that of
-    (P H P)[1:, 1:]."""
+    (P H P)[1:, 1:].
+
+    For a C-contiguous S no second dense copy is made: the rank-2
+    update is BLAS `syr2` on the triangle `eigvalsh` reads,
+    (P H P)[1:, 1:] is moved to the front of S's buffer, and LAPACK
+    gets the transpose, a Fortran view of that buffer, which it does
+    not copy (H is symmetric)."""
     d = _assembly.mass_diagonal(M, "pressure mass")
     s = 1.0 / np.sqrt(d)
     S *= s[:, None]
@@ -135,12 +142,18 @@ def _mass_pencil_eigvals(S, M, c=None, subset=None):
         w /= np.linalg.norm(w)
         u = S @ w
         z = 2.0 * u - 2.0 * (w @ u) * w
-        # P H P = H - w z^T - z w^T
-        S -= np.outer(w, z)
-        S -= np.outer(z, w)
-        S = S[1:, 1:]
-    return sla.eigvalsh(S, overwrite_a=True, check_finite=False,
-                        subset_by_index=subset)
+        # P H P = H - w z^T - z w^T, on the lower triangle of S^T
+        S = sla.blas.dsyr2(-1.0, w, z, lower=1, a=S.T, overwrite_a=1).T
+        n = S.shape[0] - 1
+        flat = S.reshape(-1)
+        # row i of S[1:, 1:] moves to flat[i*n:(i+1)*n], which ends
+        # before its own source and before every later one starts
+        for i in range(n):
+            flat[i * n:(i + 1) * n] = flat[(i + 1) * (n + 1) + 1:
+                                           (i + 2) * (n + 1)]
+        S = flat[:n * n].reshape(n, n)
+    return sla.eigvalsh(S.T, lower=True, overwrite_a=True,
+                        check_finite=False, subset_by_index=subset)
 
 
 def _dense(A):

@@ -156,6 +156,17 @@ def test_operator_approx_exact_and_degraded(small):
     assert np.allclose(mg.apply(r), exact.apply(r))
 
 
+def test_multigrid_without_interior_vertex_degraded(cavity):
+    # a strip one cell wide has no interior vertex, hence no P1 space
+    m = mesh.generate(1, 24, domain=(0.0, 0.0, 0.1, 2.4))
+    sp_ = spaces.build_spaces(m, cavity.degree)
+    cs = condense.condense(assembly.build_block_system(sp_, cavity))
+    assert cs.Abar_scalar.shape[0] > 240
+    rbar = precond.OperatorApprox(cs.Abar_scalar, mode="multigrid",
+                                  spaces=sp_)
+    assert rbar.degraded and rbar.mode == "exact"
+
+
 def test_exact_velocity_block_fill(cavity):
     # symmetric minimum-degree ordering; COLAMD gives a ratio of 4.65
     m = mesh.generate(16, 16)
@@ -220,4 +231,55 @@ def test_multigrid_certificate_and_solve(cavity):
     assert 0.2 < lo <= hi < 1.0 + 1e-6
     rep = krylov.minres(cs.matrix(), cs.rhs, pc.apply, tol=1e-8,
                         maxiter=900, nullspace=cs.nullspace_vector())
+    assert rep.converged
+
+
+def _multigrid_setup(n, shape="triangle", k=2, jitter=0.0, alpha=None,
+                     cycles=4, kind="PM-SGS"):
+    m = mesh.generate(n, n, shape, jitter=jitter, seed=2)
+    sp_ = spaces.build_spaces(m, k)
+    bs = assembly.build_block_system(sp_,
+                                     spaces.lid_driven_cavity(k, alpha))
+    cs = condense.condense(bs)
+    pc = precond.build_preconditioner(cs, bs.M_p, bs.M_s, kind,
+                                      rbar_mode="multigrid", cycles=cycles)
+    assert pc.rbar.mode == "multigrid"
+    return cs, pc
+
+
+def _multigrid_minres(n, **kw):
+    cs, pc = _multigrid_setup(n, **kw)
+    return krylov.minres(cs.matrix(), cs.rhs, pc.apply, tol=1e-8,
+                         maxiter=400, nullspace=cs.nullspace_vector())
+
+
+def test_multigrid_bracket_mesh_independent():
+    """One auxiliary-space cycle against the scalar block has the same
+    spectral bracket on 12x12 and 24x24 triangles."""
+    brackets = []
+    for n in (12, 24):
+        cs, pc = _multigrid_setup(n, cycles=1)
+        brackets.append(precond.generalized_extremes(cs.Abar_scalar,
+                                                     pc.rbar.apply))
+    (lo1, hi1), (lo2, hi2) = brackets
+    assert abs(lo1 - lo2) <= 0.05 and abs(hi1 - hi2) <= 0.05
+    assert 0.0 < min(lo1, lo2) and max(hi1, hi2) < 1.0 + 1e-6
+
+
+def test_multigrid_minres_iterations_mesh_independent():
+    its = []
+    for n in (8, 16, 32):
+        rep = _multigrid_minres(n)
+        assert rep.converged
+        its.append(rep.iterations)
+    assert max(its) <= 130
+    assert max(its) <= 1.1 * min(its)
+
+
+@pytest.mark.parametrize("shape, k, jitter, alpha",
+                         [("quadrilateral", 3, 0.2, 54.0),
+                          ("triangle", 1, 0.0, None)])
+def test_multigrid_converges_on_quads_and_k1(shape, k, jitter, alpha):
+    rep = _multigrid_minres(12, shape=shape, k=k, jitter=jitter,
+                            alpha=alpha)
     assert rep.converged

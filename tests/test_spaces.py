@@ -215,3 +215,35 @@ def test_power_tables_match_power_formula(shape, k, jitter):
                 spaces._mono(*P, s.ex_p, s.ey_p),
                 *spaces._mono_grad(*P, s.ex_v, s.ey_v)):
         assert arr.flags.c_contiguous
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.2])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("shape", ["triangle", "quadrilateral"])
+def test_vertex_trace_prolongator_projects_interpolant(shape, k, jitter):
+    """Pi applied to interior-vertex values is the facet projection of
+    their interpolant, linear along each facet and zero at boundary
+    vertices; Pi has no entry on a boundary facet."""
+    m = mesh.generate(4, 3, shape, jitter=jitter, seed=6)
+    s = spaces.build_spaces(m, k)
+    Pi = spaces.vertex_trace_prolongator(s)
+    interior = np.ones(m.num_vertices, dtype=bool)
+    interior[m.facets[m.boundary_mask].ravel()] = False
+    assert Pi.shape == (s.n_ubar // 2, interior.sum())
+    v = np.zeros(m.num_vertices)
+    v[interior] = np.random.default_rng(k).standard_normal(Pi.shape[1])
+    a = m.vertices[m.facets[:, 0]][:, None, :]
+
+    def interpolant(x, y):
+        # facet_qp (nf, nqf) of every facet, by distance from its ends
+        t = np.sqrt(((np.stack([x, y], -1) - a) ** 2).sum(-1)) \
+            / m.facet_lengths[:, None]
+        u = (1.0 - t) * v[m.facets[:, 0], None] + t * v[m.facets[:, 1], None]
+        return u, np.zeros_like(u)
+
+    want = spaces.project_facet_velocity(s, interpolant)
+    want = s.facet_velocity_coeffs(want)[:, 0].ravel()
+    got = Pi @ v[interior]
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    rows = Pi.tocoo().row // s.nbf
+    assert not m.boundary_mask[rows].any()
