@@ -235,13 +235,13 @@ def test_multigrid_certificate_and_solve(cavity):
 
 
 def _multigrid_setup(n, shape="triangle", k=2, jitter=0.0, alpha=None,
-                     cycles=4, kind="PM-SGS"):
+                     cycles=4):
     m = mesh.generate(n, n, shape, jitter=jitter, seed=2)
     sp_ = spaces.build_spaces(m, k)
     bs = assembly.build_block_system(sp_,
                                      spaces.lid_driven_cavity(k, alpha))
     cs = condense.condense(bs)
-    pc = precond.build_preconditioner(cs, bs.M_p, bs.M_s, kind,
+    pc = precond.build_preconditioner(cs, bs.M_p, bs.M_s, "PM-SGS",
                                       rbar_mode="multigrid", cycles=cycles)
     assert pc.rbar.mode == "multigrid"
     return cs, pc

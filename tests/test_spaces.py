@@ -235,7 +235,7 @@ def test_vertex_trace_prolongator_projects_interpolant(shape, k, jitter):
     a = m.vertices[m.facets[:, 0]][:, None, :]
 
     def interpolant(x, y):
-        # facet_qp (nf, nqf) of every facet, by distance from its ends
+        # at facet_qp (nf, nqf): t is the distance from the first end
         t = np.sqrt(((np.stack([x, y], -1) - a) ** 2).sum(-1)) \
             / m.facet_lengths[:, None]
         u = (1.0 - t) * v[m.facets[:, 0], None] + t * v[m.facets[:, 1], None]
