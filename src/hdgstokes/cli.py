@@ -7,6 +7,10 @@ export-matrices (Matrix Market dump of the full and condensed
 systems).  Configuration is an INI file; every run is deterministic
 for a fixed configuration.
 
+All four share one pipeline of two stages: `discretize` (spaces,
+boundary-flux check, assembly, static condensation) and
+`krylov_solve` (block preconditioner, MINRES or GMRES).
+
 Exit codes: 0 success, 1 failed verification or non-converged solve,
 2 configuration errors.
 """
@@ -21,7 +25,6 @@ import sys
 
 import numpy as np
 import scipy.io
-import scipy.sparse as sp
 
 from . import assembly, condense, krylov, precond, spaces, spectra
 from . import mesh as _mesh
@@ -139,11 +142,6 @@ def csr_hash(A):
     return h.hexdigest()
 
 
-def _build_mesh(cfg):
-    return _mesh.generate(cfg.nx, cfg.ny, cfg.shape, cfg.domain,
-                          jitter=cfg.jitter, seed=cfg.seed)
-
-
 def _mesh_ladder(cfg, nx, ny, levels):
     """Doubling sequence of meshes of the same structured family.
 
@@ -161,12 +159,13 @@ def _problem(cfg):
     return spaces.ProblemSpec(degree=cfg.degree, alpha=cfg.alpha)
 
 
-def solve_once(cfg, m, pc_kind=None, method=None, tol=None):
-    """Assemble, condense, precondition and solve on a given mesh.
+def discretize(cfg, m, problem=None):
+    """Discretization stage on mesh m: spaces, boundary-flux check,
+    assembly and static condensation.  Returns (spaces, bs, cs).
 
-    Returns (result dict, condensed system, solver report)."""
+    problem defaults to the configured one."""
     sp_ = spaces.build_spaces(m, cfg.degree)
-    prob = _problem(cfg)
+    prob = _problem(cfg) if problem is None else problem
     g = spaces.interpolate_boundary(sp_, prob.boundary_velocity)
     flux = assembly.boundary_flux_per_facet(sp_, g)
     scale = max(np.abs(g).max(), 1.0)
@@ -175,28 +174,42 @@ def solve_once(cfg, m, pc_kind=None, method=None, tol=None):
                           "elimination would break mass conservation")
 
     bs = assembly.build_block_system(sp_, prob)
-    cs = condense.condense(bs)
-    kind = pc_kind or cfg.pc
+    try:
+        cs = condense.condense(bs)
+    except np.linalg.LinAlgError:
+        raise ConfigError("the per-cell velocity block is not positive "
+                          "definite for alpha = %g on these cells; raise "
+                          "alpha or use less elongated cells"
+                          % prob.alpha) from None
+    return sp_, bs, cs
+
+
+def krylov_solve(cfg, bs, cs, kind, method, tol):
+    """Solve stage: preconditioner `kind` and MINRES or GMRES on the
+    condensed system.  Returns the SolverReport (solution in .x)."""
     pc = precond.build_preconditioner(cs, bs.M_p, bs.M_s, kind=kind,
                                       rbar_mode=cfg.rbar, cycles=cfg.cycles)
-    nullv = cs.nullspace_vector()
-    use = method or cfg.method
-    use_tol = cfg.tol if tol is None else tol
-    if use == "minres":
-        rep = krylov.minres(cs.K, cs.rhs, pc.apply, tol=use_tol,
-                            maxiter=cfg.maxiter, nullspace=nullv,
-                            label=kind)
-    else:
-        rep = krylov.gmres(cs.K, cs.rhs, pc.apply, tol=use_tol,
-                           maxiter=cfg.maxiter, restart=cfg.restart,
-                           nullspace=nullv, label=kind)
+    opts = {"tol": tol, "maxiter": cfg.maxiter,
+            "nullspace": cs.nullspace_vector(), "label": kind}
+    if method == "minres":
+        return krylov.minres(cs.K, cs.rhs, pc.apply, **opts)
+    return krylov.gmres(cs.K, cs.rhs, pc.apply, restart=cfg.restart, **opts)
+
+
+def solve_once(cfg, m, pc_kind=None, method=None, tol=None):
+    """Both stages and the velocity recovery on a given mesh.
+
+    Returns (result dict, fields, condensed system, solver report)."""
+    sp_, bs, cs = discretize(cfg, m)
+    rep = krylov_solve(cfg, bs, cs, pc_kind or cfg.pc, method or cfg.method,
+                       cfg.tol if tol is None else tol)
 
     ubar, p, pbar = cs.split(rep.x)
     u = condense.recover_velocity(cs, ubar, p, pbar)
 
     # report pressures with mass-weighted zero mean
     c = spaces.constant_pressure_vector(sp_)
-    M = sp.block_diag([bs.M_p, bs.M_s]).tocsr()
+    M = bs.pressure_mass()
     pp = np.concatenate([p, pbar])
     shift = (c @ (M @ pp)) / (c @ (M @ c))
     pp = pp - shift * c
@@ -220,7 +233,7 @@ def solve_once(cfg, m, pc_kind=None, method=None, tol=None):
 
 def run_solve(cfg, outdir, save_solution=False):
     os.makedirs(outdir, exist_ok=True)
-    m = _build_mesh(cfg)
+    (m,) = _mesh_ladder(cfg, cfg.nx, cfg.ny, 1)
     result, fields, _, rep = solve_once(cfg, m)
     with open(os.path.join(outdir, "report.json"), "w") as fh:
         json.dump(result, fh, indent=2)
@@ -238,19 +251,10 @@ def run_study(cfg, outdir):
     detail = []
     failed = False
     for level, m in enumerate(_mesh_ladder(cfg, cfg.nx, cfg.ny, cfg.levels)):
-        sp_ = spaces.build_spaces(m, cfg.degree)
-        prob = _problem(cfg)
-        bs = assembly.build_block_system(sp_, prob)
-        cs = condense.condense(bs)
-        nullv = cs.nullspace_vector()
+        _, bs, cs = discretize(cfg, m)
         row = {"level": level, "cells": m.num_cells, "dofs": cs.size}
         for kind in precond.KINDS:
-            pc = precond.build_preconditioner(cs, bs.M_p, bs.M_s, kind=kind,
-                                              rbar_mode=cfg.rbar,
-                                              cycles=cfg.cycles)
-            rep = krylov.minres(cs.K, cs.rhs, pc.apply, tol=cfg.tol,
-                                maxiter=cfg.maxiter, nullspace=nullv,
-                                label=kind)
+            rep = krylov_solve(cfg, bs, cs, kind, "minres", cfg.tol)
             row[kind] = rep.iterations if rep.converged else -1
             failed = failed or not rep.converged
             detail.append({"level": level, **rep.to_dict()})
@@ -277,32 +281,23 @@ def run_verify(cfg, outdir):
         checks.append({"name": name, "passed": bool(passed),
                        **spectra.SpectraReport(**data).to_dict()})
 
-    meshes = _mesh_ladder(cfg, cfg.verify_nx, cfg.verify_nx,
-                          cfg.verify_levels)
-    base = meshes[0]
-
-    prob = _problem(cfg)
     zero = spaces.ProblemSpec(degree=cfg.degree, alpha=cfg.alpha)
+    two_cell = discretize(cfg, _mesh.generate(1, 1, cfg.shape, cfg.domain),
+                          zero)
+    probes = [(m, *discretize(cfg, m, zero))
+              for m in _mesh_ladder(cfg, cfg.verify_nx, cfg.verify_nx,
+                                    cfg.verify_levels)]
+    base = probes[0]
 
     # condensation identity on a 2-cell mesh and the base mesh
-    for label, m in (("2cell", _mesh.generate(1, 1, cfg.shape, cfg.domain)),
-                     ("base", base)):
-        sp_ = spaces.build_spaces(m, cfg.degree)
-        bs = assembly.build_block_system(sp_, zero)
-        cs = condense.condense(bs)
+    for label, (_, bs, cs) in (("2cell", two_cell), ("base", base[1:])):
         res = spectra.condensed_schur_identity(bs, cs)
         record("schur_identity_" + label, res <= 1e-9, residual=res)
 
     # spectra of the full and condensed pressure Schur complements
-    full, cond = [], []
-    probes = []
-    for m in meshes:
-        sp_ = spaces.build_spaces(m, cfg.degree)
-        bs = assembly.build_block_system(sp_, zero)
-        cs = condense.condense(bs)
-        full.append(spectra.schur_spectrum(bs))
-        cond.append(spectra.element_block_spectrum(cs, bs.M_p, bs.M_s))
-        probes.append((m, sp_, bs, cs))
+    full = [spectra.schur_spectrum(bs) for _, _, bs, _ in probes]
+    cond = [spectra.element_block_spectrum(cs, bs.M_p, bs.M_s)
+            for _, _, bs, cs in probes]
 
     def drift_ok(seq):
         ok = all(lo > 0 for lo, _ in seq)
@@ -316,20 +311,18 @@ def run_verify(cfg, outdir):
 
     # coercivity (unconstrained form), on meshes small enough for a
     # dense eigensolver
-    coer = []
-    for m, sp_, _, _ in probes:
-        if sp_.n_u + sp_.n_ubar > 4000:
-            break
-        raw = assembly.build_block_system(sp_, zero, bcs=False)
-        coer.append(spectra.coercivity_bounds(raw))
+    def coercivity(sp_, prob):
+        raw = assembly.build_block_system(sp_, prob, bcs=False)
+        return spectra.coercivity_bounds(raw)
+
+    coer = [coercivity(sp_, zero) for _, sp_, _, _ in probes
+            if sp_.n_u + sp_.n_ubar <= 4000]
     record("coercivity_positive", all(lo > 0 for lo, _ in coer),
            bounds=coer, alpha=cfg.alpha)
 
     # the detector must flag a known-bad stabilization
     weak = spaces.ProblemSpec(degree=cfg.degree, alpha=0.01)
-    sp0 = probes[0][1]
-    raw = assembly.build_block_system(sp0, weak, bcs=False)
-    lo, hi = spectra.coercivity_bounds(raw)
+    lo, hi = coercivity(base[1], weak)
     record("coercivity_failure_detected", lo <= 0, bounds=[(lo, hi)],
            alpha=0.01)
 
@@ -352,8 +345,8 @@ def run_verify(cfg, outdir):
     record("trace_form_bracket_stable", stable, lower=lows, upper=highs)
 
     # one converged solve: conservation and kernel hygiene
-    result, fields, cs, rep = solve_once(cfg, base, pc_kind="PM",
-                                         method="minres", tol=1e-10)
+    result, _, _, rep = solve_once(cfg, base[0], pc_kind="PM",
+                                   method="minres", tol=1e-10)
     fc = result["field_checks"]
     scale = max(fc["velocity_scale"], 1e-300)
     ok = (rep.converged
@@ -374,11 +367,8 @@ def run_verify(cfg, outdir):
 
 def run_export(cfg, outdir):
     os.makedirs(outdir, exist_ok=True)
-    m = _build_mesh(cfg)
-    sp_ = spaces.build_spaces(m, cfg.degree)
-    prob = _problem(cfg)
-    bs = assembly.build_block_system(sp_, prob)
-    cs = condense.condense(bs)
+    (m,) = _mesh_ladder(cfg, cfg.nx, cfg.ny, 1)
+    _, bs, cs = discretize(cfg, m)
     out = {
         "A": bs.velocity_matrix(), "B": bs.divergence_matrix(),
         "M": bs.pressure_mass(), "saddle": bs.saddle_matrix(),

@@ -68,9 +68,6 @@ class CondensedSystem:
         self.n_s = spaces.n_pbar
         self.size = self.n_t + self.n_p + self.n_s
 
-    def matrix(self):
-        return self.K
-
     def split(self, x):
         return (x[:self.n_t],
                 x[self.n_t:self.n_t + self.n_p],

@@ -21,8 +21,6 @@ projecting the residual and every preconditioned vector keeps all
 iterates in that complement.
 """
 
-import time
-
 import numpy as np
 
 
@@ -30,22 +28,19 @@ class SolverReport:
     """Iteration record of one Krylov solve."""
 
     def __init__(self, method, preconditioner, iterations, converged,
-                 residuals, pc_residuals=None, wall_time=0.0,
-                 breakdown=None, tol=0.0, nullspace_residual=0.0):
+                 residuals, pc_residuals=None, breakdown=None, tol=0.0,
+                 nullspace_residual=0.0):
         self.method = method
         self.preconditioner = preconditioner
         self.iterations = iterations
         self.converged = converged
         self.residuals = residuals
         self.pc_residuals = pc_residuals or []
-        self.wall_time = wall_time
         self.breakdown = breakdown
         self.tol = tol
         self.nullspace_residual = nullspace_residual
 
     def to_dict(self):
-        # wall_time stays off the record: serialized reports must be
-        # identical across repeated runs of the same configuration
         return {
             "method": self.method,
             "preconditioner": self.preconditioner,
@@ -70,6 +65,20 @@ def _projector(nullspace):
     return lambda v: v - n * (n @ v)
 
 
+def _report(method, label, x, nullspace, iterations, converged, residuals,
+            pc_residuals, breakdown, tol):
+    """SolverReport carrying the final iterate as `x`; its
+    nullspace_residual is |n . x| / |x| for the unit kernel vector n."""
+    nres = 0.0
+    if nullspace is not None and np.linalg.norm(x) > 0:
+        n = nullspace / np.linalg.norm(nullspace)
+        nres = abs(n @ x) / np.linalg.norm(x)
+    rep = SolverReport(method, label, iterations, converged, residuals,
+                       pc_residuals, breakdown, tol, nres)
+    rep.x = x
+    return rep
+
+
 def minres(A, b, pc=None, tol=1e-8, maxiter=1000, nullspace=None,
            label=""):
     """Left-preconditioned MINRES.
@@ -81,7 +90,6 @@ def minres(A, b, pc=None, tol=1e-8, maxiter=1000, nullspace=None,
     or the true one where it was recomputed (always the last entry of
     a converged solve).
     """
-    t0 = time.perf_counter()
     matvec = _as_matvec(A)
     apply_pc = pc if pc is not None else (lambda x: x.copy())
     proj = _projector(nullspace)
@@ -92,13 +100,8 @@ def minres(A, b, pc=None, tol=1e-8, maxiter=1000, nullspace=None,
     residuals, pc_residuals = [], []
 
     def report(itn, conv, breakdown=None):
-        nres = 0.0
-        if nullspace is not None and np.linalg.norm(x) > 0:
-            n = nullspace / np.linalg.norm(nullspace)
-            nres = abs(n @ x) / np.linalg.norm(x)
-        return SolverReport("minres", label, itn, conv, residuals,
-                            pc_residuals, time.perf_counter() - t0,
-                            breakdown, tol, nres)
+        return _report("minres", label, x, nullspace, itn, conv, residuals,
+                       pc_residuals, breakdown, tol)
 
     if bnorm == 0.0:
         return report(0, True)
@@ -177,16 +180,13 @@ def minres(A, b, pc=None, tol=1e-8, maxiter=1000, nullspace=None,
             break
 
     x = proj(x)
-    rep = report(itn, converged, breakdown)
-    rep.x = x
-    return rep
+    return report(itn, converged, breakdown)
 
 
 def gmres(A, b, pc=None, tol=1e-8, maxiter=1000, restart=50,
           nullspace=None, label=""):
     """Right-preconditioned restarted GMRES (modified Gram-Schmidt with
     a second orthogonalization pass)."""
-    t0 = time.perf_counter()
     matvec = _as_matvec(A)
     apply_pc = pc if pc is not None else (lambda x: x.copy())
     proj = _projector(nullspace)
@@ -200,10 +200,8 @@ def gmres(A, b, pc=None, tol=1e-8, maxiter=1000, restart=50,
     converged = False
 
     if bnorm == 0.0:
-        rep = SolverReport("gmres", label, 0, True, residuals, [],
-                           time.perf_counter() - t0, None, tol, 0.0)
-        rep.x = x
-        return rep
+        return _report("gmres", label, x, nullspace, 0, True, residuals, [],
+                       None, tol)
 
     while total < maxiter and not converged:
         r = proj(b - matvec(x))
@@ -252,11 +250,5 @@ def gmres(A, b, pc=None, tol=1e-8, maxiter=1000, restart=50,
             residuals[-1] = relres
 
     x = proj(x)
-    nres = 0.0
-    if nullspace is not None and np.linalg.norm(x) > 0:
-        nv = nullspace / np.linalg.norm(nullspace)
-        nres = abs(nv @ x) / np.linalg.norm(x)
-    rep = SolverReport("gmres", label, total, converged, residuals, [],
-                       time.perf_counter() - t0, None, tol, nres)
-    rep.x = x
-    return rep
+    return _report("gmres", label, x, nullspace, total, converged, residuals,
+                   [], None, tol)

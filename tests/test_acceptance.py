@@ -102,7 +102,7 @@ def test_02_condensed_solve_matches_direct():
                             rcond=None)[0]
 
     nv = cs.nullspace_vector()
-    x = np.linalg.solve(cs.matrix().toarray() + np.outer(nv, nv), cs.rhs)
+    x = np.linalg.solve(cs.K.toarray() + np.outer(nv, nv), cs.rhs)
     ubar, p, pbar = cs.split(x)
     u = condense.recover_velocity(cs, ubar, p, pbar)
 

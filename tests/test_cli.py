@@ -1,3 +1,4 @@
+import csv
 import json
 import pathlib
 import re
@@ -8,7 +9,7 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
-from hdgstokes import assembly, cli, condense, mesh, spaces
+from hdgstokes import assembly, cli, condense, krylov, mesh, spaces
 
 
 def _ini(tmp_path, text, name="run.ini"):
@@ -223,6 +224,47 @@ def test_export_round_trips_matrices(tmp_path):
     assert sizes["condensed"] == [cs.size, cs.size]
 
 
+def test_subcommands_share_one_pipeline(tmp_path, monkeypatch):
+    """solve, verify, export-matrices and study all condense the same
+    matrix on the same mesh."""
+    path = _ini(tmp_path, """
+        [mesh]
+        nx = 2
+        ny = 2
+
+        [study]
+        levels = 1
+
+        [verify]
+        nx = 2
+        levels = 1
+    """)
+    handed = []
+    minres = krylov.minres
+
+    def spy(A, b, pc=None, **kw):
+        handed.append(A)
+        return minres(A, b, pc, **kw)
+
+    monkeypatch.setattr(krylov, "minres", spy)
+    run = lambda command: cli.main([command, "--config", path,
+                                    "--out", str(tmp_path / command)])
+    assert run("solve") == 0
+    (K,) = handed
+    assert run("verify") == 0
+    assert cli.csr_hash(handed[-1]) == cli.csr_hash(K)
+
+    assert run("export-matrices") == 0
+    got = scipy.io.mmread(str(tmp_path / "export-matrices" / "condensed.mtx"))
+    assert np.abs((got - K.tocoo()).toarray()).max() == 0.0
+
+    assert run("study") == 0
+    with open(tmp_path / "study" / "study.csv") as fh:
+        row = next(csv.DictReader(fh))
+    assert row["level"] == "0"
+    assert row["matrix_hash"] == cli.csr_hash(K)
+
+
 # -- entry point ------------------------------------------------------
 
 def test_main_accepts_config_before_or_after_subcommand(tmp_path):
@@ -240,12 +282,22 @@ def test_main_exit_codes(tmp_path, capsys):
                      "[solver]\ntol = 0\n",
                      "[solver]\ntol = nan\n",
                      "[mesh]\ndomain = 1 -1 -1 1\n",
-                     "[mesh]\ndomain = -1 1 1 1\n"):
+                     "[mesh]\ndomain = -1 1 1 1\n",
+                     "[mesh]\nshape = triangle\nnx = 1\nny = 30\n"):
         bad = _ini(tmp_path, bad_text, name="bad.ini")
         rc = cli.main(["solve", "--config", bad,
                        "--out", str(tmp_path / "x")])
         assert rc == 2, bad_text
         assert "configuration error" in capsys.readouterr().err
+
+    # cells 1/8 x 1/80: the per-cell velocity block is not positive
+    # definite at the default alpha, whichever subcommand meets it
+    thin = _ini(tmp_path, "[mesh]\ndomain = 0 0 1 0.1\n", name="thin.ini")
+    for command in ("solve", "study", "verify", "export-matrices"):
+        rc = cli.main([command, "--config", thin,
+                       "--out", str(tmp_path / "t")])
+        assert rc == 2, command
+        assert "not positive definite" in capsys.readouterr().err
 
     slow = _ini(tmp_path, """
         [mesh]

@@ -15,18 +15,18 @@ def test_sizes(sys4x4):
     sp_, _, cs = sys4x4
     assert (cs.n_t, cs.n_p, cs.n_s) == (336, 96, 168)
     assert cs.size == 600
-    assert cs.matrix().shape == (600, 600)
+    assert cs.K.shape == (600, 600)
 
 
 def test_condensed_operator_exactly_symmetric(sys_jitter):
     _, _, cs = sys_jitter
-    K = cs.matrix()
+    K = cs.K
     assert abs(K - K.T).max() == 0.0
 
 
 def test_kernel_and_compatibility(sys4x4):
     _, _, cs = sys4x4
-    K = cs.matrix()
+    K = cs.K
     nv = cs.nullspace_vector()
     scale = abs(K).max()
     assert np.abs(K @ nv).max() < 1e-13 * scale * np.abs(nv).max()
@@ -35,7 +35,7 @@ def test_kernel_and_compatibility(sys4x4):
 
 def test_constrained_rows_identity(sys4x4):
     _, bs, cs = sys4x4
-    K = cs.matrix().tocsr()
+    K = cs.K.tocsr()
     for dof in bs.constrained[:12]:
         row = K.getrow(dof)
         assert row.nnz == 1 and row[0, dof] == 1.0
@@ -58,7 +58,7 @@ def test_condensed_solve_matches_dense(sys2):
     x_ref = np.linalg.lstsq(S, rhs, rcond=None)[0]
 
     nv = cs.nullspace_vector()
-    pinned = cs.matrix().toarray() + np.outer(nv, nv)
+    pinned = cs.K.toarray() + np.outer(nv, nv)
     x = np.linalg.solve(pinned, cs.rhs)
     x -= (x @ nv) * nv
     ubar, p, pbar = cs.split(x)
@@ -126,7 +126,7 @@ def test_recovery_solves_local_problems(sys4x4):
     A_uu u + A_tu^T ubar + B^T (p, pbar) = L_u."""
     sp_, bs, cs = sys4x4
     nv = cs.nullspace_vector()
-    x = np.linalg.solve(cs.matrix().toarray() + np.outer(nv, nv), cs.rhs)
+    x = np.linalg.solve(cs.K.toarray() + np.outer(nv, nv), cs.rhs)
     ubar, p, pbar = cs.split(x)
     u = condense.recover_velocity(cs, ubar, p, pbar)
     res = (bs.A_uu @ u + bs.A_tu.T @ ubar

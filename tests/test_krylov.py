@@ -127,6 +127,15 @@ def test_minres_maxiter_exhaustion():
     assert rep.iterations == 3
 
 
+@pytest.mark.parametrize("solver", [krylov.minres, krylov.gmres])
+def test_zero_rhs_returns_zero_solution(solver):
+    # the cavity with `kind = zero` has b = 0; the driver reads rep.x
+    rep = solver(_spd(10, 11), np.zeros(10), nullspace=np.ones(10))
+    assert rep.converged and rep.iterations == 0
+    assert np.array_equal(rep.x, np.zeros(10))
+    assert rep.nullspace_residual == 0.0
+
+
 def test_gmres_solves_nonsymmetric():
     # small perturbation keeps the field of values away from zero
     rng = np.random.default_rng(7)

@@ -229,7 +229,7 @@ def test_multigrid_certificate_and_solve(cavity):
     # block, so the scalar pair has the spectrum of the full pair
     lo, hi = precond.generalized_extremes(cs.Abar_scalar, pc.rbar.apply)
     assert 0.2 < lo <= hi < 1.0 + 1e-6
-    rep = krylov.minres(cs.matrix(), cs.rhs, pc.apply, tol=1e-8,
+    rep = krylov.minres(cs.K, cs.rhs, pc.apply, tol=1e-8,
                         maxiter=900, nullspace=cs.nullspace_vector())
     assert rep.converged
 
@@ -249,7 +249,7 @@ def _multigrid_setup(n, shape="triangle", k=2, jitter=0.0, alpha=None,
 
 def _multigrid_minres(n, **kw):
     cs, pc = _multigrid_setup(n, **kw)
-    return krylov.minres(cs.matrix(), cs.rhs, pc.apply, tol=1e-8,
+    return krylov.minres(cs.K, cs.rhs, pc.apply, tol=1e-8,
                          maxiter=400, nullspace=cs.nullspace_vector())
 
 
