@@ -52,15 +52,17 @@ def _kernel(a, w, b):
 
 
 def _scatter(rows, cols, vals, shape, keep_zeros=True):
-    """Accumulate batched dense blocks into CSR.
+    """Accumulate batched dense blocks into CSR; every scatter of
+    element blocks goes through here.
 
     rows (m, r), cols (m, c), vals (m, r, c); duplicate index pairs
-    are summed, and exact zeros dropped unless keep_zeros.
+    are summed, and exact zeros dropped unless keep_zeros.  The
+    expanded index arrays are int32, half the memory of int64.
     """
     m, r = rows.shape
     c = cols.shape[1]
-    i = np.broadcast_to(rows[:, :, None], (m, r, c)).ravel()
-    j = np.broadcast_to(cols[:, None, :], (m, r, c)).ravel()
+    i = np.broadcast_to(rows.astype(np.int32)[:, :, None], (m, r, c)).ravel()
+    j = np.broadcast_to(cols.astype(np.int32)[:, None, :], (m, r, c)).ravel()
     out = sp.coo_matrix((vals.ravel(), (i, j)), shape=shape).tocsr()
     if not keep_zeros:
         out.eliminate_zeros()
@@ -336,6 +338,31 @@ def velocity_blocks(sp_, alpha, consistency=True):
             np.add.at(bs.facet_att[:, c, c], side.facets, P)
     bs.local_auu_scalar = auu
     return bs
+
+
+def local_velocity_form(bs):
+    """Unconstrained velocity form of each cell on one component,
+    [[A_0, T^T], [T, P]] with the cell basis first and then the facet
+    basis of each side: A_0 is `bs.local_auu_scalar`, T and P the
+    `Side` kernels.  Returns the (nc, m, m) blocks and the (nc, m)
+    coefficients of the constant pair v = vbar = 1, which the form
+    annihilates (both bases are orthonormal)."""
+    sp_ = bs.spaces
+    nc, nb, nbf = sp_.mesh.num_cells, sp_.nb, sp_.nbf
+    m = nb + sp_.nsides * nbf
+    L = np.zeros((nc, m, m))
+    L[:, :nb, :nb] = bs.local_auu_scalar
+    for e in range(sp_.nsides):
+        side = Side(sp_, e, bs.alpha)
+        r = slice(nb + e * nbf, nb + (e + 1) * nbf)
+        L[:, r, :nb] = side.facet_cell()
+        L[:, :nb, r] = L[:, r, :nb].transpose(0, 2, 1)
+        L[:, r, r] = side.facet_facet()
+    c = np.concatenate(
+        [np.einsum("cq,cqi->ci", sp_.cell_qw, sp_.phi, optimize=True),
+         facet_integrals(sp_)[sp_.mesh.cell_facets].reshape(nc, -1)],
+        axis=1)
+    return L, c
 
 
 def build_block_system(sp_, problem, bcs=True):

@@ -18,11 +18,12 @@ cell, A_0 = L L^T, and the per-cell Schur piece is
 
 with C_d the columns of R_K that belong to velocity component d.  L^-1
 is formed by forward substitution and applied as batched matrix
-products, here and in `recover_velocity`.  The stack of -W^T W goes to
-CSR in one COO conversion with int32 indices, A_tt folded into it (see
-`_assemble`); K comes out exactly symmetric.  The identity
-Bbar Abar^-1 Bbar^T - C = B A^-1 B^T holds as exact block algebra and
-is verified, not assumed, by the spectra module.
+products (`cell_schur`, which the spectral probes share, and
+`recover_velocity`).  The stack of -W^T W goes to CSR through
+`assembly._scatter`, A_tt folded into it; K comes out exactly
+symmetric.  The identity Bbar Abar^-1 Bbar^T - C = B A^-1 B^T holds
+as exact block algebra and is verified, not assumed, by the spectra
+module.
 
 Constrained facet-velocity rows pass through condensation as identity
 rows because their coupling columns were cleared during elimination.
@@ -40,7 +41,6 @@ acts on.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import spaces as _spaces
 from . import assembly as _assembly
@@ -90,31 +90,54 @@ class CondensedSystem:
                                _spaces.constant_pressure_vector(self.spaces)])
 
 
+def cell_schur(A0, R):
+    """Per-cell R bdiag(A0, A0)^-1 R^T for a batch (m, n, n) of SPD
+    scalar blocks A0 and a stack R (m, r, 2n) of rows acting on both
+    velocity components.
+
+    A0 = L L^T is factored once per cell and L^-1 formed by forward
+    substitution.  Returns (S, Wt, Linv) with
+    Wt = [C_0 L^-T, C_1 L^-T] for the component column blocks C_d of
+    R, and S = Wt Wt^T.  LinAlgError when some A0 is not positive
+    definite."""
+    L = np.linalg.cholesky(A0)
+    Linv = np.zeros_like(L)
+    for i in range(L.shape[1]):
+        d = L[:, i, i, None]
+        Linv[:, i, :i] = -(L[:, i, None, :i] @ Linv[:, :i, :i])[:, 0] / d
+        Linv[:, i, i] = 1.0 / d[:, 0]
+    m, r, n2 = R.shape
+    Wt = (R.reshape(m, 2 * r, n2 // 2)
+          @ Linv.transpose(0, 2, 1)).reshape(m, r, n2)
+    return Wt @ Wt.transpose(0, 2, 1), Wt, Linv
+
+
 def condense(bs):
     """Eliminate interior velocities from an assembled BlockSystem."""
     sp_ = bs.spaces
     nc, nb = sp_.mesh.num_cells, sp_.nb
     cs = CondensedSystem(sp_)
 
-    # W^T = [C_0 Linv^T, C_1 Linv^T]: the component column blocks C_d of
-    # the coupling stack times the inverse factor of the scalar block
-    Linv = _lower_inverse(np.linalg.cholesky(bs.local_auu_scalar))
-    rows = bs.local_rows
-    mk = rows.shape[1]
-    Wt = (bs.local_coupling.reshape(nc, 2 * mk, nb)
-          @ Linv.transpose(0, 2, 1)).reshape(nc, mk, 2 * nb)
-    V = Wt @ Wt.transpose(0, 2, 1)
+    V, Wt, Linv = cell_schur(bs.local_auu_scalar, bs.local_coupling)
     V *= -1.0
 
     # rhs: [L_t; 0; 0] - R A_uu^-1 L_u
     wf = bs.L_u.reshape(nc, 2, nb) @ Linv.transpose(0, 2, 1)
     corr = (Wt @ wf.reshape(nc, 2 * nb, 1))[..., 0]
     del Wt
+    rows = bs.local_rows
     rhs = np.concatenate([bs.L_t, np.zeros(cs.n_p + cs.n_s)])
     np.add.at(rhs, rows.ravel(), -corr.ravel())
     cs.rhs = rhs
 
-    cs.K = _assemble(bs, V, cs.size)
+    # Each facet's block of A_tt goes into the stack of the facet's
+    # first cell, so an entry of K sums at most two cell contributions,
+    # which floating-point addition does in either order alike: K is
+    # exactly symmetric.  Exact zeros, such as the cross-component
+    # facet-velocity entries, are not stored.
+    bs.add_facet_blocks(V)
+    cs.K = _assembly._scatter(rows, rows, V, (cs.size, cs.size),
+                              keep_zeros=False)
     del V
 
     nt, np_ = cs.n_t, cs.n_p
@@ -131,37 +154,6 @@ def condense(bs):
     cs.local_coupling = bs.local_coupling
     cs.L_u = bs.L_u.copy()
     return cs
-
-
-def _lower_inverse(L):
-    """Inverses of a batch (m, n, n) of lower triangular matrices, by
-    forward substitution on the identity, one row at a time."""
-    X = np.zeros_like(L)
-    for i in range(L.shape[1]):
-        d = L[:, i, i, None]
-        X[:, i, :i] = -(L[:, i, None, :i] @ X[:, :i, :i])[:, 0] / d
-        X[:, i, i] = 1.0 / d[:, 0]
-    return X
-
-
-def _assemble(bs, V, N):
-    """K in CSR from the per-cell Schur stack V (local_rows squared,
-    modified in place) and A_tt, in one COO to CSR conversion.
-
-    Each facet's block of A_tt is added to the stack of the facet's
-    first cell (`BlockSystem.add_facet_blocks`).  An entry of K then
-    sums at most two cell contributions, which floating-point addition
-    does in either order alike: K is exactly symmetric.  Exact zeros,
-    such as the cross-component facet-velocity entries, are not
-    stored."""
-    bs.add_facet_blocks(V)
-    rows = bs.local_rows.astype(np.int32)
-    mk = rows.shape[1]
-    i = np.repeat(rows, mk, axis=1).ravel()
-    j = np.tile(rows, (1, mk)).ravel()
-    K = sp.csr_matrix((V.ravel(), (i, j)), shape=(N, N))
-    K.eliminate_zeros()
-    return K
 
 
 def _component_block(cs):

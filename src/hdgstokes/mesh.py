@@ -165,51 +165,6 @@ def generate(nx, ny, cell_type="triangle", domain=(-1.0, -1.0, 1.0, 1.0),
     return Mesh(verts, np.array(cells), cell_type)
 
 
-def refine(mesh):
-    """Uniform refinement: every cell splits into four.
-
-    Triangles split at edge midpoints, quadrilaterals at edge midpoints
-    plus the vertex centroid.  On structured meshes all diameters halve
-    (for triangles this holds on jittered meshes too, since midpoint
-    subdivision produces similar children).
-    """
-    v_old = mesh.vertices
-    nv = len(v_old)
-    mid = 0.5 * (v_old[mesh.facets[:, 0]] + v_old[mesh.facets[:, 1]])
-    if mesh.cell_type == "triangle":
-        verts = np.vstack([v_old, mid])
-        m = nv + mesh.cell_facets          # (nc, 3) midpoint vertex ids
-        c = mesh.cells
-        children = np.empty((4 * mesh.num_cells, 3), dtype=np.int64)
-        children[0::4] = np.column_stack([c[:, 0], m[:, 0], m[:, 2]])
-        children[1::4] = np.column_stack([m[:, 0], c[:, 1], m[:, 1]])
-        children[2::4] = np.column_stack([m[:, 2], m[:, 1], c[:, 2]])
-        children[3::4] = np.column_stack([m[:, 0], m[:, 1], m[:, 2]])
-    else:
-        centroids = mesh.vertices[mesh.cells].mean(axis=1)
-        verts = np.vstack([v_old, mid, centroids])
-        m = nv + mesh.cell_facets          # (nc, 4)
-        ctr = nv + mesh.num_facets + np.arange(mesh.num_cells)
-        c = mesh.cells
-        children = np.empty((4 * mesh.num_cells, 4), dtype=np.int64)
-        children[0::4] = np.column_stack([c[:, 0], m[:, 0], ctr, m[:, 3]])
-        children[1::4] = np.column_stack([m[:, 0], c[:, 1], m[:, 1], ctr])
-        children[2::4] = np.column_stack([ctr, m[:, 1], c[:, 2], m[:, 2]])
-        children[3::4] = np.column_stack([m[:, 3], ctr, m[:, 2], c[:, 3]])
-    return Mesh(verts, children, mesh.cell_type)
-
-
-def boundary_facets(mesh, predicate=None):
-    """Indices of boundary facets, optionally filtered by a predicate
-    evaluated at the facet midpoint: predicate(x, y) -> bool."""
-    idx = np.flatnonzero(mesh.boundary_mask)
-    if predicate is None:
-        return idx
-    mids = mesh.facet_midpoints[idx]
-    keep = [predicate(x, y) for x, y in mids]
-    return idx[np.asarray(keep, dtype=bool)]
-
-
 def write_mesh(mesh, path):
     """Plain-text node/element dump."""
     with open(path, "w") as fh:

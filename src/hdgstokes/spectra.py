@@ -19,16 +19,15 @@ dense eigensolvers on desk-scale meshes:
 The norms are built from the element kernels of the assembly module.
 
 The pressure masses are diagonal (orthonormal modal bases, checked by
-`assembly.mass_diagonal`), so every pressure pencil (S, M) is solved
-as the standard symmetric problem D^-1/2 S D^-1/2 with D = diag(M).
-The constant pressure is deflated with one Householder reflector that
-maps the scaled constant onto the first coordinate, whose row and
-column are then dropped.  Schur complements B A^-1 B^T are formed
-densely from the `amg.spd_lu` factorization of A.  The coercivity
-pencil, whose pair norm is not diagonal, is restricted to the
-subspace orthogonal to the constant fields by eliminating one
-coordinate per constraint; restricted eigenvalues do not depend on
-that choice.
+`assembly.mass_diagonal`), so every pressure pencil (S, M), the
+per-cell one of `cell_infsup` included, is solved as the standard
+symmetric problem D^-1/2 S D^-1/2 with D = diag(M).  A constant mode
+is deflated with one Householder reflector that maps it onto the
+first coordinate, whose row and column are then dropped (`_deflate`):
+the scaled constant pressure of a pressure pencil, and the constant
+field of both matrices of the coercivity pencil.  Schur complements
+B A^-1 B^T are formed densely from the `amg.spd_lu` factorization of
+A; per-cell ones share the elimination of `condense.cell_schur`.
 """
 
 import numpy as np
@@ -37,6 +36,7 @@ import scipy.sparse as sp
 
 from . import amg as _amg
 from . import assembly as _assembly
+from . import condense as _condense
 from . import spaces as _spaces
 
 
@@ -53,10 +53,9 @@ def velocity_pair_norm_matrix(sp_, alpha):
 def _dg_schur(sp_, alpha, R):
     """Per-cell R N^-1 R^T for a stack R of rows acting on the cell
     velocity, with N the cell DG norm |grad v|^2_K + alpha/h |v|^2_dK."""
-    N = _assembly.both_components(_assembly.scalar_stiffness(sp_)
-                                  + _assembly.scalar_dg_penalty(sp_, alpha))
-    W = np.linalg.solve(np.linalg.cholesky(N), R.transpose(0, 2, 1))
-    return np.einsum("cnm,cnk->cmk", W, W, optimize=True)
+    N0 = (_assembly.scalar_stiffness(sp_)
+          + _assembly.scalar_dg_penalty(sp_, alpha))
+    return _condense.cell_schur(N0, R)[0]
 
 
 def trace_seminorm_matrix(sp_):
@@ -77,82 +76,57 @@ def trace_seminorm_matrix(sp_):
     loc /= mesh.h[:, None, None]
 
     dm = _assembly._dof_maps(sp_)
-    out = sp.csr_matrix((sp_.n_ubar, sp_.n_ubar))
-    for key in ("t0", "t1"):
-        rows = dm[key][cf].reshape(nc, m)
-        out = out + _assembly._scatter(rows, rows, loc,
-                                       (sp_.n_ubar, sp_.n_ubar))
-    return out
+    rows = np.concatenate([dm[key][cf].reshape(nc, m)
+                           for key in ("t0", "t1")])
+    return _assembly._scatter(rows, rows, np.concatenate([loc, loc]),
+                              (sp_.n_ubar, sp_.n_ubar), keep_zeros=False)
 
 
 # -- pencil utilities -------------------------------------------------
 
-def _restricted_pencil(S, M, constraints):
-    """Project the pencil (S, M) onto {x : constraints^T x = 0}.
+def _deflate(S, v):
+    """S restricted to the complement of v, in S's own buffer.
 
-    The subspace is parameterized by eliminating one well-conditioned
-    coordinate per constraint; eigenvalues of the restricted pencil do
-    not depend on the parameterization.
-    """
-    C = np.atleast_2d(np.asarray(constraints, dtype=float))
-    if C.shape[0] == S.shape[0]:
-        C = C.T                          # (k, n)
-    k, n = C.shape
-    _, _, piv = sla.qr(C, pivoting=True)
-    pivots = np.sort(piv[:k])
-    free = np.setdiff1d(np.arange(n), pivots)
-    # x_piv = Z x_free with Z = -C_piv^-1 C_free
-    Z = -np.linalg.solve(C[:, pivots], C[:, free])   # (k, nfree)
-
-    def restrict(A):
-        A = np.asarray(A)
-        AFF = A[np.ix_(free, free)]
-        AFP = A[np.ix_(free, pivots)]
-        APP = A[np.ix_(pivots, pivots)]
-        return AFF + AFP @ Z + Z.T @ AFP.T + Z.T @ APP @ Z
-
-    return restrict(S), restrict(M)
+    S is symmetric and C-contiguous; it is overwritten.  The
+    Householder reflector P = I - 2 w w^T with P v = -+|v| e_1 maps
+    {y : v^T y = 0} onto the trailing coordinates, so the restriction
+    is (P S P)[1:, 1:] in the orthonormal basis P e_2, ..., P e_n.
+    Returned as a Fortran-ordered view whose lower triangle holds it:
+    the rank-2 update is BLAS `syr2` on that triangle, the block is
+    moved to the front of S's buffer, and LAPACK reads the view
+    without a copy."""
+    w = v / np.linalg.norm(v)
+    w[0] += np.copysign(1.0, w[0])
+    w /= np.linalg.norm(w)
+    u = S @ w
+    z = 2.0 * u - 2.0 * (w @ u) * w
+    # P S P = S - w z^T - z w^T, on the lower triangle of S^T
+    S = sla.blas.dsyr2(-1.0, w, z, lower=1, a=S.T, overwrite_a=1).T
+    n = S.shape[0] - 1
+    flat = S.reshape(-1)
+    # row i of S[1:, 1:] moves to flat[i*n:(i+1)*n], which ends before
+    # its own source and before every later one starts
+    for i in range(n):
+        flat[i * n:(i + 1) * n] = flat[(i + 1) * (n + 1) + 1:
+                                       (i + 2) * (n + 1)]
+    return flat[:n * n].reshape(n, n).T
 
 
 def _mass_pencil_eigvals(S, M, c=None, subset=None):
     """Eigenvalues of the pencil (S, M) for a diagonal mass M, on the
-    M-orthogonal complement of c when c is given.  S is symmetric; it
-    is overwritten.
+    M-orthogonal complement of c when c is given.  S is symmetric and
+    C-contiguous; it is overwritten.
 
     With D = diag(M) the pencil is the standard problem
     H = D^-1/2 S D^-1/2, and the constraint c^T M x = 0 reads
-    v^T y = 0 for y = D^1/2 x, v = D^1/2 c.  The Householder reflector
-    P = I - 2 w w^T with P v = -+e_1 maps that complement onto the
-    trailing coordinates, so the restricted spectrum is that of
-    (P H P)[1:, 1:].
-
-    For a C-contiguous S no second dense copy is made: the rank-2
-    update is BLAS `syr2` on the triangle `eigvalsh` reads,
-    (P H P)[1:, 1:] is moved to the front of S's buffer, and LAPACK
-    gets the transpose, a Fortran view of that buffer, which it does
-    not copy (H is symmetric)."""
+    v^T y = 0 for y = D^1/2 x, v = D^1/2 c, which `_deflate` removes.
+    No second dense copy of S is made."""
     d = _assembly.mass_diagonal(M, "pressure mass")
     s = 1.0 / np.sqrt(d)
     S *= s[:, None]
     S *= s
-    if c is not None:
-        w = c / s
-        w /= np.linalg.norm(w)
-        w[0] += np.copysign(1.0, w[0])
-        w /= np.linalg.norm(w)
-        u = S @ w
-        z = 2.0 * u - 2.0 * (w @ u) * w
-        # P H P = H - w z^T - z w^T, on the lower triangle of S^T
-        S = sla.blas.dsyr2(-1.0, w, z, lower=1, a=S.T, overwrite_a=1).T
-        n = S.shape[0] - 1
-        flat = S.reshape(-1)
-        # row i of S[1:, 1:] moves to flat[i*n:(i+1)*n], which ends
-        # before its own source and before every later one starts
-        for i in range(n):
-            flat[i * n:(i + 1) * n] = flat[(i + 1) * (n + 1) + 1:
-                                           (i + 2) * (n + 1)]
-        S = flat[:n * n].reshape(n, n)
-    return sla.eigvalsh(S.T, lower=True, overwrite_a=True,
+    H = S.T if c is None else _deflate(S, c / s)
+    return sla.eigvalsh(H, lower=True, overwrite_a=True,
                         check_finite=False, subset_by_index=subset)
 
 
@@ -236,18 +210,16 @@ def condensed_schur_identity(bs, cs):
     return float(np.abs(S_full - S_cond).max())
 
 
-def coercivity_bounds(bs, alpha=None):
+def coercivity_bounds(bs):
     """Extreme eigenvalues of the velocity form against the pair norm,
     on the complement of the two constant fields, measured on one
-    velocity component with its constant deflated.
+    velocity component with its constant deflated from both matrices.
 
     Call with an *unconstrained* system (bcs=False): the claim is
     about the bilinear form itself.  Returns (c_lower, c_upper); a
     nonpositive lower value flags a coercivity failure (expected for
     insufficient stabilization)."""
     sp_ = bs.spaces
-    if alpha is None:
-        alpha = bs.alpha
     # `assembly.velocity_blocks` builds both components from one scalar
     # kernel, so the pencil is two copies of its component-0 block
     comp = np.concatenate([
@@ -255,24 +227,26 @@ def coercivity_bounds(bs, alpha=None):
         sp_.n_u + sp_.facet_velocity_coeffs(np.arange(sp_.n_ubar))[:, 0]
         .ravel()])
     A = _dense(bs.velocity_matrix()[comp][:, comp])
-    N = _dense(velocity_pair_norm_matrix(sp_, alpha)[comp][:, comp])
+    N = _dense(velocity_pair_norm_matrix(sp_, bs.alpha)[comp][:, comp])
     one = lambda x, y: (np.ones_like(x), np.zeros_like(x))
     const = np.concatenate([_spaces.project_velocity(sp_, one),
-                            _spaces.project_facet_velocity(sp_, one)])
-    Ar, Nr = _restricted_pencil(A, N, const[comp])
-    w = sla.eigh(Ar, Nr, eigvals_only=True)
+                            _spaces.project_facet_velocity(sp_, one)])[comp]
+    w = sla.eigh(_deflate(A, const), _deflate(N, const), lower=True,
+                 eigvals_only=True, overwrite_a=True, overwrite_b=True,
+                 check_finite=False)
     return float(w[0]), float(w[-1])
 
 
-def cell_infsup(sp_, alpha):
+def cell_infsup(bs):
     """Per-cell inf-sup constants of the divergence coupling against
-    the cell DG norm; returns one beta per cell (no deflation)."""
-    G = _dg_schur(sp_, alpha, _assembly.local_divergence(sp_))
-    # transform by the (near-identity) local pressure mass
-    Lm = np.linalg.cholesky(_assembly.cell_pressure_mass(sp_))
-    Y = np.linalg.solve(Lm, G)
-    G = _assembly._sym(
-        np.linalg.solve(Lm, Y.transpose(0, 2, 1)).transpose(0, 2, 1))
+    the cell DG norm: sqrt of the smallest eigenvalue of each cell's
+    (B_pu N_dg^-1 B_pu^T, M_p); one beta per cell (no deflation)."""
+    rows, Bp = bs.local_block("p")
+    G = _dg_schur(bs.spaces, bs.alpha, Bp)
+    s = 1.0 / np.sqrt(_assembly.mass_diagonal(bs.M_p, "pressure mass"))
+    s = s[rows]
+    G *= s[:, :, None]
+    G *= s[:, None, :]
     w = np.linalg.eigvalsh(G)
     return np.sqrt(np.maximum(w[:, 0], 0.0))
 
@@ -294,7 +268,6 @@ def trace_form_ratios(cs, alpha, n_samples=50, seed=3):
     route: lift, then evaluate the form by quadrature) against the
     mean-deflated trace seminorm, over random facet fields vanishing
     on the boundary."""
-    from . import condense as _condense
     sp_ = cs.spaces
     Nh = trace_seminorm_matrix(sp_)
     rng = np.random.default_rng(seed)
@@ -339,23 +312,3 @@ def field_checks(sp_, u):
         if interior.any() else 0.0,
         "velocity_scale": scale,
     }
-
-
-class SpectraReport:
-    """Loose bag of measured quantities with JSON serialization."""
-
-    def __init__(self, **entries):
-        self.__dict__.update(entries)
-
-    def to_dict(self):
-        def conv(v):
-            if isinstance(v, np.ndarray):
-                return [float(x) for x in v]
-            if isinstance(v, (np.floating, np.integer)):
-                return v.item()
-            if isinstance(v, dict):
-                return {k: conv(x) for k, x in v.items()}
-            if isinstance(v, (list, tuple)):
-                return [conv(x) for x in v]
-            return v
-        return {k: conv(v) for k, v in self.__dict__.items()}

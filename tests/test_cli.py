@@ -9,7 +9,7 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
-from hdgstokes import assembly, cli, condense, krylov, mesh, spaces
+from hdgstokes import assembly, cli, condense, krylov, mesh, spaces, spectra
 
 
 def _ini(tmp_path, text, name="run.ini"):
@@ -123,6 +123,17 @@ def test_config_rejects_unknown_option_and_missing_file(tmp_path):
     path = _ini(tmp_path, "[mesh]\ndomain = 0 0 1\n", name="dom.ini")
     with pytest.raises(cli.ConfigError):
         cli.RunConfig.from_file(path)
+
+
+def test_report_round_trips_json():
+    data = {"schur": (0.1, 2.0), "betas": np.array([0.5, 0.5]),
+            "nested": {"a": np.float64(1.5), "b": [np.int64(2)]}}
+    d = json.loads(json.dumps(data, default=cli.json_default))
+    assert d["schur"] == [0.1, 2.0]
+    assert d["betas"] == [0.5, 0.5]
+    assert d["nested"] == {"a": 1.5, "b": [2]}
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        json.dumps({"x": object()}, default=cli.json_default)
 
 
 # -- matrix digest ----------------------------------------------------
@@ -275,6 +286,29 @@ def test_main_accepts_config_before_or_after_subcommand(tmp_path):
                      "--out", str(tmp_path / "o2")]) == 0
 
 
+@pytest.mark.parametrize("shape, degree, jitter, coercive", [
+    ("triangle", 2, 0.1, True), ("triangle", 2, 0.3, False),
+    ("quadrilateral", 3, 0.3, True)])
+def test_coercivity_guard_follows_dense_probe(shape, degree, jitter,
+                                              coercive):
+    """At the default alpha on 6x6 meshes, the cell-wise guard refuses
+    the velocity forms that the dense probe finds not coercive, and
+    accepts the others."""
+    m = mesh.generate(6, 6, shape, jitter=jitter, seed=1)
+    sp_ = spaces.build_spaces(m, degree)
+    prob = spaces.ProblemSpec(degree=degree,
+                              alpha=spaces.default_alpha(degree))
+    raw = assembly.build_block_system(sp_, prob, bcs=False)
+    lo, _ = spectra.coercivity_bounds(raw)
+    assert (lo > 0) == coercive
+    bs = assembly.build_block_system(sp_, prob)
+    if coercive:
+        cli.check_coercive(bs)
+    else:
+        with pytest.raises(cli.ConfigError, match="not positive definite"):
+            cli.check_coercive(bs)
+
+
 def test_main_exit_codes(tmp_path, capsys):
     for bad_text in ("[discretization]\ndegree = 7\n",
                      "[mesh]\njitter = 0.5\n",
@@ -289,6 +323,20 @@ def test_main_exit_codes(tmp_path, capsys):
                        "--out", str(tmp_path / "x")])
         assert rc == 2, bad_text
         assert "configuration error" in capsys.readouterr().err
+
+    # the default alpha on jittered triangles (k = 2) and an explicit
+    # alpha = 24 at k = 3: the velocity form is not coercive, and the
+    # solve broke down in MINRES before the coercivity check
+    for bad_text in ("[mesh]\nnx = 8\nny = 8\njitter = 0.2\nseed = 2\n",
+                     "[mesh]\nnx = 16\nny = 16\njitter = 0.15\nseed = 1\n",
+                     "[mesh]\nnx = 4\nny = 4\n"
+                     "[discretization]\ndegree = 3\nalpha = 24\n"):
+        bad = _ini(tmp_path, bad_text, name="bad.ini")
+        rc = cli.main(["solve", "--config", bad,
+                       "--out", str(tmp_path / "x")])
+        assert rc == 2, bad_text
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "not positive definite" in err
 
     # cells 1/8 x 1/80: the per-cell velocity block is not positive
     # definite at the default alpha, whichever subcommand meets it
