@@ -70,12 +70,14 @@ def _scatter(rows, cols, vals, shape, keep_zeros=True):
 
 
 def _dof_maps(sp_):
+    """Global dofs per cell ('p') and per facet ('s'; 't', (nf, 2, nbf),
+    the facet velocity by component)."""
     nbf, npc = sp_.nbf, sp_.np_cell
     cells = np.arange(sp_.mesh.num_cells)[:, None]
     facets = np.arange(sp_.mesh.num_facets)[:, None]
-    t0 = facets * 2 * nbf + np.arange(nbf)
     return {"p": cells * npc + np.arange(npc),
-            "s": facets * nbf + np.arange(nbf), "t0": t0, "t1": t0 + nbf}
+            "s": facets * nbf + np.arange(nbf),
+            "t": sp_.facet_velocity_coeffs(np.arange(sp_.n_ubar))}
 
 
 # -- batched element kernels (scalar, shared by both components) ------
@@ -205,8 +207,9 @@ class BlockSystem:
     local_coupling, every row coupled to the cell velocity, with its
     indices local_rows in the condensed t, p, s numbering.  Per facet:
     facet_att, the (2nbf)^2 block of A_tt on the facet's velocity dofs
-    (A_tt couples no two facets).  Global: the CSR blocks M_p, M_s; the
-    right-hand sides L_u, L_t; g_values, the eliminated boundary datum.
+    (A_tt couples no two facets), rows and columns by component, then
+    mode, as in `_t`.  Global: the CSR blocks M_p, M_s; the right-hand
+    sides L_u, L_t; g_values, the eliminated boundary datum.
     A_uu, A_tu, A_tt, B_pu and B_su are scattered from the per-cell and
     per-facet blocks on every access.
     """
@@ -218,7 +221,8 @@ class BlockSystem:
         self.g_values = np.zeros(sp_.n_ubar)
         nc = sp_.mesh.num_cells
         self._u = np.arange(sp_.n_u).reshape(nc, -1)
-        self._t = np.arange(sp_.n_ubar).reshape(sp_.mesh.num_facets, -1)
+        # facet velocity dofs per facet, component-major as in facet_att
+        self._t = _dof_maps(sp_)["t"].reshape(sp_.mesh.num_facets, -1)
         # stack rows, offset in the condensed numbering and size of each
         # block: facet velocity per side (component-major), cell
         # pressure, facet pressure per side
@@ -316,12 +320,19 @@ class BlockSystem:
 def velocity_blocks(sp_, alpha, consistency=True):
     """BlockSystem holding the velocity form only: local_auu_scalar, the
     facet-velocity rows of the per-cell stack, and facet_att.  Without the
-    consistency terms the same blocks form the velocity pair norm."""
+    consistency terms the same blocks form the velocity pair norm.  The
+    same kernels, on one component, also fill local_form (nc, m, m), the
+    unconstrained form of each cell, [[A_0, T^T], [T, P]] with the cell
+    basis first and then the facet basis of each side: A_0 is
+    local_auu_scalar, T and P the `Side.facet_cell` and
+    `Side.facet_facet` kernels."""
     nb, nbf = sp_.nb, sp_.nbf
-    dm = _dof_maps(sp_)
+    dt = _dof_maps(sp_)["t"]
     bs = BlockSystem(sp_, alpha)
     auu = scalar_stiffness(sp_)
     bs.facet_att = np.zeros((sp_.mesh.num_facets, 2 * nbf, 2 * nbf))
+    m = nb + sp_.nsides * nbf
+    bs.local_form = L = np.zeros((sp_.mesh.num_cells, m, m))
     for e in range(sp_.nsides):
         side = Side(sp_, e, alpha)
         auu += _sym(side.penalty())
@@ -330,39 +341,32 @@ def velocity_blocks(sp_, alpha, consistency=True):
             auu -= X + X.transpose(0, 2, 1)
         T = side.facet_cell(consistency)
         P = side.facet_facet()
-        for comp, key in enumerate(("t0", "t1")):
+        s = slice(nb + e * nbf, nb + (e + 1) * nbf)
+        L[:, s, :nb] = T
+        L[:, s, s] = P
+        for comp in range(2):
             r = slice((2 * e + comp) * nbf, (2 * e + comp + 1) * nbf)
             bs.local_coupling[:, r, comp * nb:(comp + 1) * nb] = T
-            bs.local_rows[:, r] = dm[key][side.facets]
+            bs.local_rows[:, r] = dt[side.facets, comp]
             c = slice(comp * nbf, (comp + 1) * nbf)
             np.add.at(bs.facet_att[:, c, c], side.facets, P)
     bs.local_auu_scalar = auu
+    L[:, :nb, :nb] = auu
+    L[:, :nb, nb:] = L[:, nb:, :nb].transpose(0, 2, 1)
     return bs
 
 
 def local_velocity_form(bs):
-    """Unconstrained velocity form of each cell on one component,
-    [[A_0, T^T], [T, P]] with the cell basis first and then the facet
-    basis of each side: A_0 is `bs.local_auu_scalar`, T and P the
-    `Side` kernels.  Returns the (nc, m, m) blocks and the (nc, m)
-    coefficients of the constant pair v = vbar = 1, which the form
-    annihilates (both bases are orthonormal)."""
+    """The unconstrained velocity forms `bs.local_form` of the cells, on
+    one component, and the (nc, m) coefficients of the constant pair
+    v = vbar = 1, which each form annihilates (both bases are
+    orthonormal)."""
     sp_ = bs.spaces
-    nc, nb, nbf = sp_.mesh.num_cells, sp_.nb, sp_.nbf
-    m = nb + sp_.nsides * nbf
-    L = np.zeros((nc, m, m))
-    L[:, :nb, :nb] = bs.local_auu_scalar
-    for e in range(sp_.nsides):
-        side = Side(sp_, e, bs.alpha)
-        r = slice(nb + e * nbf, nb + (e + 1) * nbf)
-        L[:, r, :nb] = side.facet_cell()
-        L[:, :nb, r] = L[:, r, :nb].transpose(0, 2, 1)
-        L[:, r, r] = side.facet_facet()
     c = np.concatenate(
         [np.einsum("cq,cqi->ci", sp_.cell_qw, sp_.phi, optimize=True),
-         facet_integrals(sp_)[sp_.mesh.cell_facets].reshape(nc, -1)],
-        axis=1)
-    return L, c
+         facet_integrals(sp_)[sp_.mesh.cell_facets]
+         .reshape(sp_.mesh.num_cells, -1)], axis=1)
+    return bs.local_form, c
 
 
 def build_block_system(sp_, problem, bcs=True):

@@ -82,8 +82,9 @@ class RunConfig:
         for name in ("alpha", "tol", "jitter"):
             setattr(self, name, float(getattr(self, name)))
         self.seed = int(self.seed)
-        if not 0.0 <= self.jitter <= 0.3:
-            raise ConfigError("mesh jitter must lie in [0, 0.3]")
+        if not 0.0 <= self.jitter <= _mesh.MAX_JITTER:
+            raise ConfigError("mesh jitter must lie in [0, %g]"
+                              % _mesh.MAX_JITTER)
         if not self.alpha > 0.0:
             raise ConfigError("alpha must be positive")
         if not 0.0 < self.tol < np.inf:
@@ -179,13 +180,15 @@ def check_coercive(bs):
     L, c = assembly.local_velocity_form(bs)
     c /= np.linalg.norm(c, axis=1)[:, None]
     sigma = np.einsum("cii->ci", L).max(axis=1)
-    L += sigma[:, None, None] * c[:, :, None] * c[:, None, :]
     try:
-        # 512 cells at a time: one factor of all 8,192 cells of 64x64
-        # triangles (k = 2), though freed at once, raised the later
-        # process peak inside `condense` from 347 to 354 MiB
+        # 512 cells at a time, each a shifted copy (L is bs.local_form):
+        # one factor of all 8,192 cells of 64x64 triangles (k = 2),
+        # though freed at once, raised the later process peak inside
+        # `condense` from 347 to 354 MiB
         for i in range(0, len(L), 512):
-            np.linalg.cholesky(L[i:i + 512])
+            s = slice(i, i + 512)
+            np.linalg.cholesky(L[s] + sigma[s, None, None]
+                               * c[s, :, None] * c[s, None, :])
     except np.linalg.LinAlgError:
         raise ConfigError("the local velocity form is not positive "
                           "definite for alpha = %g on these cells; raise "
@@ -210,6 +213,9 @@ def discretize(cfg, m, problem=None):
 
     bs = assembly.build_block_system(sp_, prob)
     check_coercive(bs)
+    # the guard is the only reader of the local forms: dropped, they stay
+    # out of the memory peak inside `condense`
+    bs.local_form = None
     return sp_, bs, condense.condense(bs)
 
 

@@ -30,14 +30,13 @@ rows because their coupling columns were cleared during elimination.
 
 The velocity form acts on each component separately and in the same
 way, and the boundary elimination constrains both components of a
-facet together, so Abar is two copies of one scalar operator.
-`condense` keeps that scalar block once (`Abar_scalar`, the rows and
-columns of component 0 in facet order) and refuses an Abar whose
-components are coupled or whose component blocks differ by more than
-1e-12 of the largest entry.  `component_columns` and
-`component_vector` map a facet-velocity vector to and from the
-(n_t/2, 2) block of its two components, the layout the scalar block
-acts on.
+facet together, so Abar is two copies of one scalar operator.  The
+facet velocity is numbered one component after the other (`spaces`),
+so the two copies are the diagonal halves of Abar.  `condense` keeps
+the first half once (`Abar_scalar`, a slice of K) and refuses an Abar
+whose components are coupled or whose component blocks differ by more
+than 1e-12 of the largest entry.  A facet-velocity vector t is the
+(n_t/2, 2) block of its two components as `t.reshape(2, -1).T`.
 """
 
 import numpy as np
@@ -53,8 +52,8 @@ class CondensedSystem:
     ----------
     Abar : (n_ubar, n_ubar) csr, SPD on the free facet-velocity DOFs.
     Abar_scalar : (n_ubar/2, n_ubar/2) csr, the block of one velocity
-        component; Abar applied to x equals Abar_scalar applied to
-        `component_columns(x)`.
+        component, Abar[:n_ubar/2, :n_ubar/2]; Abar is
+        bdiag(Abar_scalar, Abar_scalar).
     Bbar_p, Bbar_s : pressure rows of the condensed constraint.
     C_pp, C_ps, C_ss : blocks of the negative-semidefinite pressure
         coupling C.
@@ -72,17 +71,6 @@ class CondensedSystem:
         return (x[:self.n_t],
                 x[self.n_t:self.n_t + self.n_p],
                 x[self.n_t + self.n_p:])
-
-    def component_columns(self, t):
-        """(n_t/2, 2) block of a facet-velocity vector: column d holds
-        component d, rows in facet order."""
-        return self.spaces.facet_velocity_coeffs(t).transpose(0, 2, 1) \
-            .reshape(-1, 2)
-
-    def component_vector(self, T):
-        """Inverse of `component_columns`."""
-        nbf = self.spaces.nbf
-        return T.reshape(-1, nbf, 2).transpose(0, 2, 1).ravel()
 
     def nullspace_vector(self):
         """Representation of the constant pressure; kernel of K."""
@@ -159,8 +147,7 @@ def condense(bs):
 def _component_block(cs):
     """Block of velocity component 0 of Abar; ValueError unless Abar is
     two copies of it (the same rule as `assembly.mass_diagonal`)."""
-    comp = cs.component_columns(np.arange(cs.n_t)).T.ravel()
-    A = cs.Abar[comp][:, comp]
+    A = cs.Abar
     h = cs.n_t // 2
     A0 = A[:h, :h]
     if A[:h, h:].count_nonzero() or A[h:, :h].count_nonzero():

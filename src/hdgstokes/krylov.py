@@ -8,7 +8,10 @@ built from the A v the Lanczos step already computed.  Convergence is
 judged on the true residual: it is recomputed once the updated one
 reaches tol, and if it is still above tol the recurrence restarts from
 it and the iteration goes on.  The preconditioner-norm estimate is
-monotone and kept in the report for diagnostics.
+monotone and kept in the report for diagnostics.  The Lanczos
+tridiagonal of the preconditioned operator that the recurrence builds
+is kept too, as `SolverReport.lanczos`; `ritz_extremes` reads the
+extreme eigenvalue estimates off it.
 
 gmres is restarted GMRES with the preconditioner applied on the right,
 so its recurrence estimate *is* the true residual norm; it tolerates
@@ -22,6 +25,7 @@ iterates in that complement.
 """
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 
 class SolverReport:
@@ -52,6 +56,15 @@ class SolverReport:
             "tol": float(self.tol),
             "nullspace_residual": float(self.nullspace_residual),
         }
+
+
+def ritz_extremes(lanczos):
+    """Smallest and largest eigenvalue of the Lanczos tridiagonal
+    (alfa, beta) that `minres` records as `SolverReport.lanczos`: the
+    extreme Ritz values of the preconditioned operator."""
+    alfa, beta = lanczos
+    w = eigh_tridiagonal(alfa, beta[:len(alfa) - 1], eigvals_only=True)
+    return float(w[0]), float(w[-1])
 
 
 def _as_matvec(A):
@@ -88,7 +101,9 @@ def minres(A, b, pc=None, tol=1e-8, maxiter=1000, nullspace=None,
     indefinite - is reported, never silently ignored.  `residuals`
     holds the relative residual of every iteration: the updated one,
     or the true one where it was recomputed (always the last entry of
-    a converged solve).
+    a converged solve).  `lanczos` holds the recurrence's (alfa, beta):
+    the diagonal of the Lanczos tridiagonal and, shifted by one, its
+    off-diagonal.
     """
     matvec = _as_matvec(A)
     apply_pc = pc if pc is not None else (lambda x: x.copy())
@@ -98,10 +113,13 @@ def minres(A, b, pc=None, tol=1e-8, maxiter=1000, nullspace=None,
     bnorm = np.linalg.norm(b)
     x = np.zeros_like(b)
     residuals, pc_residuals = [], []
+    alfas, betas = [], []
 
     def report(itn, conv, breakdown=None):
-        return _report("minres", label, x, nullspace, itn, conv, residuals,
-                       pc_residuals, breakdown, tol)
+        rep = _report("minres", label, x, nullspace, itn, conv, residuals,
+                      pc_residuals, breakdown, tol)
+        rep.lanczos = (np.array(alfas), np.array(betas))
+        return rep
 
     if bnorm == 0.0:
         return report(0, True)
@@ -137,6 +155,7 @@ def minres(A, b, pc=None, tol=1e-8, maxiter=1000, nullspace=None,
         Av = proj(matvec(v))
         y = Av if itn == 1 else Av - (beta / oldb) * r1
         alfa = v @ y
+        alfas.append(alfa)
         y = y - (alfa / beta) * r2
         r1 = r2
         r2 = y
@@ -147,6 +166,7 @@ def minres(A, b, pc=None, tol=1e-8, maxiter=1000, nullspace=None,
             breakdown = "indefinite preconditioner: (r, z) < 0 at iteration %d" % itn
             break
         beta = np.sqrt(beta)
+        betas.append(beta)
 
         oldeps = epsln
         delta = cs * dbar + sn * alfa

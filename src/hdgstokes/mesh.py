@@ -8,6 +8,10 @@ first of them.  The second cell sees the negated normal.
 
 import numpy as np
 
+# largest relative vertex perturbation of `generate` that keeps every
+# cell convex
+MAX_JITTER = 0.25
+
 
 class Mesh:
     """Conforming mesh of triangles or quadrilaterals.
@@ -72,8 +76,14 @@ class Mesh:
         x, y = xc[..., 0], xc[..., 1]
         xs, ys = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
         self.areas = 0.5 * np.sum(x * ys - xs * y, axis=1)
-        if np.any(self.areas <= 0):
-            raise ValueError("degenerate or clockwise cell (check jitter)")
+        # every corner turns counter-clockwise: the cell is convex with
+        # positive area, and the bilinear map of a quadrilateral is
+        # invertible
+        e = np.roll(xc, -1, axis=1) - xc        # edge i: vertex i to i+1
+        en = np.roll(e, -1, axis=1)
+        if np.any(e[..., 0] * en[..., 1] - e[..., 1] * en[..., 0] <= 0):
+            raise ValueError("degenerate, clockwise or non-convex cell "
+                             "(check jitter)")
         # diameter = max pairwise vertex distance
         d = xc[:, :, None, :] - xc[:, None, :, :]
         self.h = np.sqrt((d ** 2).sum(-1)).max(axis=(1, 2))
@@ -119,13 +129,17 @@ def generate(nx, ny, cell_type="triangle", domain=(-1.0, -1.0, 1.0, 1.0),
         one quadrilateral.
     domain : (x0, y0, x1, y1)
     jitter : float
-        Relative interior-vertex perturbation in [0, 0.3]; boundary
-        vertices never move.  Seeded, hence reproducible.
+        Relative interior-vertex perturbation in [0, 0.25]; boundary
+        vertices never move.  Seeded, hence reproducible.  On a square
+        of side h a corner lies h / sqrt(2) from the opposite diagonal,
+        and moving each vertex by up to jitter * h per direction brings
+        them up to 2 sqrt(2) jitter h closer; so beyond 1/4 a triangle
+        can invert and a quadrilateral corner turn clockwise.
     """
     if nx < 1 or ny < 1:
         raise ValueError("need at least one cell per direction")
-    if not 0.0 <= jitter <= 0.3:
-        raise ValueError("jitter must lie in [0, 0.3]")
+    if not 0.0 <= jitter <= MAX_JITTER:
+        raise ValueError("jitter must lie in [0, %g]" % MAX_JITTER)
     x0, y0, x1, y1 = domain
     xs = np.linspace(x0, x1, nx + 1)
     ys = np.linspace(y0, y1, ny + 1)

@@ -16,8 +16,10 @@ exact solve on continuous P1 over the interior mesh vertices, mapped
 into the facet basis by `spaces.vertex_trace_prolongator`.  Its
 spectral bracket against the scalar block does not move under mesh
 refinement, so neither do the iteration counts.  It is applied to
-both components at once, as the (n_t/2, 2) block
-`cs.component_columns(r)`, in both sweeps of the SGS kinds too.  Every
+both components at once: the facet velocity is numbered one component
+after the other, so r.reshape(2, -1).T is the (n_t/2, 2) block of the
+two components, a Fortran-ordered view, the order SuperLU solves in;
+the same holds in both sweeps of the SGS kinds.  Every
 factorization here is `amg.spd_lu` (symmetric minimum-degree ordering,
 diagonal pivots), since all factored blocks are SPD.  The modal bases
 are orthonormal, so the pressure masses of the PM kinds are diagonal:
@@ -36,7 +38,6 @@ works unchanged.
 """
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from . import assembly as _assembly
 from . import spaces as _spaces
@@ -90,48 +91,6 @@ def _diagonal_solver(M, name):
     return lambda r: r / d
 
 
-def generalized_extremes(A, apply_inv, iters=30, seed=11):
-    """Extreme generalized eigenvalues of (A, R) from `iters` steps of
-    preconditioned Lanczos, given the action r -> R^-1 r.
-
-    Works in residual space: vectors r_j with q_j = R^-1 r_j form a
-    basis orthonormal in the R^-1 inner product; the tridiagonal Ritz
-    values approximate the spectrum of R^-1 A.
-    """
-    n = A.shape[0]
-    rng = np.random.default_rng(seed)
-    r = rng.standard_normal(n)
-    q = apply_inv(r)
-    b = np.sqrt(r @ q)
-    r, q = r / b, q / b
-    rs, qs = [r], [q]
-    alphas, betas = [], []
-    r_prev = np.zeros(n)
-    beta_prev = 0.0
-    for _ in range(iters):
-        s = A @ q - beta_prev * r_prev
-        a = q @ s
-        alphas.append(a)
-        s = s - a * r
-        # full reorthogonalization in the R^-1 inner product
-        for ri, qi in zip(rs, qs):
-            s = s - (qi @ s) * ri
-        qn = apply_inv(s)
-        b2 = s @ qn
-        if b2 <= 0.0:
-            break
-        beta_prev = np.sqrt(b2)
-        betas.append(beta_prev)
-        r_prev = r
-        r, q = s / beta_prev, qn / beta_prev
-        rs.append(r)
-        qs.append(q)
-    alphas = np.array(alphas)
-    betas = np.array(betas[:len(alphas) - 1])
-    w = eigh_tridiagonal(alphas, betas, eigvals_only=True)
-    return float(w[0]), float(w[-1])
-
-
 class Preconditioner:
     """One of the four block preconditioners; `apply` maps a condensed
     residual to the preconditioned vector."""
@@ -151,8 +110,7 @@ class Preconditioner:
 
     def _solve1(self, r1):
         """Rbar on both velocity components as one two-column block."""
-        cs = self.cs
-        return cs.component_vector(self.rbar.apply(cs.component_columns(r1)))
+        return self.rbar.apply(r1.reshape(2, -1).T).T.ravel()
 
     def apply(self, r):
         r1, r2, r3 = self.cs.split(r)

@@ -21,11 +21,18 @@ Each power is the same `**` as one evaluated per monomial, and the
 gathered arrays are C-ordered, so the bases are the same bytes as with
 per-monomial powers.
 
-Degree-of-freedom layout (all block-major):
+Degree-of-freedom layout:
   cell velocity   dof(c, comp, i) = c*2*nb + comp*nb + i
   cell pressure   dof(c, i)       = c*np + i
-  facet velocity  dof(f, comp, i) = f*2*nbf + comp*nbf + i
+  facet velocity  dof(f, comp, i) = comp*nf*nbf + f*nbf + i
   facet pressure  dof(f, i)       = f*nbf + i
+
+The facet velocity is numbered one component after the other, so each
+component is one contiguous half of a facet-velocity vector (and of
+the condensed velocity block), numbered like the facet pressure; the
+solver slices those halves.  `facet_velocity_coeffs` is the one
+statement of the layout in code: every per-facet index map is derived
+from its (nf, 2, nbf) view.
 """
 
 import numpy as np
@@ -161,10 +168,9 @@ class SpaceSet:
         self.psibar = np.einsum("fqm,fmi->fqi",
                                 Vf, self.coeff_f, optimize=True)
 
-        bset = np.flatnonzero(mesh.boundary_mask)
-        dofs = (bset[:, None] * 2 * self.nbf
-                + np.arange(2 * self.nbf)[None, :])
-        self.constrained_facet_velocity_dofs = np.sort(dofs.ravel())
+        dofs = self.facet_velocity_coeffs(np.arange(self.n_ubar))
+        self.constrained_facet_velocity_dofs = np.sort(
+            dofs[mesh.boundary_mask].ravel())
 
     # -- basis evaluation ---------------------------------------------
 
@@ -221,7 +227,10 @@ class SpaceSet:
         return u.reshape(self.mesh.num_cells, 2, self.nb)
 
     def facet_velocity_coeffs(self, ubar):
-        return ubar.reshape(self.mesh.num_facets, 2, self.nbf)
+        """(nf, 2, nbf) view of a facet-velocity vector, numbered one
+        component after the other; writes go through to ubar."""
+        return ubar.reshape(2, self.mesh.num_facets, self.nbf) \
+            .transpose(1, 0, 2)
 
     def velocity_at_cell_qp(self, u):
         c = self.velocity_coeffs(u)
@@ -274,7 +283,7 @@ def project_pressure(spaces, fn):
 
 def project_facet_velocity(spaces, fn):
     F = _eval_vector(fn, spaces.facet_qp)
-    c = np.einsum("fq,fqd,fqi->fdi", spaces.facet_qw, F, spaces.psibar,
+    c = np.einsum("fq,fqd,fqi->dfi", spaces.facet_qw, F, spaces.psibar,
                   optimize=True)
     return c.ravel()
 
@@ -307,10 +316,11 @@ def constant_facet_velocity_fields(spaces):
 
 def vertex_trace_prolongator(spaces):
     """Continuous P1 on the interior mesh vertices, in the scalar facet
-    basis: a (n_ubar/2, interior vertices) CSR matrix, rows in facet
-    order.  Column j is the facet-wise L2 projection of the hat
-    function of interior vertex j, which is linear along every facet
-    (on quadrilaterals too), so it is zero on boundary facets."""
+    basis: a (n_ubar/2, interior vertices) CSR matrix, rows numbered
+    like one component of the facet velocity.  Column j is the
+    facet-wise L2 projection of the hat function of interior vertex j,
+    which is linear along every facet (on quadrilaterals too), so it is
+    zero on boundary facets."""
     mesh = spaces.mesh
     nf, nbf = mesh.num_facets, spaces.nbf
     # along a facet the hats of its end vertices are 1/2 -+ xi; facet
@@ -344,11 +354,9 @@ def interpolate_boundary(spaces, g):
     qp, qw = qp[bf], qw[bf]
     psib = spaces.facet_basis_at(qp, bf)
     G = _eval_vector(g, qp)
-    c = np.einsum("fq,fqd,fqi->fdi", qw, G, psib, optimize=True)
     vec = np.zeros(spaces.n_ubar)
-    cols = (bf[:, None] * 2 * spaces.nbf
-            + np.arange(2 * spaces.nbf)[None, :])
-    vec[cols.ravel()] = c.reshape(len(bf), -1).ravel()
+    spaces.facet_velocity_coeffs(vec)[bf] = np.einsum(
+        "fq,fqd,fqi->fdi", qw, G, psib, optimize=True)
     return vec
 
 

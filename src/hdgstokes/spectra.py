@@ -75,9 +75,9 @@ def trace_seminorm_matrix(sp_):
     loc -= b[:, :, None] * b[:, None, :] / perim[:, None, None]
     loc /= mesh.h[:, None, None]
 
-    dm = _assembly._dof_maps(sp_)
-    rows = np.concatenate([dm[key][cf].reshape(nc, m)
-                           for key in ("t0", "t1")])
+    # one copy of the cell blocks per component
+    rows = _assembly._dof_maps(sp_)["t"][cf].transpose(2, 0, 1, 3) \
+        .reshape(2 * nc, m)
     return _assembly._scatter(rows, rows, np.concatenate([loc, loc]),
                               (sp_.n_ubar, sp_.n_ubar), keep_zeros=False)
 
@@ -224,8 +224,7 @@ def coercivity_bounds(bs):
     # kernel, so the pencil is two copies of its component-0 block
     comp = np.concatenate([
         sp_.velocity_coeffs(np.arange(sp_.n_u))[:, 0].ravel(),
-        sp_.n_u + sp_.facet_velocity_coeffs(np.arange(sp_.n_ubar))[:, 0]
-        .ravel()])
+        sp_.n_u + np.arange(sp_.n_ubar // 2)])
     A = _dense(bs.velocity_matrix()[comp][:, comp])
     N = _dense(velocity_pair_norm_matrix(sp_, bs.alpha)[comp][:, comp])
     one = lambda x, y: (np.ones_like(x), np.zeros_like(x))
@@ -271,12 +270,13 @@ def trace_form_ratios(cs, alpha, n_samples=50, seed=3):
     sp_ = cs.spaces
     Nh = trace_seminorm_matrix(sp_)
     rng = np.random.default_rng(seed)
-    free = np.setdiff1d(np.arange(sp_.n_ubar),
-                        sp_.constrained_facet_velocity_dofs)
+    interior = ~sp_.mesh.boundary_mask
     ratios = []
     for _ in range(n_samples):
         w = np.zeros(sp_.n_ubar)
-        w[free] = rng.standard_normal(free.size)
+        # drawn facet by facet, whatever the order of the dofs
+        sp_.facet_velocity_coeffs(w)[interior] = rng.standard_normal(
+            (interior.sum(), 2, sp_.nbf))
         num = _condense.trace_form_value(cs, alpha, w, w)
         den = w @ (Nh @ w)
         ratios.append(num / den)

@@ -6,9 +6,8 @@ from hdgstokes import assembly, condense, mesh, spaces, spectra
 
 def _component_dofs(sp_, comp):
     """Facet-velocity dofs of one component, in facet order."""
-    nf, nbf = sp_.mesh.num_facets, sp_.nbf
-    return (np.arange(nf)[:, None] * 2 * nbf + comp * nbf
-            + np.arange(nbf)).ravel()
+    n = sp_.mesh.num_facets * sp_.nbf
+    return comp * n + np.arange(n)
 
 
 def test_sizes(sys4x4):
@@ -150,19 +149,16 @@ def test_velocity_block_is_two_copies_of_scalar_block(shape, k, jitter):
     assert abs(A11 - A00).max() <= 1e-12 * abs(A00).max()
     assert abs(cs.Abar_scalar - A00).max() == 0.0
     x = np.random.default_rng(1).standard_normal(cs.n_t)
-    X = cs.component_columns(x)
+    X = x.reshape(2, -1).T
     assert np.array_equal(X, np.column_stack([x[i0], x[i1]]))
-    assert np.array_equal(cs.component_vector(X), x)
-    y = cs.component_vector(cs.Abar_scalar @ X)
+    y = (cs.Abar_scalar @ X).T.ravel()
     assert np.abs(y - A @ x).max() <= 1e-12 * np.abs(A @ x).max()
 
 
-def _perturbed_condense(bs, i, j, value):
-    """condense after adding `value` at (i, j) and (j, i) of A_tt, two
-    distinct velocity dofs of one facet."""
-    m2 = bs.facet_att.shape[1]
-    f, a, b = i // m2, i % m2, j % m2
-    assert j // m2 == f and a != b
+def _perturbed_condense(bs, f, a, b, value):
+    """condense after adding `value` at (a, b) and (b, a) of facet f's
+    block of A_tt, two distinct velocity dofs of that facet."""
+    assert a != b
     bs.facet_att[f, a, b] += value
     bs.facet_att[f, b, a] += value
     return condense.condense(bs)
@@ -170,19 +166,19 @@ def _perturbed_condense(bs, i, j, value):
 
 def test_coupled_or_unequal_components_refused(tri_jitter, cavity):
     sp_ = spaces.build_spaces(tri_jitter, cavity.degree)
-    interior = np.flatnonzero(~tri_jitter.boundary_mask)[0]
-    a = interior * 2 * sp_.nbf          # component 0, mode 0
-    b = a + sp_.nbf                     # component 1, mode 0
+    f = np.flatnonzero(~tri_jitter.boundary_mask)[0]
+    a = 0                               # component 0, mode 0
+    b = sp_.nbf                         # component 1, mode 0
     bs = assembly.build_block_system(sp_, cavity)
     scale = abs(bs.A_tt).max()
     with pytest.raises(ValueError, match="coupled"):
-        _perturbed_condense(bs, a, b + 1, 1e-3 * scale)
+        _perturbed_condense(bs, f, a, b + 1, 1e-3 * scale)
     bs = assembly.build_block_system(sp_, cavity)
     with pytest.raises(ValueError, match="differ"):
-        _perturbed_condense(bs, b, b + 1, 1e-9 * scale)
+        _perturbed_condense(bs, f, b, b + 1, 1e-9 * scale)
     # a difference at rounding level is accepted
     bs = assembly.build_block_system(sp_, cavity)
-    _perturbed_condense(bs, b, b + 1, 1e-15 * scale)
+    _perturbed_condense(bs, f, b, b + 1, 1e-15 * scale)
 
 
 def _full_block_oracle(bs, y, f):

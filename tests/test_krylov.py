@@ -119,6 +119,17 @@ def test_minres_one_matvec_per_iteration(nullspace):
     assert len(calls) <= rep.iterations + 2
 
 
+def test_minres_ritz_extremes_known_spectrum():
+    A = sp.diags(np.arange(1.0, 11.0)).tocsr()
+    b = np.random.default_rng(11).standard_normal(10)
+    rep = krylov.minres(A, b, tol=1e-12, maxiter=30)
+    alfa, beta = rep.lanczos
+    assert len(alfa) == rep.iterations and len(beta) == rep.iterations
+    lo, hi = krylov.ritz_extremes(rep.lanczos)
+    assert abs(lo - 1.0) < 1e-8
+    assert abs(hi - 10.0) < 1e-8
+
+
 def test_minres_maxiter_exhaustion():
     A = _spd(50, 6)
     b = np.ones(50)
@@ -185,3 +196,5 @@ def test_report_serializes():
     assert back["preconditioner"] == "PM"
     assert back["converged"] is True
     assert isinstance(back["residuals"], list)
+    # the Lanczos tridiagonal stays out of the serialized report
+    assert "lanczos" not in back

@@ -139,6 +139,8 @@ def test_generate_rejects_bad_input():
         mesh.generate(0, 3)
     with pytest.raises(ValueError):
         mesh.generate(2, 2, jitter=0.5)
+    with pytest.raises(ValueError, match="jitter"):
+        mesh.generate(2, 2, jitter=0.3)
     with pytest.raises(ValueError):
         mesh.generate(2, 2, "hexagon")
 
@@ -147,6 +149,17 @@ def test_clockwise_cell_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         mesh.Mesh(verts, np.array([[0, 2, 1]]), "triangle")
+
+
+def test_dart_quad_rejected():
+    # counter-clockwise with positive area, but the corner at (0.5, 1)
+    # turns clockwise, so the bilinear map is not invertible
+    verts = np.array([[0.0, 0.0], [2.0, 1.0], [0.0, 2.0], [0.5, 1.0]])
+    cells = np.array([[0, 1, 2, 3]])
+    with pytest.raises(ValueError, match="non-convex"):
+        mesh.Mesh(verts, cells, "quadrilateral")
+    verts[3, 0] = -0.5
+    assert mesh.Mesh(verts, cells, "quadrilateral").areas[0] == 2.5
 
 
 def test_write_mesh(tmp_path, tri2):
@@ -162,7 +175,7 @@ def test_write_mesh(tmp_path, tri2):
 
 @settings(max_examples=25, deadline=None)
 @given(nx=st.integers(1, 5), ny=st.integers(1, 5),
-       jitter=st.floats(0.0, 0.3), seed=st.integers(0, 99),
+       jitter=st.floats(0.0, mesh.MAX_JITTER), seed=st.integers(0, 99),
        shape=st.sampled_from(["triangle", "quadrilateral"]))
 def test_mesh_invariants(nx, ny, jitter, seed, shape):
     m = mesh.generate(nx, ny, shape, jitter=jitter, seed=seed)

@@ -98,7 +98,8 @@ def test_constant_facet_velocity_fields(tri4x4):
     fields = spaces.constant_facet_velocity_fields(s)
     assert fields.shape == (s.n_ubar, 2)
     for d in range(2):
-        c = fields[:, d].reshape(s.mesh.num_facets, 2, s.nbf)
+        c = fields[:, d].reshape(2, s.mesh.num_facets, s.nbf) \
+            .transpose(1, 0, 2)
         vals = np.einsum("fqi,fdi->fqd", s.psibar, c)
         expect = np.zeros(2)
         expect[d] = 1.0
@@ -110,7 +111,7 @@ def test_constrained_dofs(tri4x4):
     nb = tri4x4.boundary_mask.sum()
     dofs = s.constrained_facet_velocity_dofs
     assert len(dofs) == 2 * s.nbf * nb
-    facets = dofs // (2 * s.nbf)
+    facets = dofs % (tri4x4.num_facets * s.nbf) // s.nbf
     assert np.all(tri4x4.boundary_mask[facets])
 
 
@@ -119,7 +120,7 @@ def test_interpolate_boundary_linear_data(tri4x4):
     g = lambda x, y: (y, -x)
     vec = spaces.interpolate_boundary(s, g)
     interior = ~tri4x4.boundary_mask
-    c = vec.reshape(tri4x4.num_facets, 2, s.nbf)
+    c = vec.reshape(2, tri4x4.num_facets, s.nbf).transpose(1, 0, 2)
     assert np.abs(c[interior]).max() == 0.0
     bf = np.flatnonzero(tri4x4.boundary_mask)
     vals = np.einsum("fqi,fdi->fqd", s.psibar[bf], c[bf])
@@ -137,7 +138,7 @@ def test_interpolate_boundary_matches_dense_projection(tri4x4, cavity):
     pts, w = quadrature.facet_rule(tri4x4, 9)
     psib = s.facet_basis_at(pts[bf], bf)
     gx, gy = cavity.boundary_velocity(pts[bf, :, 0], pts[bf, :, 1])
-    c = vec.reshape(tri4x4.num_facets, 2, s.nbf)
+    c = vec.reshape(2, tri4x4.num_facets, s.nbf).transpose(1, 0, 2)
     for i, f in enumerate(bf):
         G = psib[i].T * w[bf][i] @ psib[i]
         for d, data in ((0, gx[i]), (1, gy[i])):
