@@ -6,28 +6,32 @@ in the form of Cockburn, Dubois, Gopalakrishnan & Tan ("Multigrid for
 an HDG method", IMA J. Numer. Anal., 2014): the trace unknowns are
 smoothed by facet-block Jacobi, and the smooth error is removed on an
 auxiliary space (continuous P1 on the mesh vertices in `precond`)
-through a prolongator P.  One cycle is two damped block-Jacobi sweeps,
-the Galerkin correction P (P^T A P)^-1 P^T and two more sweeps.  The
-smoother is the same before and after the correction, so a cycle is a
-symmetric operator; the damping 1/lambda_max(D^-1 A) keeps it
-A-contractive, so every cycle count gives a positive definite
-approximate inverse whose spectrum against A lies in (0, 1].  The
-power iteration that estimates lambda_max starts from a fixed seed,
-so the cycle is the same operator from run to run.
+through a prolongator P.  One cycle is a smoothing step, the Galerkin
+correction P (P^T A P)^-1 P^T and the same smoothing step again, so a
+cycle is a symmetric operator.  The smoothing step is the degree-2
+Chebyshev polynomial in S A on [1/4, 1], with S the facet-block
+inverse D^-1 scaled by 1/lambda_max(D^-1 A) (Adams, Brezina, Hu &
+Tuminaro, J. Comput. Phys. 188, 2003).  Its error polynomial
+1 - c1 t + c2 t^2 has modulus below 1 on (0, c1/c2) = (0, 1.25), so
+the cycle stays A-contractive even when the power iteration
+underestimates lambda_max, and every cycle count gives a positive
+definite approximate inverse whose spectrum against A lies in (0, 1].
+The power iteration starts from a fixed seed, so the cycle is the same
+operator from run to run.
 
-The two sweeps from a zero guess are one precomputed matrix,
-2 S - S A S with S the damped block inverse; it has the sparsity of A,
-since S is block diagonal.  A cycle costs two smoother products and
-one product with A, plus products with P, A P and P^T and one coarse
-solve; the residual is carried from cycle to cycle, which costs one
-more product with A when another cycle follows.  An (n, m) right-hand
-side is cycled one column at a time: scipy's CSR product on one
-contiguous vector is faster per entry than on an (n, m) block (two
-single columns take 0.27 ms against 0.42 ms for the two-column block
-on the 9,408-row scalar block of 32 x 32 triangles at k = 2, and
-6.8 ms against 8.8 ms on the 148,224 rows of 128 x 128; 2 vCPU).  The
-solver builds the cycle on the scalar block of one velocity component
-and applies it to both components.
+The smoothing step from a zero guess is one precomputed matrix,
+c1 S - c2 S A S, which has the sparsity of A, since S is block diagonal; it
+costs what two damped Jacobi sweeps, (c1, c2) = (2, 1), cost.  A cycle
+costs two smoother products and one product with A, plus products with
+P, A P and P^T and one coarse solve; the residual is carried from
+cycle to cycle, which costs one more product with A when another cycle
+follows.  An (n, m) right-hand side is cycled one column at a time:
+scipy's CSR product on one contiguous vector is faster per entry than
+on an (n, m) block (two single columns take 0.27 ms against 0.42 ms
+for the two-column block on the 9,408-row scalar block of 32 x 32
+triangles at k = 2, and 6.8 ms against 8.8 ms on the 148,224 rows of
+128 x 128; 2 vCPU).  The solver builds the cycle on the scalar block of
+one velocity component and applies it to both components.
 
 `spd_lu` is the sparse factorization of every SPD matrix the solver
 factors (the coarse matrix here, the exact velocity block and the
@@ -62,6 +66,16 @@ def _block_jacobi(A, block):
                           np.arange(nblk + 1)), shape=A.shape)
 
 
+# degree-2 Chebyshev smoothing on [lambda_max/4, lambda_max]: centre
+# theta and half-width delta of the interval, relative to lambda_max.
+# With 4 cycles on 32x32 triangles at k = 2 (PM-SGS), MINRES takes 94
+# iterations; the lower end lambda_max/10 takes 96, two damped Jacobi
+# sweeps 107.
+_THETA, _DELTA = 5.0 / 8.0, 3.0 / 8.0
+_CHEB_C1 = 4.0 * _THETA / (2.0 * _THETA ** 2 - _DELTA ** 2)
+_CHEB_C2 = 2.0 / (2.0 * _THETA ** 2 - _DELTA ** 2)
+
+
 def _lambda_max(A, Dinv, iters=20, seed=0):
     """Power-iteration estimate of the largest eigenvalue of Dinv A:
     its Rayleigh quotient in the A inner product at the last iterate,
@@ -91,8 +105,9 @@ class AuxiliarySpace:
         A = A.tocsr()
         S = _block_jacobi(A, block)
         S = (S / _lambda_max(A, S)).tocsr()
-        # two damped sweeps from a zero guess: x = (2 S - S A S) r
-        self.smoother = (2.0 * S - S @ A @ S).tocsr()
+        # one Chebyshev smoothing step from a zero guess:
+        # x = (c1 S - c2 S A S) r
+        self.smoother = (_CHEB_C1 * S - _CHEB_C2 * (S @ A @ S)).tocsr()
         self.P = P.tocsr()
         self.PT = self.P.T.tocsr()
         self.AP = (A @ self.P).tocsr()

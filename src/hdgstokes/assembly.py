@@ -450,33 +450,31 @@ def boundary_flux_per_facet(sp_, g):
 #    assembled matrices; used as a second route in tests) -------------
 
 def a_form_value(sp_, alpha, u1, t1, u2, t2):
-    """a((w, wbar), (v, vbar)) evaluated term by term by quadrature."""
-    g1 = sp_.velocity_grad_at_cell_qp(u1)
-    g2 = sp_.velocity_grad_at_cell_qp(u2)
+    """a((w, wbar), (v, vbar)) evaluated term by term by quadrature.
+    When both pairs are the same arrays, their kernels are evaluated
+    once."""
+    def kernels(u, t):
+        """Cell gradients, and per side the jump w - wbar and the
+        normal derivative of w."""
+        c, uc = sp_.facet_velocity_coeffs(t), sp_.velocity_coeffs(u)
+        sides = []
+        for e in range(sp_.nsides):
+            f = sp_.mesh.cell_facets[:, e]
+            n = sp_.normal[:, e]
+            wb = np.einsum("cqi,cdi->cqd", sp_.psibar[f], c[f], optimize=True)
+            gx = np.einsum("cqi,cdi->cqd", sp_.gx_f[:, e], uc, optimize=True)
+            gy = np.einsum("cqi,cdi->cqd", sp_.gy_f[:, e], uc, optimize=True)
+            sides.append((sp_.velocity_trace_at_facet_qp(u, e) - wb,
+                          gx * n[:, None, 0, None] + gy * n[:, None, 1, None]))
+        return sp_.velocity_grad_at_cell_qp(u), sides
+
+    g1, sides1 = kernels(u1, t1)
+    g2, sides2 = ((g1, sides1) if u2 is u1 and t2 is t1
+                  else kernels(u2, t2))
     val = np.einsum("cq,cqdj,cqdj->", sp_.cell_qw, g1, g2, optimize=True)
     pen = alpha / sp_.mesh.h
-    c1 = sp_.facet_velocity_coeffs(t1)
-    c2 = sp_.facet_velocity_coeffs(t2)
-    for e in range(sp_.nsides):
-        f = sp_.mesh.cell_facets[:, e]
+    for e, ((j1, dn1), (j2, dn2)) in enumerate(zip(sides1, sides2)):
         w = _side_weights(sp_, e)
-        n = sp_.normal[:, e]
-        w1 = sp_.velocity_trace_at_facet_qp(u1, e)
-        w2 = sp_.velocity_trace_at_facet_qp(u2, e)
-        wb1 = np.einsum("cqi,cdi->cqd", sp_.psibar[f], c1[f], optimize=True)
-        wb2 = np.einsum("cqi,cdi->cqd", sp_.psibar[f], c2[f], optimize=True)
-        gx1 = np.einsum("cqi,cdi->cqd", sp_.gx_f[:, e],
-                        sp_.velocity_coeffs(u1), optimize=True)
-        gy1 = np.einsum("cqi,cdi->cqd", sp_.gy_f[:, e],
-                        sp_.velocity_coeffs(u1), optimize=True)
-        gx2 = np.einsum("cqi,cdi->cqd", sp_.gx_f[:, e],
-                        sp_.velocity_coeffs(u2), optimize=True)
-        gy2 = np.einsum("cqi,cdi->cqd", sp_.gy_f[:, e],
-                        sp_.velocity_coeffs(u2), optimize=True)
-        dn1 = gx1 * n[:, None, 0, None] + gy1 * n[:, None, 1, None]
-        dn2 = gx2 * n[:, None, 0, None] + gy2 * n[:, None, 1, None]
-        j1 = w1 - wb1
-        j2 = w2 - wb2
         val += np.einsum("c,cq,cqd,cqd->", pen, w, j1, j2, optimize=True)
         val -= np.einsum("cq,cqd,cqd->", w, j1, dn2, optimize=True)
         val -= np.einsum("cq,cqd,cqd->", w, dn1, j2, optimize=True)

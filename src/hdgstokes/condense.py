@@ -127,6 +127,10 @@ def condense(bs):
     cs.K = _assembly._scatter(rows, rows, V, (cs.size, cs.size),
                               keep_zeros=False)
     del V
+    # the scatter leaves K's arrays as views of buffers of the unsummed
+    # stack size; copy them out, one at a time, and free the buffers
+    cs.K.data = cs.K.data.copy()
+    cs.K.indices = cs.K.indices.copy()
 
     nt, np_ = cs.n_t, cs.n_p
     cs.Abar = cs.K[:nt, :nt]
@@ -184,7 +188,8 @@ def lift_traces(cs, ubar):
 def trace_form_value(cs, alpha, vbar, wbar):
     """Condensed velocity form evaluated by the variational route:
     lift both facet fields, then evaluate the velocity form term by
-    term with quadrature.  Independent of the assembled Abar."""
+    term with quadrature.  Independent of the assembled Abar.  A field
+    passed as both arguments is lifted once."""
     lv = lift_traces(cs, vbar)
-    lw = lift_traces(cs, wbar)
+    lw = lv if wbar is vbar else lift_traces(cs, wbar)
     return _assembly.a_form_value(cs.spaces, alpha, lv, vbar, lw, wbar)

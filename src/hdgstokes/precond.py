@@ -11,8 +11,8 @@ Rbar approximates the inverse of the condensed velocity block.  That
 block is two copies of one scalar operator (`condense` checks it), so
 Rbar is built on the scalar block `cs.Abar_scalar` alone: an exact
 sparse factorization, or a fixed number of two-level auxiliary-space
-cycles (`amg.AuxiliarySpace`): facet-block Jacobi sweeps around an
-exact solve on continuous P1 over the interior mesh vertices, mapped
+cycles (`amg.AuxiliarySpace`): Chebyshev facet-block Jacobi smoothing
+around an exact solve on continuous P1 over the interior mesh vertices, mapped
 into the facet basis by `spaces.vertex_trace_prolongator`.  Its
 spectral bracket against the scalar block does not move under mesh
 refinement, so neither do the iteration counts.  It is applied to
@@ -55,7 +55,7 @@ class OperatorApprox:
     'exact' (`spd_lu`) or 'multigrid' (a fixed number of
     auxiliary-space cycles per apply, `amg.AuxiliarySpace`, with the
     continuous P1 coarse space of `spaces.vertex_trace_prolongator`
-    and facet-block Jacobi smoothing).  Tiny problems, and meshes
+    and Chebyshev facet-block Jacobi smoothing).  Tiny problems, and meshes
     without an interior vertex, silently degrade multigrid to the
     exact mode; `degraded` records that.  `apply` takes an (n,) or
     (n, m) right-hand side."""

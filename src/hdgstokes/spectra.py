@@ -1,7 +1,6 @@
 """Spectral probes for the discrete stability claims.
 
-Everything here measures; nothing assumes.  The probes compute, with
-dense eigensolvers on desk-scale meshes:
+Everything here measures; nothing assumes.  The probes compute:
 
 * extreme generalized eigenvalues of the pressure Schur complement
   against the pressure mass, full and condensed, with the constant
@@ -20,14 +19,27 @@ The norms are built from the element kernels of the assembly module.
 
 The pressure masses are diagonal (orthonormal modal bases, checked by
 `assembly.mass_diagonal`), so every pressure pencil (S, M), the
-per-cell one of `cell_infsup` included, is solved as the standard
-symmetric problem D^-1/2 S D^-1/2 with D = diag(M).  A constant mode
-is deflated with one Householder reflector that maps it onto the
-first coordinate, whose row and column are then dropped (`_deflate`):
-the scaled constant pressure of a pressure pencil, and the constant
-field of both matrices of the coercivity pencil.  Schur complements
-B A^-1 B^T are formed densely from the `amg.spd_lu` factorization of
-A; per-cell ones share the elimination of `condense.cell_schur`.
+per-cell one of `cell_infsup` included, is the standard symmetric
+problem D^-1/2 S D^-1/2 with D = diag(M).  Only extreme eigenvalues
+are read, so the global pressure pencils are solved by Lanczos
+(`_lanczos_extremes`) on operators that are never formed: B A^-1 B^T
+applied with the `amg.spd_lu` factorization of A (`schur_spectrum`),
+the sparse facet block -C_ss (`element_block_spectrum`), and the
+inverse of the facet inf-sup matrix, whose largest eigenvalue is the
+reciprocal of the wanted smallest one (`facet_infsup`).  Pencils that
+are block diagonal by cell (-C_pp, and the pencils of `cell_infsup`)
+are solved exactly, cell by cell, with batched dense eigensolvers.
+Two probes stay dense, on small meshes only: `coercivity_bounds`,
+whose pencil is indefinite for a weak penalty, and the entrywise
+comparison of `condensed_schur_identity`.
+
+A constant mode is deflated with one Householder reflector that maps
+it onto the first coordinate, which is then dropped: applied to
+vectors for the scaled constant pressure of a Lanczos pencil
+(`_restricted`), so that the iteration runs in the complement and the
+constant cannot come back through roundoff; applied to both dense
+matrices of the coercivity pencil (`_deflate`).  Per-cell Schur pieces
+share the elimination of `condense.cell_schur`.
 """
 
 import numpy as np
@@ -84,6 +96,70 @@ def trace_seminorm_matrix(sp_):
 
 # -- pencil utilities -------------------------------------------------
 
+# Lanczos accepts a requested Ritz value once its residual estimate is
+# at most this fraction of the largest |Ritz value|, and gives up after
+# this many steps; the pressure pencils of the 16x16 verify level take
+# at most 400.
+_LANCZOS_TOL = 1e-12
+_LANCZOS_MAX_STEPS = 1000
+
+
+def _lanczos_extremes(op, n, ends=(0, -1)):
+    """Extreme eigenvalues of a symmetric operator op on R^n.
+
+    Lanczos from a fixed-seed start vector, with full
+    reorthogonalization (two classical Gram-Schmidt passes per step),
+    so the same operator gives the same values bit for bit.  `ends`
+    index the ascending Ritz values (0 the smallest, -1 the largest);
+    they are returned in that order.  With T_j = S diag(theta) S^T the
+    j-step tridiagonal and b_j the norm of the next residual, the Ritz
+    value theta_i is accepted when b_j |S_ji| <= _LANCZOS_TOL
+    max |theta|; the scale is not |theta_i|, so that an eigenvalue 0
+    converges too.  RuntimeError after _LANCZOS_MAX_STEPS steps."""
+    q = np.random.default_rng(0).standard_normal(n)
+    q /= np.linalg.norm(q)
+    Q = np.empty((min(n, _LANCZOS_MAX_STEPS), n))
+    a, b = [], []
+    for j in range(len(Q)):
+        Q[j] = q
+        r = op(q)
+        a.append(q @ r)
+        for _ in range(2):
+            r -= Q[:j + 1].T @ (Q[:j + 1] @ r)
+        b.append(np.linalg.norm(r))
+        want = [e % (j + 1) for e in ends]
+        ritz = {}
+        for i in {0, j, *want}:
+            theta, s = sla.eigh_tridiagonal(a, b[:-1], select="i",
+                                            select_range=(i, i))
+            ritz[i] = theta[0], b[-1] * abs(s[-1, 0])
+        scale = max(abs(ritz[0][0]), abs(ritz[j][0]))
+        if all(ritz[i][1] <= _LANCZOS_TOL * scale for i in want):
+            return [ritz[i][0] for i in want]
+        q = r / b[-1]
+    raise RuntimeError("Lanczos did not converge in %d steps" % len(Q))
+
+
+def _householder(v):
+    """Unit w with (I - 2 w w^T) v = -+|v| e_1."""
+    w = v / np.linalg.norm(v)
+    w[0] += np.copysign(1.0, w[0])
+    return w / np.linalg.norm(w)
+
+
+def _restricted(op, v):
+    """op restricted to the complement of v, as an operator on
+    R^(n-1): the coordinates in the basis P e_2, ..., P e_n of
+    `_deflate`, with the reflector P applied to vectors.  Iterating
+    there keeps v out exactly, where projecting it out of each product
+    lets roundoff bring it back."""
+    w = _householder(v)
+
+    def reflect(x):
+        return x - 2.0 * (w @ x) * w
+    return lambda y: reflect(op(reflect(np.concatenate(([0.0], y)))))[1:]
+
+
 def _deflate(S, v):
     """S restricted to the complement of v, in S's own buffer.
 
@@ -95,9 +171,7 @@ def _deflate(S, v):
     the rank-2 update is BLAS `syr2` on that triangle, the block is
     moved to the front of S's buffer, and LAPACK reads the view
     without a copy."""
-    w = v / np.linalg.norm(v)
-    w[0] += np.copysign(1.0, w[0])
-    w /= np.linalg.norm(w)
+    w = _householder(v)
     u = S @ w
     z = 2.0 * u - 2.0 * (w @ u) * w
     # P S P = S - w z^T - z w^T, on the lower triangle of S^T
@@ -112,22 +186,22 @@ def _deflate(S, v):
     return flat[:n * n].reshape(n, n).T
 
 
-def _mass_pencil_eigvals(S, M, c=None, subset=None):
-    """Eigenvalues of the pencil (S, M) for a diagonal mass M, on the
-    M-orthogonal complement of c when c is given.  S is symmetric and
-    C-contiguous; it is overwritten.
+def _mass_pencil_extremes(apply, M, c=None):
+    """(lmin, lmax) of the pencil (S, M) for a diagonal mass M, on the
+    M-orthogonal complement of c when c is given; `apply` is the
+    product x -> S x.
 
     With D = diag(M) the pencil is the standard problem
     H = D^-1/2 S D^-1/2, and the constraint c^T M x = 0 reads
-    v^T y = 0 for y = D^1/2 x, v = D^1/2 c, which `_deflate` removes.
-    No second dense copy of S is made."""
-    d = _assembly.mass_diagonal(M, "pressure mass")
-    s = 1.0 / np.sqrt(d)
-    S *= s[:, None]
-    S *= s
-    H = S.T if c is None else _deflate(S, c / s)
-    return sla.eigvalsh(H, lower=True, overwrite_a=True,
-                        check_finite=False, subset_by_index=subset)
+    v^T y = 0 for y = D^1/2 x, v = D^1/2 c, which `_restricted`
+    removes."""
+    s = 1.0 / np.sqrt(_assembly.mass_diagonal(M, "pressure mass"))
+    op = lambda x: s * apply(s * x)
+    n = len(s)
+    if c is not None:
+        op, n = _restricted(op, c / s), n - 1
+    lo, hi = _lanczos_extremes(op, n)
+    return float(lo), float(hi)
 
 
 def _dense(A):
@@ -168,11 +242,12 @@ def _symmetrize(S):
 def schur_spectrum(bs, deflate=True):
     """Extreme generalized eigenvalues of (B A^-1 B^T, M) with the
     constant pressure deflated; returns (lmin, lmax)."""
-    A = bs.velocity_matrix()
     B = bs.divergence_matrix().tocsr()
+    BT = B.T.tocsr()
+    solve = _amg.spd_lu(bs.velocity_matrix()).solve
     c = _spaces.constant_pressure_vector(bs.spaces) if deflate else None
-    w = _mass_pencil_eigvals(_schur_dense(A, B), bs.pressure_mass(), c)
-    return float(w[0]), float(w[-1])
+    return _mass_pencil_extremes(lambda x: B @ solve(BT @ x),
+                                 bs.pressure_mass(), c)
 
 
 def element_block_spectrum(cs, M_p, M_s, deflate=False):
@@ -183,19 +258,28 @@ def element_block_spectrum(cs, M_p, M_s, deflate=False):
     both are positive definite (divergence maps onto the cell pressure
     space and the facet normal-flux coupling has trivial kernel), so
     by default nothing is deflated and the block-diagonal pencil
-    reduces to the envelope of the two sub-pencils.  With deflate=True
-    the joint constant-pressure direction is removed first, matching
-    the protocol used for the full Schur pencil; that couples the
-    blocks, so the restricted pencil is solved as one problem."""
+    reduces to the envelope of the two sub-pencils.  -C_pp couples
+    only the pressures of one cell, so its pencil is solved cell by
+    cell, exactly; the facet one by Lanczos.  With deflate=True the
+    joint constant-pressure direction is removed first, matching the
+    protocol used for the full Schur pencil; that couples the blocks,
+    so the restricted pencil is solved as one problem."""
     if deflate:
-        C = sla.block_diag(_dense(-cs.C_pp), _dense(-cs.C_ss))
-        M = sp.block_diag([M_p, M_s])
-        c = _spaces.constant_pressure_vector(cs.spaces)
-        w = _mass_pencil_eigvals(C, M, c)
-        return float(w[0]), float(w[-1])
-    wp = _mass_pencil_eigvals(_dense(-cs.C_pp), M_p)
-    ws = _mass_pencil_eigvals(_dense(-cs.C_ss), M_s)
-    return (float(min(wp[0], ws[0])), float(max(wp[-1], ws[-1])))
+        C = sp.block_diag([-cs.C_pp, -cs.C_ss], format="csr")
+        return _mass_pencil_extremes(C.__matmul__, sp.block_diag([M_p, M_s]),
+                                     _spaces.constant_pressure_vector(
+                                         cs.spaces))
+    s = 1.0 / np.sqrt(_assembly.mass_diagonal(M_p, "pressure mass"))
+    npc = cs.spaces.np_cell
+    C = cs.C_pp.tocoo()
+    cell = C.row // npc
+    if np.any(C.col // npc != cell):
+        raise ValueError("C_pp couples the pressures of two cells")
+    G = np.zeros((cs.n_p // npc, npc, npc))
+    G[cell, C.row % npc, C.col % npc] = -C.data * s[C.row] * s[C.col]
+    wp = np.linalg.eigvalsh(G)
+    lo, hi = _mass_pencil_extremes((-cs.C_ss).__matmul__, M_s)
+    return float(min(wp[:, 0].min(), lo)), float(max(wp[:, -1].max(), hi))
 
 
 def condensed_schur_identity(bs, cs):
@@ -253,13 +337,17 @@ def cell_infsup(bs):
 def facet_infsup(bs):
     """Inf-sup proxy of the facet-pressure rows against the cell DG
     norm: sqrt of the smallest eigenvalue of
-    (B_su N_dg^-1 B_su^T, M_s)."""
+    (B_su N_dg^-1 B_su^T, M_s), the reciprocal of the largest one of
+    the inverse pencil, which Lanczos finds quickly."""
     sp_ = bs.spaces
     rows, Bs = bs.local_block("s")
     G = _dg_schur(sp_, bs.alpha, Bs)
     Gs = _assembly._scatter(rows, rows, G, (sp_.n_pbar, sp_.n_pbar))
-    w = _mass_pencil_eigvals(_dense(Gs), bs.M_s, subset=[0, 0])
-    return float(np.sqrt(max(w[0], 0.0)))
+    d = np.sqrt(_assembly.mass_diagonal(bs.M_s, "pressure mass"))
+    solve = _amg.spd_lu(Gs).solve
+    (top,) = _lanczos_extremes(lambda x: d * solve(d * x), len(d),
+                               ends=(-1,))
+    return float(np.sqrt(max(1.0 / top, 0.0)))
 
 
 def trace_form_ratios(cs, alpha, n_samples=50, seed=3):

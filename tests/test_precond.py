@@ -264,6 +264,20 @@ def test_multigrid_bracket_mesh_independent():
     (lo1, hi1), (lo2, hi2) = brackets
     assert abs(lo1 - lo2) <= 0.05 and abs(hi1 - hi2) <= 0.05
     assert 0.0 < min(lo1, lo2) and max(hi1, hi2) < 1.0 + 1e-6
+    # Chebyshev smoothing on [lambda_max/4, lambda_max]; two damped
+    # Jacobi sweeps gave 0.52
+    assert lo1 >= 0.65
+
+
+@pytest.mark.parametrize("shape", ["triangle", "quadrilateral"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_multigrid_one_cycle_bracket_at_most_one(shape, k):
+    """One cycle is A-contractive on jittered meshes at every degree:
+    its bracket against the scalar block stays in (0, 1]."""
+    cs, pc = _multigrid_setup(12, shape=shape, k=k, jitter=0.25,
+                              alpha=60.0 * k, cycles=1)
+    lo, hi = _bracket(cs.Abar_scalar, pc.rbar.apply)
+    assert 0.0 < lo and hi < 1.0 + 1e-6
 
 
 def test_multigrid_minres_iterations_mesh_independent():

@@ -274,3 +274,32 @@ def test_symmetrize_in_place_is_the_average():
         ref = 0.5 * (S + S.T)
         spectra._symmetrize(S)
         assert np.array_equal(S, ref), n
+
+
+def _diagonal_in_rotated_basis(lam, seed):
+    """Q diag(lam) Q^T for a random orthogonal Q, and Q."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(
+        (len(lam), len(lam))))
+    return (Q * lam) @ Q.T, Q
+
+
+def test_lanczos_extremes_restricted_keeps_kernel_out():
+    """On the complement of a kernel vector the smallest eigenvalue is
+    the next one up, not zero; without the restriction the kernel's
+    zero is found, on the scale of the largest eigenvalue."""
+    lam = np.concatenate([[0.0], np.linspace(0.01, 3.0, 199)])
+    A, Q = _diagonal_in_rotated_basis(lam, 5)
+    lo, hi = spectra._lanczos_extremes(
+        spectra._restricted(A.__matmul__, Q[:, 0]), len(lam) - 1)
+    assert abs(lo - 0.01) < 1e-12 and abs(hi - 3.0) < 1e-12
+    lo, hi = spectra._lanczos_extremes(A.__matmul__, len(lam))
+    assert abs(lo) < 1e-12 and abs(hi - 3.0) < 1e-12
+    (top,) = spectra._lanczos_extremes(A.__matmul__, len(lam), ends=(-1,))
+    assert abs(top - 3.0) < 1e-12
+
+
+def test_lanczos_extremes_step_cap_raises(monkeypatch):
+    A, _ = _diagonal_in_rotated_basis(np.linspace(1e-3, 1.0, 300), 6)
+    monkeypatch.setattr(spectra, "_LANCZOS_MAX_STEPS", 20)
+    with pytest.raises(RuntimeError, match="did not converge in 20 steps"):
+        spectra._lanczos_extremes(A.__matmul__, 300)
