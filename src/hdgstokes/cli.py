@@ -46,10 +46,24 @@ _DEFAULTS = {
 }
 
 
+def _convert(name, value, kind):
+    """value as an int or a float; ConfigError naming the option if it
+    is not one."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError("%s must be %s, not %r"
+                          % (name, "an integer" if kind is int else
+                             "a number", value)) from None
+
+
 class RunConfig:
     """Validated run configuration with INI loading."""
 
     def __init__(self, **kw):
+        unknown = sorted(set(kw) - set(_DEFAULTS))
+        if unknown:
+            raise ConfigError("unknown option %s" % ", ".join(unknown))
         vals = dict(_DEFAULTS)
         vals.update(kw)
         for k, v in vals.items():
@@ -59,7 +73,11 @@ class RunConfig:
     def _validate(self):
         if self.shape not in ("triangle", "quadrilateral"):
             raise ConfigError("mesh shape must be triangle or quadrilateral")
-        if int(self.degree) not in (1, 2, 3):
+        positive = ("nx", "ny", "maxiter", "restart", "cycles", "levels",
+                    "verify_nx", "verify_levels")
+        for name in ("degree", "seed") + positive:
+            setattr(self, name, _convert(name, getattr(self, name), int))
+        if self.degree not in (1, 2, 3):
             raise ConfigError("degree must be 1, 2 or 3")
         if self.pc not in precond.KINDS:
             raise ConfigError("unknown preconditioner %r; expected one of %s"
@@ -70,25 +88,31 @@ class RunConfig:
             raise ConfigError("rbar mode must be exact or multigrid")
         if self.problem not in ("cavity", "zero"):
             raise ConfigError("problem must be cavity or zero")
-        for name in ("nx", "ny", "maxiter", "restart", "cycles", "levels",
-                     "verify_nx", "verify_levels"):
-            v = int(getattr(self, name))
-            if v < 1:
+        for name in positive:
+            if getattr(self, name) < 1:
                 raise ConfigError("%s must be positive" % name)
-            setattr(self, name, v)
-        self.degree = int(self.degree)
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.alpha is None:
             self.alpha = spaces.default_alpha(self.degree)
         for name in ("alpha", "tol", "jitter"):
-            setattr(self, name, float(getattr(self, name)))
-        self.seed = int(self.seed)
+            setattr(self, name, _convert(name, getattr(self, name), float))
         if not 0.0 <= self.jitter <= _mesh.MAX_JITTER:
             raise ConfigError("mesh jitter must lie in [0, %g]"
                               % _mesh.MAX_JITTER)
-        if not self.alpha > 0.0:
-            raise ConfigError("alpha must be positive")
+        if not 0.0 < self.alpha < np.inf:
+            raise ConfigError("alpha must be positive and finite")
         if not 0.0 < self.tol < np.inf:
             raise ConfigError("tol must be positive and finite")
+        try:
+            self.domain = tuple(float(t) for t in self.domain)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError("domain must be four numbers x0 y0 x1 y1, "
+                              "not %r" % (self.domain,)) from None
+        if len(self.domain) != 4:
+            raise ConfigError("domain needs four numbers: x0 y0 x1 y1")
+        if not np.isfinite(self.domain).all():
+            raise ConfigError("domain must be finite")
         x0, y0, x1, y1 = self.domain
         if not (x1 > x0 and y1 > y0):
             raise ConfigError("domain needs x0 < x1 and y0 < y1")
@@ -110,6 +134,12 @@ class RunConfig:
             "study": ("levels",),
             "verify": ("verify_nx", "verify_levels"),
         }
+        # configparser keeps [DEFAULT] out of sections()
+        sections = parser.sections() + (["DEFAULT"] if parser.defaults()
+                                        else [])
+        for section in sections:
+            if section not in section_keys:
+                raise ConfigError("unknown section [%s]" % section)
         for section, keys in section_keys.items():
             if not parser.has_section(section):
                 continue
@@ -123,10 +153,7 @@ class RunConfig:
                                       % (key, section))
                 kw[target] = parser.get(section, key)
         if "domain" in kw:
-            parts = [float(t) for t in kw["domain"].replace(",", " ").split()]
-            if len(parts) != 4:
-                raise ConfigError("domain needs four numbers: x0 y0 x1 y1")
-            kw["domain"] = tuple(parts)
+            kw["domain"] = kw["domain"].replace(",", " ").split()
         return cls(**kw)
 
 

@@ -50,6 +50,10 @@ class CondensedSystem:
 
     Attributes
     ----------
+    K : (size, size) csr, the condensed operator in (t, p, s) ordering;
+        exactly symmetric, with the constant pressure
+        (`nullspace_vector`) as its kernel.  The blocks below are
+        slices of it.
     Abar : (n_ubar, n_ubar) csr, SPD on the free facet-velocity DOFs.
     Abar_scalar : (n_ubar/2, n_ubar/2) csr, the block of one velocity
         component, Abar[:n_ubar/2, :n_ubar/2]; Abar is
@@ -58,6 +62,17 @@ class CondensedSystem:
     C_pp, C_ps, C_ss : blocks of the negative-semidefinite pressure
         coupling C.
     rhs : full condensed right-hand side (t, p, s ordering).
+
+    Recovery data, read by `recover_velocity`:
+
+    chol_inv : (nc, nb, nb), per cell the inverse L^-1 of the Cholesky
+        factor of the scalar interior-velocity block A_uu = L L^T.
+    local_rows : (nc, mk) int, the rows of each cell's coupling stack
+        in the condensed (t, p, s) numbering (`BlockSystem.local_rows`).
+    local_coupling : (nc, mk, 2 nb), per cell the coupling of those
+        rows to both interior velocity components
+        (`BlockSystem.local_coupling`).
+    L_u : (n_u,) interior-velocity load vector.
     """
 
     def __init__(self, spaces):

@@ -15,7 +15,14 @@ extreme eigenvalue estimates off it.
 
 gmres is restarted GMRES with the preconditioner applied on the right,
 so its recurrence estimate *is* the true residual norm; it tolerates
-indefinite preconditioners by construction.
+indefinite preconditioners by construction.  Each new basis vector is
+orthogonalized by `orthogonalize`: two passes of classical
+Gram-Schmidt, as orthogonal to working precision as two passes of
+modified Gram-Schmidt ("twice is enough"), each pass two dense
+products with the basis instead of a Python loop over its vectors.
+Each restart cycle forms the true residual b - A x once, at its end;
+it is both the convergence test and the start vector of the next
+cycle, so a solve costs one matvec per iteration plus one per cycle.
 
 Both solvers optionally project against a one-dimensional kernel (the
 constant-pressure representation): the operator is symmetric, so its
@@ -76,6 +83,20 @@ def _projector(nullspace):
         return lambda v: v
     n = nullspace / np.linalg.norm(nullspace)
     return lambda v: v - n * (n @ v)
+
+
+def orthogonalize(Q, w):
+    """Orthogonalize w in place against the orthonormal rows of Q.
+
+    Two passes of classical Gram-Schmidt, w -= Q^T (Q w); returns the
+    summed coefficients of both passes, the projection Q w of the
+    input.  GMRES and the Lanczos probes of `spectra` both use it."""
+    h = np.zeros(len(Q))
+    for _ in range(2):
+        c = Q @ w
+        w -= Q.T @ c
+        h += c
+    return h
 
 
 def _report(method, label, x, nullspace, iterations, converged, residuals,
@@ -205,8 +226,14 @@ def minres(A, b, pc=None, tol=1e-8, maxiter=1000, nullspace=None,
 
 def gmres(A, b, pc=None, tol=1e-8, maxiter=1000, restart=50,
           nullspace=None, label=""):
-    """Right-preconditioned restarted GMRES (modified Gram-Schmidt with
-    a second orthogonalization pass)."""
+    """Right-preconditioned restarted GMRES.
+
+    The Arnoldi basis is orthogonalized by `orthogonalize` (two-pass
+    classical Gram-Schmidt).  A restart cycle ends at `restart`
+    iterations, at an estimated residual <= tol or at breakdown; it
+    then forms the true residual proj(b - A x) once.  Its norm is the
+    convergence test (and replaces the estimate as the last entry of
+    `residuals` when it passes); otherwise it starts the next cycle."""
     matvec = _as_matvec(A)
     apply_pc = pc if pc is not None else (lambda x: x.copy())
     proj = _projector(nullspace)
@@ -223,29 +250,20 @@ def gmres(A, b, pc=None, tol=1e-8, maxiter=1000, restart=50,
         return _report("gmres", label, x, nullspace, 0, True, residuals, [],
                        None, tol)
 
-    while total < maxiter and not converged:
-        r = proj(b - matvec(x))
-        beta = np.linalg.norm(r)
-        if beta / bnorm <= tol:
-            converged = True
-            break
+    r = b
+    while total < maxiter:
         m = min(restart, maxiter - total)
         V = np.zeros((m + 1, n))
         H = np.zeros((m + 1, m))
         cs = np.zeros(m)
         sn = np.zeros(m)
         g = np.zeros(m + 1)
-        g[0] = beta
-        V[0] = r / beta
-        j = -1
+        g[0] = np.linalg.norm(r)
+        V[0] = r / g[0]
         for j in range(m):
             total += 1
             w = proj(matvec(apply_pc(V[j])))
-            for _ in range(2):
-                for i in range(j + 1):
-                    h = V[i] @ w
-                    H[i, j] += h
-                    w -= h * V[i]
+            H[:j + 1, j] = orthogonalize(V[:j + 1], w)
             H[j + 1, j] = np.linalg.norm(w)
             for i in range(j):
                 t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
@@ -264,10 +282,12 @@ def gmres(A, b, pc=None, tol=1e-8, maxiter=1000, restart=50,
             V[j + 1] = w / H[j + 1, j]
         y = np.linalg.solve(np.triu(H[:j + 1, :j + 1]), g[:j + 1])
         x = x + apply_pc(V[:j + 1].T @ y)
-        relres = np.linalg.norm(b - matvec(x)) / bnorm
+        r = proj(b - matvec(x))
+        relres = np.linalg.norm(r) / bnorm
         if relres <= tol:
             converged = True
             residuals[-1] = relres
+            break
 
     x = proj(x)
     return _report("gmres", label, x, nullspace, total, converged, residuals,

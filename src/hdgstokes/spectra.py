@@ -49,6 +49,7 @@ import scipy.sparse as sp
 from . import amg as _amg
 from . import assembly as _assembly
 from . import condense as _condense
+from . import krylov as _krylov
 from . import spaces as _spaces
 
 
@@ -108,14 +109,15 @@ def _lanczos_extremes(op, n, ends=(0, -1)):
     """Extreme eigenvalues of a symmetric operator op on R^n.
 
     Lanczos from a fixed-seed start vector, with full
-    reorthogonalization (two classical Gram-Schmidt passes per step),
-    so the same operator gives the same values bit for bit.  `ends`
-    index the ascending Ritz values (0 the smallest, -1 the largest);
-    they are returned in that order.  With T_j = S diag(theta) S^T the
-    j-step tridiagonal and b_j the norm of the next residual, the Ritz
-    value theta_i is accepted when b_j |S_ji| <= _LANCZOS_TOL
-    max |theta|; the scale is not |theta_i|, so that an eigenvalue 0
-    converges too.  RuntimeError after _LANCZOS_MAX_STEPS steps."""
+    reorthogonalization (`krylov.orthogonalize`: two classical
+    Gram-Schmidt passes per step), so the same operator gives the same
+    values bit for bit.  `ends` index the ascending Ritz values (0 the
+    smallest, -1 the largest); they are returned in that order.  With
+    T_j = S diag(theta) S^T the j-step tridiagonal and b_j the norm of
+    the next residual, the Ritz value theta_i is accepted when
+    b_j |S_ji| <= _LANCZOS_TOL max |theta|; the scale is not |theta_i|,
+    so that an eigenvalue 0 converges too.  RuntimeError after
+    _LANCZOS_MAX_STEPS steps."""
     q = np.random.default_rng(0).standard_normal(n)
     q /= np.linalg.norm(q)
     Q = np.empty((min(n, _LANCZOS_MAX_STEPS), n))
@@ -124,8 +126,7 @@ def _lanczos_extremes(op, n, ends=(0, -1)):
         Q[j] = q
         r = op(q)
         a.append(q @ r)
-        for _ in range(2):
-            r -= Q[:j + 1].T @ (Q[:j + 1] @ r)
+        _krylov.orthogonalize(Q[:j + 1], r)
         b.append(np.linalg.norm(r))
         want = [e % (j + 1) for e in ends]
         ritz = {}

@@ -98,6 +98,11 @@ def test_readme_example_config_is_the_default(tmp_path):
     {"jitter": 0.5}, {"jitter": -0.1}, {"alpha": -1.0}, {"alpha": 0.0},
     {"tol": 0.0}, {"tol": float("inf")}, {"domain": (1.0, -1.0, -1.0, 1.0)},
     {"domain": (-1.0, 1.0, 1.0, 1.0)}, {"jitter": 0.3},
+    # malformed, negative or non-finite values, and an unknown keyword
+    {"nx": "2.5"}, {"degree": "two"}, {"alpha": "abc"},
+    {"domain": ("0", "0", "1", "1", "extra")}, {"seed": -1, "jitter": 0.1},
+    {"alpha": float("inf")}, {"domain": (0.0, 0.0, float("inf"), 1.0)},
+    {"nxx": 3},
 ])
 def test_config_rejects_bad_values(kw):
     with pytest.raises(cli.ConfigError):
@@ -317,7 +322,18 @@ def test_main_exit_codes(tmp_path, capsys):
                      "[solver]\ntol = nan\n",
                      "[mesh]\ndomain = 1 -1 -1 1\n",
                      "[mesh]\ndomain = -1 1 1 1\n",
-                     "[mesh]\nshape = triangle\nnx = 1\nny = 30\n"):
+                     "[mesh]\nshape = triangle\nnx = 1\nny = 30\n",
+                     # each of these ended in a traceback (exit 1) or,
+                     # for the unknown sections, was silently ignored
+                     "[mesh]\nnx = 2.5\n",
+                     "[discretization]\ndegree = two\n",
+                     "[discretization]\nalpha = abc\n",
+                     "[mesh]\ndomain = 0 0 1 1 extra\n",
+                     "[mesh]\nseed = -1\njitter = 0.1\n",
+                     "[discretization]\nalpha = inf\n",
+                     "[mesh]\ndomain = 0 0 inf 1\n",
+                     "[solvr]\nmaxiter = 1\n",
+                     "[DEFAULT]\nnx = 4\n"):
         bad = _ini(tmp_path, bad_text, name="bad.ini")
         rc = cli.main(["solve", "--config", bad,
                        "--out", str(tmp_path / "x")])

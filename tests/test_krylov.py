@@ -176,6 +176,34 @@ def test_gmres_restart_cycles():
     assert np.linalg.norm(b - A @ rep.x) <= 1e-8 * np.linalg.norm(b)
 
 
+def test_gmres_one_matvec_per_iteration_and_cycle():
+    # the true residual that ends a restart cycle starts the next one
+    rng = np.random.default_rng(9)
+    A = np.eye(60) + 0.05 * rng.standard_normal((60, 60))
+    b = rng.standard_normal(60)
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return A @ x
+
+    restart = 5
+    rep = krylov.gmres(counted, b, tol=1e-9, maxiter=400, restart=restart)
+    assert rep.converged and rep.iterations > restart
+    cycles = -(-rep.iterations // restart)
+    assert len(calls) == rep.iterations + cycles
+
+
+def test_orthogonalize_two_pass_gram_schmidt():
+    rng = np.random.default_rng(15)
+    Q = np.linalg.qr(rng.standard_normal((200, 30)))[0].T
+    w0 = rng.standard_normal(200)
+    w = w0.copy()
+    h = krylov.orthogonalize(Q, w)
+    assert np.abs(h - Q @ w0).max() <= 1e-14
+    assert np.abs(Q @ w).max() <= 1e-15 * np.linalg.norm(w0)
+
+
 def test_gmres_nullspace_projection():
     n = 25
     A = _path_laplacian(n)
