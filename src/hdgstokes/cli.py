@@ -48,13 +48,17 @@ _DEFAULTS = {
 
 def _convert(name, value, kind):
     """value as an int or a float; ConfigError naming the option if it
-    is not one."""
+    is not one, a number with a fractional part included for an int."""
     try:
-        return kind(value)
+        out = kind(value)
     except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or (kind is int and isinstance(value, (float, np.floating))
+                       and out != value):
         raise ConfigError("%s must be %s, not %r"
                           % (name, "an integer" if kind is int else
-                             "a number", value)) from None
+                             "a number", value))
+    return out
 
 
 class RunConfig:

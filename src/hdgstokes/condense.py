@@ -37,6 +37,11 @@ the first half once (`Abar_scalar`, a slice of K) and refuses an Abar
 whose components are coupled or whose component blocks differ by more
 than 1e-12 of the largest entry.  A facet-velocity vector t is the
 (n_t/2, 2) block of its two components as `t.reshape(2, -1).T`.
+
+K is held once.  Every other block is sliced from it by its reader,
+when it is needed, with `CondensedSystem.block`; its keys "t", "p" and
+"s" are those of `BlockSystem.layout`, whose offsets are also the
+ones `CondensedSystem.split` cuts vectors at.
 """
 
 import numpy as np
@@ -52,15 +57,10 @@ class CondensedSystem:
     ----------
     K : (size, size) csr, the condensed operator in (t, p, s) ordering;
         exactly symmetric, with the constant pressure
-        (`nullspace_vector`) as its kernel.  The blocks below are
-        slices of it.
-    Abar : (n_ubar, n_ubar) csr, SPD on the free facet-velocity DOFs.
-    Abar_scalar : (n_ubar/2, n_ubar/2) csr, the block of one velocity
-        component, Abar[:n_ubar/2, :n_ubar/2]; Abar is
+        (`nullspace_vector`) as its kernel.  `block` slices it.
+    Abar_scalar : (n_t/2, n_t/2) csr, the block of one velocity
+        component, K[:n_t/2, :n_t/2]; Abar = block("t", "t") is
         bdiag(Abar_scalar, Abar_scalar).
-    Bbar_p, Bbar_s : pressure rows of the condensed constraint.
-    C_pp, C_ps, C_ss : blocks of the negative-semidefinite pressure
-        coupling C.
     rhs : full condensed right-hand side (t, p, s ordering).
 
     Recovery data, read by `recover_velocity`:
@@ -75,17 +75,28 @@ class CondensedSystem:
     L_u : (n_u,) interior-velocity load vector.
     """
 
-    def __init__(self, spaces):
+    def __init__(self, spaces, layout):
         self.spaces = spaces
-        self.n_t = spaces.n_ubar
-        self.n_p = spaces.n_p
-        self.n_s = spaces.n_pbar
+        # the range of each block in the condensed numbering
+        self._ranges = {key: slice(offset, offset + n)
+                        for key, (_, offset, n) in layout.items()}
+        self.n_t, self.n_p, self.n_s = (layout[key][2] for key in "tps")
         self.size = self.n_t + self.n_p + self.n_s
 
     def split(self, x):
-        return (x[:self.n_t],
-                x[self.n_t:self.n_t + self.n_p],
-                x[self.n_t + self.n_p:])
+        """The (t, p, s) parts of a condensed vector, as views."""
+        return tuple(x[self._ranges[key]] for key in "tps")
+
+    def block(self, rows, cols):
+        """Block (rows, cols) of K, each key one of "t", "p" and "s",
+        as a new csr slice; e.g. block("p", "t") is Bbar_p and
+        block("s", "s") is C_ss."""
+        return self.K[self._ranges[rows], self._ranges[cols]]
+
+    @property
+    def Abar(self):
+        """The condensed velocity block, block("t", "t")."""
+        return self.block("t", "t")
 
     def nullspace_vector(self):
         """Representation of the constant pressure; kernel of K."""
@@ -119,7 +130,7 @@ def condense(bs):
     """Eliminate interior velocities from an assembled BlockSystem."""
     sp_ = bs.spaces
     nc, nb = sp_.mesh.num_cells, sp_.nb
-    cs = CondensedSystem(sp_)
+    cs = CondensedSystem(sp_, bs.layout)
 
     V, Wt, Linv = cell_schur(bs.local_auu_scalar, bs.local_coupling)
     V *= -1.0
@@ -147,14 +158,7 @@ def condense(bs):
     cs.K.data = cs.K.data.copy()
     cs.K.indices = cs.K.indices.copy()
 
-    nt, np_ = cs.n_t, cs.n_p
-    cs.Abar = cs.K[:nt, :nt]
-    cs.Bbar_p = cs.K[nt:nt + np_, :nt]
-    cs.Bbar_s = cs.K[nt + np_:, :nt]
-    cs.C_pp = cs.K[nt:nt + np_, nt:nt + np_]
-    cs.C_ps = cs.K[nt:nt + np_, nt + np_:]
-    cs.C_ss = cs.K[nt + np_:, nt + np_:]
-    cs.Abar_scalar = _component_block(cs)
+    cs.Abar_scalar = _component_block(cs.K, cs.n_t // 2)
 
     cs.chol_inv = Linv
     cs.local_rows = rows
@@ -163,15 +167,14 @@ def condense(bs):
     return cs
 
 
-def _component_block(cs):
-    """Block of velocity component 0 of Abar; ValueError unless Abar is
-    two copies of it (the same rule as `assembly.mass_diagonal`)."""
-    A = cs.Abar
-    h = cs.n_t // 2
-    A0 = A[:h, :h]
-    if A[:h, h:].count_nonzero() or A[h:, :h].count_nonzero():
+def _component_block(K, h):
+    """Block K[:h, :h] of velocity component 0; ValueError unless the
+    velocity block K[:2h, :2h] is two copies of it (the same rule as
+    `assembly.mass_diagonal`)."""
+    A0 = K[:h, :h]
+    if K[:h, h:2 * h].count_nonzero() or K[h:2 * h, :h].count_nonzero():
         raise ValueError("velocity components of Abar are coupled")
-    if abs(A[h:, h:] - A0).max() > 1e-12 * abs(A0).max():
+    if abs(K[h:2 * h, h:2 * h] - A0).max() > 1e-12 * abs(A0).max():
         raise ValueError("velocity component blocks of Abar differ")
     return A0
 

@@ -35,6 +35,12 @@ definite diagonal, hence symmetric positive definite as MINRES
 requires.  The inverse application below never multiplies by Rbar
 itself, so the multigrid mode (where only the inverse action exists)
 works unchanged.
+
+Only the scalar velocity block is kept by `condense`; every other
+block is sliced from K here, once, when the preconditioner is built
+(`CondensedSystem.block`): -C_pp and -C_ss for the PC kinds to factor,
+and the six off-diagonal blocks the two sweeps multiply by for the
+SGS kinds.  The PM kind reads nothing beyond `Abar_scalar`.
 """
 
 import numpy as np
@@ -103,10 +109,10 @@ class Preconditioner:
         self._solve3 = solve3
         self.is_sgs = kind.endswith("SGS")
         if self.is_sgs:
-            self.Bp = cs.Bbar_p
-            self.Bs = cs.Bbar_s
-            self.Csp = cs.C_ps.T.tocsr()
-            self.Cps = cs.C_ps
+            # the off-diagonal blocks of K the sweeps read, keyed by
+            # (rows, cols) as in `CondensedSystem.block`
+            self.blocks = {rc: cs.block(*rc)
+                           for rc in ("pt", "st", "sp", "ps", "tp", "ts")}
 
     def _solve1(self, r1):
         """Rbar on both velocity components as one two-column block."""
@@ -118,12 +124,13 @@ class Preconditioner:
             return np.concatenate([self._solve1(r1),
                                    self._solve2(r2),
                                    self._solve3(r3)])
+        K = self.blocks
         y1 = self._solve1(r1)
-        y2 = self._solve2(r2 - self.Bp @ y1)
-        y3 = self._solve3(r3 - self.Bs @ y1 - self.Csp @ y2)
+        y2 = self._solve2(r2 - K["pt"] @ y1)
+        y3 = self._solve3(r3 - K["st"] @ y1 - K["sp"] @ y2)
         z3 = y3
-        z2 = y2 - self._solve2(self.Cps @ z3)
-        z1 = y1 - self._solve1(self.Bp.T @ z2 + self.Bs.T @ z3)
+        z2 = y2 - self._solve2(K["ps"] @ z3)
+        z1 = y1 - self._solve1(K["tp"] @ z2 + K["ts"] @ z3)
         return np.concatenate([z1, z2, z3])
 
 
@@ -145,8 +152,8 @@ def build_preconditioner(cs, M_p, M_s, kind="PM", rbar_mode="exact",
         solve2 = _diagonal_solver(M_p, "cell pressure mass")
         solve3 = _diagonal_solver(M_s, "facet pressure mass")
     else:
-        solve2 = spd_lu(-cs.C_pp).solve
-        solve3 = spd_lu(-cs.C_ss).solve
+        solve2 = spd_lu(-cs.block("p", "p")).solve
+        solve3 = spd_lu(-cs.block("s", "s")).solve
     # The sweep diagonal takes the positive-definite block variants so
     # the composed operator (P_L + P_D) P_D^-1 (P_L^T + P_D) is SPD,
     # which MINRES requires.

@@ -31,7 +31,10 @@ are block diagonal by cell (-C_pp, and the pencils of `cell_infsup`)
 are solved exactly, cell by cell, with batched dense eigensolvers.
 Two probes stay dense, on small meshes only: `coercivity_bounds`,
 whose pencil is indefinite for a weak penalty, and the entrywise
-comparison of `condensed_schur_identity`.
+comparison of `condensed_schur_identity`.  The condensed blocks are
+sliced from K where they are read (`CondensedSystem.block`);
+`condensed_schur_identity` takes the pressure rows of K, Bbar and C,
+as two slices.
 
 A constant mode is deflated with one Householder reflector that maps
 it onto the first coordinate, which is then dropped: applied to
@@ -205,37 +208,11 @@ def _mass_pencil_extremes(apply, M, c=None):
     return float(lo), float(hi)
 
 
-def _dense(A):
-    return A.toarray() if sp.issparse(A) else np.asarray(A)
-
-
 def _schur_dense(A, B):
-    """B A^-1 B^T with the `spd_lu` factorization of A, dense result."""
-    lu = _amg.spd_lu(A)
-    m = B.shape[0]
-    S = np.empty((m, m))
-    # 32 right-hand sides per solve: on the 10,944-dof velocity matrix
-    # of 16x16 triangles at k = 2 (2 vCPU) that costs about 1.0 ms per
-    # column, against 1.5 ms with 512-column blocks
-    step = 32
-    for j in range(0, m, step):
-        cols = B[j:j + step].toarray().T
-        S[:, j:j + step] = B @ lu.solve(cols)
-    _symmetrize(S)
-    return S
-
-
-def _symmetrize(S):
-    """S <- (S + S^T) / 2 in place, one pair of 256 x 256 blocks at a
-    time, so no full-size temporary is held."""
-    n, step = S.shape[0], 256
-    for i in range(0, n, step):
-        for j in range(i, n, step):
-            upper = S[i:i + step, j:j + step]
-            lower = S[j:j + step, i:i + step]
-            avg = 0.5 * (upper + lower.T)
-            upper[...] = avg
-            lower[...] = avg.T
+    """B A^-1 B^T with the `spd_lu` factorization of A, dense and
+    symmetrized."""
+    S = B @ _amg.spd_lu(A).solve(B.T.toarray())
+    return 0.5 * (S + S.T)
 
 
 # -- probes -----------------------------------------------------------
@@ -265,33 +242,34 @@ def element_block_spectrum(cs, M_p, M_s, deflate=False):
     joint constant-pressure direction is removed first, matching the
     protocol used for the full Schur pencil; that couples the blocks,
     so the restricted pencil is solved as one problem."""
+    C_pp, C_ss = cs.block("p", "p"), cs.block("s", "s")
     if deflate:
-        C = sp.block_diag([-cs.C_pp, -cs.C_ss], format="csr")
+        C = sp.block_diag([-C_pp, -C_ss], format="csr")
         return _mass_pencil_extremes(C.__matmul__, sp.block_diag([M_p, M_s]),
                                      _spaces.constant_pressure_vector(
                                          cs.spaces))
     s = 1.0 / np.sqrt(_assembly.mass_diagonal(M_p, "pressure mass"))
     npc = cs.spaces.np_cell
-    C = cs.C_pp.tocoo()
+    C = C_pp.tocoo()
     cell = C.row // npc
     if np.any(C.col // npc != cell):
         raise ValueError("C_pp couples the pressures of two cells")
     G = np.zeros((cs.n_p // npc, npc, npc))
     G[cell, C.row % npc, C.col % npc] = -C.data * s[C.row] * s[C.col]
     wp = np.linalg.eigvalsh(G)
-    lo, hi = _mass_pencil_extremes((-cs.C_ss).__matmul__, M_s)
+    lo, hi = _mass_pencil_extremes((-C_ss).__matmul__, M_s)
     return float(min(wp[:, 0].min(), lo)), float(max(wp[:, -1].max(), hi))
 
 
 def condensed_schur_identity(bs, cs):
     """Max-norm residual of the algebraic identity
-    Bbar Abar^-1 Bbar^T - C = B A^-1 B^T."""
-    A = bs.velocity_matrix()
-    B = bs.divergence_matrix().tocsr()
-    S_full = _schur_dense(A, B)
-    Bbar = sp.vstack([cs.Bbar_p, cs.Bbar_s]).tocsr()
-    C = sp.bmat([[cs.C_pp, cs.C_ps], [cs.C_ps.T, cs.C_ss]]).toarray()
-    S_cond = _schur_dense(cs.Abar, Bbar) - C
+    Bbar Abar^-1 Bbar^T - C = B A^-1 B^T, with Bbar and C the
+    pressure rows of K."""
+    S_full = _schur_dense(bs.velocity_matrix(),
+                          bs.divergence_matrix().tocsr())
+    nt = cs.n_t
+    S_cond = (_schur_dense(cs.Abar, cs.K[nt:, :nt])
+              - cs.K[nt:, nt:].toarray())
     return float(np.abs(S_full - S_cond).max())
 
 
@@ -310,8 +288,8 @@ def coercivity_bounds(bs):
     comp = np.concatenate([
         sp_.velocity_coeffs(np.arange(sp_.n_u))[:, 0].ravel(),
         sp_.n_u + np.arange(sp_.n_ubar // 2)])
-    A = _dense(bs.velocity_matrix()[comp][:, comp])
-    N = _dense(velocity_pair_norm_matrix(sp_, bs.alpha)[comp][:, comp])
+    A = bs.velocity_matrix()[comp][:, comp].toarray()
+    N = velocity_pair_norm_matrix(sp_, bs.alpha)[comp][:, comp].toarray()
     one = lambda x, y: (np.ones_like(x), np.zeros_like(x))
     const = np.concatenate([_spaces.project_velocity(sp_, one),
                             _spaces.project_facet_velocity(sp_, one)])[comp]

@@ -98,11 +98,12 @@ def test_readme_example_config_is_the_default(tmp_path):
     {"jitter": 0.5}, {"jitter": -0.1}, {"alpha": -1.0}, {"alpha": 0.0},
     {"tol": 0.0}, {"tol": float("inf")}, {"domain": (1.0, -1.0, -1.0, 1.0)},
     {"domain": (-1.0, 1.0, 1.0, 1.0)}, {"jitter": 0.3},
-    # malformed, negative or non-finite values, and an unknown keyword
+    # malformed, negative or non-finite values, an unknown keyword and
+    # non-integral numbers for integer options
     {"nx": "2.5"}, {"degree": "two"}, {"alpha": "abc"},
     {"domain": ("0", "0", "1", "1", "extra")}, {"seed": -1, "jitter": 0.1},
     {"alpha": float("inf")}, {"domain": (0.0, 0.0, float("inf"), 1.0)},
-    {"nxx": 3},
+    {"nxx": 3}, {"nx": 2.5}, {"degree": 2.7}, {"cycles": 1.9},
 ])
 def test_config_rejects_bad_values(kw):
     with pytest.raises(cli.ConfigError):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hdgstokes import assembly, condense, mesh, spaces, spectra
 
@@ -30,6 +31,31 @@ def test_kernel_and_compatibility(sys4x4):
     scale = abs(K).max()
     assert np.abs(K @ nv).max() < 1e-13 * scale * np.abs(nv).max()
     assert abs(cs.rhs @ nv) < 1e-12 * np.linalg.norm(cs.rhs) + 1e-14
+
+
+def test_blocks_and_split_follow_the_block_layout(sys_jitter):
+    """block(rows, cols) is the slice of K at the offsets of
+    `BlockSystem.layout`, for all nine pairs, and split cuts a vector
+    at the same offsets."""
+    _, bs, cs = sys_jitter
+    K = cs.K.toarray()
+    ranges = {key: slice(offset, offset + n)
+              for key, (_, offset, n) in bs.layout.items()}
+    for rows in "tps":
+        for cols in "tps":
+            B = cs.block(rows, cols)
+            assert sp.issparse(B)
+            assert np.array_equal(B.toarray(), K[ranges[rows], ranges[cols]])
+    x = np.arange(cs.size, dtype=float)
+    for part, key in zip(cs.split(x), "tps"):
+        assert np.array_equal(part, x[ranges[key]])
+
+
+def test_condensed_system_holds_only_K_and_scalar_block(sys_jitter):
+    _, _, cs = sys_jitter
+    held = sorted(name for name, value in vars(cs).items()
+                  if sp.issparse(value))
+    assert held == ["Abar_scalar", "K"]
 
 
 def test_constrained_rows_identity(sys4x4):

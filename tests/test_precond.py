@@ -17,18 +17,19 @@ def small(cavity):
 def _dense_sweep_operator(bs, cs, kind):
     """(P_L + P_D) P_D^-1 (P_L^T + P_D) composed explicitly."""
     n, nt, np_ = cs.size, cs.n_t, cs.n_p
+    K = cs.K.toarray()
     if kind == "PM-SGS":
         D2, D3 = bs.M_p.toarray(), bs.M_s.toarray()
     else:
-        D2, D3 = -cs.C_pp.toarray(), -cs.C_ss.toarray()
+        D2, D3 = -K[nt:nt + np_, nt:nt + np_], -K[nt + np_:, nt + np_:]
     PD = np.zeros((n, n))
-    PD[:nt, :nt] = cs.Abar.toarray()
+    PD[:nt, :nt] = K[:nt, :nt]
     PD[nt:nt + np_, nt:nt + np_] = D2
     PD[nt + np_:, nt + np_:] = D3
     PL = np.zeros((n, n))
-    PL[nt:nt + np_, :nt] = cs.Bbar_p.toarray()
-    PL[nt + np_:, :nt] = cs.Bbar_s.toarray()
-    PL[nt + np_:, nt:nt + np_] = cs.C_ps.toarray().T
+    PL[nt:nt + np_, :nt] = K[nt:nt + np_, :nt]
+    PL[nt + np_:, :nt] = K[nt + np_:, :nt]
+    PL[nt + np_:, nt:nt + np_] = K[nt + np_:, nt:nt + np_]
     G = PL + PD
     return G @ np.linalg.solve(PD, G.T)
 
@@ -98,8 +99,9 @@ def test_pc_pressure_blocks_are_element_schur(small):
     r = rng.standard_normal(cs.size)
     _, r2, r3 = cs.split(r)
     _, z2, z3 = cs.split(pc.apply(r))
-    assert np.allclose(-cs.C_pp @ z2, r2, atol=1e-10)
-    assert np.allclose(-cs.C_ss @ z3, r3, atol=1e-10)
+    nt, np_ = cs.n_t, cs.n_p
+    assert np.allclose(-cs.K[nt:nt + np_, nt:nt + np_] @ z2, r2, atol=1e-10)
+    assert np.allclose(-cs.K[nt + np_:, nt + np_:] @ z3, r3, atol=1e-10)
 
 
 @pytest.mark.parametrize("kind", ["PM-SGS", "PC-SGS"])
@@ -140,7 +142,8 @@ def test_application_symmetric_and_linear(small, kind):
 def test_cell_pressure_schur_is_cell_block_diagonal(small):
     bs, cs = small
     np_cell = cs.spaces.np_cell
-    C = cs.C_pp.tocoo()
+    nt, np_ = cs.n_t, cs.n_p
+    C = cs.K[nt:nt + np_, nt:nt + np_].tocoo()
     assert np.all(C.row // np_cell == C.col // np_cell)
 
 
