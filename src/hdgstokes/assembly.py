@@ -56,14 +56,22 @@ def _scatter(rows, cols, vals, shape, keep_zeros=True):
     element blocks goes through here.
 
     rows (m, r), cols (m, c), vals (m, r, c); duplicate index pairs
-    are summed, and exact zeros dropped unless keep_zeros.  The
-    expanded index arrays are int32, half the memory of int64.
+    are summed, and exact zeros dropped unless keep_zeros.  The m r
+    block rows go straight into CSR, stably sorted by row: the same
+    unsorted rows, in the same order, as a COO-to-CSR conversion of
+    the expanded triplets, so every sum is the same to the bit, with
+    no expanded row index array.  Column indices are int32.
     """
     m, r = rows.shape
     c = cols.shape[1]
-    i = np.broadcast_to(rows.astype(np.int32)[:, :, None], (m, r, c)).ravel()
-    j = np.broadcast_to(cols.astype(np.int32)[:, None, :], (m, r, c)).ravel()
-    out = sp.coo_matrix((vals.ravel(), (i, j)), shape=shape).tocsr()
+    order = np.argsort(rows.ravel(), kind="stable")
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows.ravel(), minlength=shape[0]) * c,
+              out=indptr[1:])
+    out = sp.csr_matrix((vals.reshape(m * r, c)[order].ravel(),
+                         cols.astype(np.int32)[order // r].ravel(), indptr),
+                        shape=shape)
+    out.sum_duplicates()
     if not keep_zeros:
         out.eliminate_zeros()
     return out

@@ -4,15 +4,17 @@ Subcommands: solve (one cavity solve, JSON report), study (iteration
 counts per preconditioner over a refinement ladder, CSV + JSON),
 verify (spectral verification suite, JSON, nonzero exit on failure),
 export-matrices (Matrix Market dump of the full and condensed
-systems).  Configuration is an INI file; every run is deterministic
-for a fixed configuration.
+systems).  Configuration is an INI file of the keys of `OPTIONS`,
+which states each option once; every run is deterministic for a fixed
+configuration.
 
 All four share one pipeline of two stages: `discretize` (spaces,
 boundary-flux check, assembly, static condensation) and
 `krylov_solve` (block preconditioner, MINRES or GMRES).
 
 Exit codes: 0 success, 1 failed verification or non-converged solve,
-2 configuration errors.
+2 configuration errors (a value that breaks its rule, an unknown
+section, key or keyword, an INI file that cannot be read or parsed).
 """
 
 import argparse
@@ -34,130 +36,128 @@ class ConfigError(Exception):
     pass
 
 
-_DEFAULTS = {
-    "shape": "triangle", "nx": 8, "ny": 8, "jitter": 0.0, "seed": 0,
-    "domain": (-1.0, -1.0, 1.0, 1.0),
-    "degree": 2, "alpha": None,     # None: spaces.default_alpha(degree)
-    "problem": "cavity",
-    "method": "minres", "tol": 1e-8, "maxiter": 1000, "restart": 50,
-    "pc": "PM", "rbar": "exact", "cycles": 4,
-    "levels": 4,
-    "verify_nx": 4, "verify_levels": 3,
+# Number rules (type, lo, hi, meaning): a value of that type in
+# [lo, hi].  The smallest positive and the largest finite float bound
+# the positive finite numbers exactly; nan lies in no interval.
+_POSITIVE = (int, 1, np.inf, "positive")
+_POSITIVE_FINITE = (float, np.nextafter(0.0, 1.0), np.finfo(float).max,
+                    "positive and finite")
+
+# Every option of a run, once: RunConfig keyword -> (INI section, INI
+# key, default, rule), a rule being the tuple of allowed values or a
+# number rule.  Special cases: domain (rule None, see `_domain`), and
+# alpha, whose default None is spaces.default_alpha(degree).
+OPTIONS = {
+    "shape": ("mesh", "shape", "triangle", ("triangle", "quadrilateral")),
+    "nx": ("mesh", "nx", 8, _POSITIVE),
+    "ny": ("mesh", "ny", 8, _POSITIVE),
+    "jitter": ("mesh", "jitter", 0.0, (float, 0.0, _mesh.MAX_JITTER,
+                                       "in [0, %g]" % _mesh.MAX_JITTER)),
+    "seed": ("mesh", "seed", 0, (int, 0, np.inf, "non-negative")),
+    "domain": ("mesh", "domain", (-1.0, -1.0, 1.0, 1.0), None),
+    "degree": ("discretization", "degree", 2, (int, 1, 3, "1, 2 or 3")),
+    "alpha": ("discretization", "alpha", None, _POSITIVE_FINITE),
+    "problem": ("problem", "kind", "cavity", ("cavity", "zero")),
+    "method": ("solver", "method", "minres", ("minres", "gmres")),
+    "tol": ("solver", "tol", 1e-8, _POSITIVE_FINITE),
+    "maxiter": ("solver", "maxiter", 1000, _POSITIVE),
+    "restart": ("solver", "restart", 50, _POSITIVE),
+    "pc": ("preconditioner", "kind", "PM", precond.KINDS),
+    "rbar": ("preconditioner", "rbar", "exact", ("exact", "multigrid")),
+    "cycles": ("preconditioner", "cycles", 4, _POSITIVE),
+    "levels": ("study", "levels", 4, _POSITIVE),
+    "verify_nx": ("verify", "nx", 4, _POSITIVE),
+    "verify_levels": ("verify", "levels", 3, _POSITIVE),
 }
 
 
-def _convert(name, value, kind):
-    """value as an int or a float; ConfigError naming the option if it
-    is not one, a number with a fractional part included for an int."""
+def _number(label, value, kind, lo, hi, meaning):
+    """value as a number of kind in [lo, hi]; ConfigError naming the
+    option otherwise (an int has no fractional part)."""
     try:
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
         out = None
     if out is None or (kind is int and isinstance(value, (float, np.floating))
                        and out != value):
-        raise ConfigError("%s must be %s, not %r"
-                          % (name, "an integer" if kind is int else
-                             "a number", value))
+        raise ConfigError("%s must be %s, not %r" % (
+            label, {int: "an integer", float: "a number"}[kind], value))
+    if not lo <= out <= hi:
+        raise ConfigError("%s must be %s" % (label, meaning))
     return out
 
 
+def _domain(value):
+    """The domain x0 y0 x1 y1 as four finite floats, x0 < x1 and
+    y0 < y1; a string (INI) is split at commas and white space."""
+    if isinstance(value, str):
+        value = value.replace(",", " ").split()
+    try:
+        domain = tuple(float(t) for t in value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError("domain must be four numbers x0 y0 x1 y1, "
+                          "not %r" % (value,)) from None
+    if len(domain) != 4:
+        raise ConfigError("domain needs four numbers: x0 y0 x1 y1")
+    if not np.isfinite(domain).all():
+        raise ConfigError("domain must be finite")
+    x0, y0, x1, y1 = domain
+    if not (x1 > x0 and y1 > y0):
+        raise ConfigError("domain needs x0 < x1 and y0 < y1")
+    return domain
+
+
 class RunConfig:
-    """Validated run configuration with INI loading."""
+    """Validated run configuration with INI loading: one attribute per
+    keyword of `OPTIONS`."""
 
     def __init__(self, **kw):
-        unknown = sorted(set(kw) - set(_DEFAULTS))
+        unknown = sorted(set(kw) - set(OPTIONS))
         if unknown:
             raise ConfigError("unknown option %s" % ", ".join(unknown))
-        vals = dict(_DEFAULTS)
-        vals.update(kw)
-        for k, v in vals.items():
-            setattr(self, k, v)
-        self._validate()
-
-    def _validate(self):
-        if self.shape not in ("triangle", "quadrilateral"):
-            raise ConfigError("mesh shape must be triangle or quadrilateral")
-        positive = ("nx", "ny", "maxiter", "restart", "cycles", "levels",
-                    "verify_nx", "verify_levels")
-        for name in ("degree", "seed") + positive:
-            setattr(self, name, _convert(name, getattr(self, name), int))
-        if self.degree not in (1, 2, 3):
-            raise ConfigError("degree must be 1, 2 or 3")
-        if self.pc not in precond.KINDS:
-            raise ConfigError("unknown preconditioner %r; expected one of %s"
-                              % (self.pc, ", ".join(precond.KINDS)))
-        if self.method not in ("minres", "gmres"):
-            raise ConfigError("solver method must be minres or gmres")
-        if self.rbar not in ("exact", "multigrid"):
-            raise ConfigError("rbar mode must be exact or multigrid")
-        if self.problem not in ("cavity", "zero"):
-            raise ConfigError("problem must be cavity or zero")
-        for name in positive:
-            if getattr(self, name) < 1:
-                raise ConfigError("%s must be positive" % name)
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        if self.alpha is None:
-            self.alpha = spaces.default_alpha(self.degree)
-        for name in ("alpha", "tol", "jitter"):
-            setattr(self, name, _convert(name, getattr(self, name), float))
-        if not 0.0 <= self.jitter <= _mesh.MAX_JITTER:
-            raise ConfigError("mesh jitter must lie in [0, %g]"
-                              % _mesh.MAX_JITTER)
-        if not 0.0 < self.alpha < np.inf:
-            raise ConfigError("alpha must be positive and finite")
-        if not 0.0 < self.tol < np.inf:
-            raise ConfigError("tol must be positive and finite")
-        try:
-            self.domain = tuple(float(t) for t in self.domain)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError("domain must be four numbers x0 y0 x1 y1, "
-                              "not %r" % (self.domain,)) from None
-        if len(self.domain) != 4:
-            raise ConfigError("domain needs four numbers: x0 y0 x1 y1")
-        if not np.isfinite(self.domain).all():
-            raise ConfigError("domain must be finite")
-        x0, y0, x1, y1 = self.domain
-        if not (x1 > x0 and y1 > y0):
-            raise ConfigError("domain needs x0 < x1 and y0 < y1")
+        for name, (section, key, default, rule) in OPTIONS.items():
+            value = kw.get(name, default)
+            label = "[%s] %s" % (section, key)
+            if name == "alpha" and value is None:
+                value = spaces.default_alpha(self.degree)
+            if rule is None:
+                value = _domain(value)
+            elif rule[0] in (int, float):
+                value = _number(label, value, *rule)
+            elif value not in rule:
+                raise ConfigError("%s must be one of %s, not %r"
+                                  % (label, ", ".join(rule), value))
+            setattr(self, name, value)
 
     @classmethod
     def from_file(cls, path):
+        """RunConfig from an INI file of `OPTIONS` keys, read literally
+        (no `%` interpolation).  ConfigError for an unknown section or
+        key and for a file that cannot be read or parsed."""
         parser = configparser.ConfigParser(
-            inline_comment_prefixes=(";", "#"))
-        read = parser.read(path)
+            inline_comment_prefixes=(";", "#"), interpolation=None)
+        try:
+            read = parser.read(path)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError("cannot parse config file %r: %s"
+                              % (path, exc)) from None
         if not read:
             raise ConfigError("cannot read config file %r" % path)
+        names = {(section, key): name
+                 for name, (section, key, _, _) in OPTIONS.items()}
+        sections = {section for section, _ in names}
         kw = {}
-        section_keys = {
-            "mesh": ("shape", "nx", "ny", "jitter", "seed", "domain"),
-            "discretization": ("degree", "alpha"),
-            "problem": ("problem",),
-            "solver": ("method", "tol", "maxiter", "restart"),
-            "preconditioner": ("pc", "rbar", "cycles"),
-            "study": ("levels",),
-            "verify": ("verify_nx", "verify_levels"),
-        }
-        # configparser keeps [DEFAULT] out of sections()
-        sections = parser.sections() + (["DEFAULT"] if parser.defaults()
-                                        else [])
-        for section in sections:
-            if section not in section_keys:
+        # configparser keeps [DEFAULT] out of sections() and merges its
+        # keys into every section, so it is refused first
+        for section in (["DEFAULT"] * bool(parser.defaults())
+                        + parser.sections()):
+            if section not in sections:
                 raise ConfigError("unknown section [%s]" % section)
-        for section, keys in section_keys.items():
-            if not parser.has_section(section):
-                continue
-            for key in parser.options(section):
-                target = "verify_" + key if section == "verify" \
-                    and not key.startswith("verify_") else key
-                if target == "kind" or key == "kind":
-                    target = "problem" if section == "problem" else "pc"
-                if target not in keys:
+            for key, value in parser.items(section):
+                if (section, key) not in names:
                     raise ConfigError("unknown option %r in section [%s]"
                                       % (key, section))
-                kw[target] = parser.get(section, key)
-        if "domain" in kw:
-            kw["domain"] = kw["domain"].replace(",", " ").split()
+                kw[names[section, key]] = value
         return cls(**kw)
 
 
@@ -376,18 +376,13 @@ def run_verify(cfg, outdir):
 
     # coercivity (unconstrained form), on meshes small enough for a
     # dense eigensolver
-    def coercivity(sp_, prob):
-        raw = assembly.build_block_system(sp_, prob, bcs=False)
-        return spectra.coercivity_bounds(raw)
-
-    coer = [coercivity(sp_, zero) for _, sp_, _, _ in probes
-            if sp_.n_u + sp_.n_ubar <= 4000]
+    coer = [spectra.coercivity_bounds(sp_, cfg.alpha)
+            for _, sp_, _, _ in probes if sp_.n_u + sp_.n_ubar <= 4000]
     record("coercivity_positive", all(lo > 0 for lo, _ in coer),
            bounds=coer, alpha=cfg.alpha)
 
     # the detector must flag a known-bad stabilization
-    weak = spaces.ProblemSpec(degree=cfg.degree, alpha=0.01)
-    lo, hi = coercivity(base[1], weak)
+    lo, hi = spectra.coercivity_bounds(base[1], 0.01)
     record("coercivity_failure_detected", lo <= 0, bounds=[(lo, hi)],
            alpha=0.01)
 

@@ -1,6 +1,7 @@
 """Spectral probes for the discrete stability claims.
 
-Everything here measures; nothing assumes.  The probes compute:
+Everything here measures; nothing assumes.  The norms are built from
+the element kernels of the assembly module.  The probes compute:
 
 * extreme generalized eigenvalues of the pressure Schur complement
   against the pressure mass, full and condensed, with the constant
@@ -15,8 +16,6 @@ Everything here measures; nothing assumes.  The probes compute:
 * pointwise divergence and interelement normal-flux checks of a
   computed velocity (exactly zero, up to roundoff, on triangles).
 
-The norms are built from the element kernels of the assembly module.
-
 The pressure masses are diagonal (orthonormal modal bases, checked by
 `assembly.mass_diagonal`), so every pressure pencil (S, M), the
 per-cell one of `cell_infsup` included, is the standard symmetric
@@ -30,11 +29,9 @@ reciprocal of the wanted smallest one (`facet_infsup`).  Pencils that
 are block diagonal by cell (-C_pp, and the pencils of `cell_infsup`)
 are solved exactly, cell by cell, with batched dense eigensolvers.
 Two probes stay dense, on small meshes only: `coercivity_bounds`,
-whose pencil is indefinite for a weak penalty, and the entrywise
-comparison of `condensed_schur_identity`.  The condensed blocks are
-sliced from K where they are read (`CondensedSystem.block`);
-`condensed_schur_identity` takes the pressure rows of K, Bbar and C,
-as two slices.
+whose pencil is indefinite for a weak penalty, scatters the per-cell
+forms of one velocity component; `condensed_schur_identity` compares
+entrywise, with Bbar and C sliced from K (`CondensedSystem.block`).
 
 A constant mode is deflated with one Householder reflector that maps
 it onto the first coordinate, which is then dropped: applied to
@@ -57,14 +54,6 @@ from . import spaces as _spaces
 
 
 # -- norm matrices ----------------------------------------------------
-
-def velocity_pair_norm_matrix(sp_, alpha):
-    """Norm of the (cell, facet) velocity pair:
-    sum_K |grad v|^2 + alpha/h |vbar - v|^2_dK, the velocity form
-    without its consistency terms."""
-    return _assembly.velocity_blocks(sp_, alpha,
-                                     consistency=False).velocity_matrix()
-
 
 def _dg_schur(sp_, alpha, R):
     """Per-cell R N^-1 R^T for a stack R of rows acting on the cell
@@ -273,23 +262,30 @@ def condensed_schur_identity(bs, cs):
     return float(np.abs(S_full - S_cond).max())
 
 
-def coercivity_bounds(bs):
+def coercivity_bounds(sp_, alpha):
     """Extreme eigenvalues of the velocity form against the pair norm,
     on the complement of the two constant fields, measured on one
     velocity component with its constant deflated from both matrices.
 
-    Call with an *unconstrained* system (bcs=False): the claim is
-    about the bilinear form itself.  Returns (c_lower, c_upper); a
-    nonpositive lower value flags a coercivity failure (expected for
-    insufficient stabilization)."""
-    sp_ = bs.spaces
-    # `assembly.velocity_blocks` builds both components from one scalar
-    # kernel, so the pencil is two copies of its component-0 block
+    The claim is about the bilinear form itself, so no boundary
+    condition enters: both matrices are scattered from the per-cell
+    forms `local_form` of `assembly.velocity_blocks` (the pair norm
+    is the form without its consistency terms), cell dof c nb + i,
+    then facet dof nc nb + f nbf + j.  Returns (c_lower, c_upper); a
+    nonpositive lower value flags a coercivity failure."""
+    mesh = sp_.mesh
+    nc, nb, nbf = mesh.num_cells, sp_.nb, sp_.nbf
+    n = nc * nb + mesh.num_facets * nbf
+    dofs = np.concatenate(
+        [np.arange(nc * nb).reshape(nc, nb),
+         (nc * nb + mesh.cell_facets[:, :, None] * nbf
+          + np.arange(nbf)).reshape(nc, -1)], axis=1)
+    A, N = (_assembly._scatter(dofs, dofs, _assembly.velocity_blocks(
+        sp_, alpha, consistency).local_form, (n, n)).toarray()
+        for consistency in (True, False))
     comp = np.concatenate([
         sp_.velocity_coeffs(np.arange(sp_.n_u))[:, 0].ravel(),
         sp_.n_u + np.arange(sp_.n_ubar // 2)])
-    A = bs.velocity_matrix()[comp][:, comp].toarray()
-    N = velocity_pair_norm_matrix(sp_, bs.alpha)[comp][:, comp].toarray()
     one = lambda x, y: (np.ones_like(x), np.zeros_like(x))
     const = np.concatenate([_spaces.project_velocity(sp_, one),
                             _spaces.project_facet_velocity(sp_, one)])[comp]

@@ -29,6 +29,37 @@ def _trace_matched(sp_, fn):
     return u, t
 
 
+@pytest.mark.parametrize("keep_zeros", [True, False])
+def test_scatter_sums_duplicates_like_dense_accumulation(keep_zeros):
+    """Every entry gets more than two contributions; integer values
+    make every sum exact, whatever its order, and many of them zero.
+    Rows 6 and 7 get none."""
+    rng = np.random.default_rng(5)
+    m, shape = 40, (8, 7)
+    rows = np.array([rng.choice(6, 3, replace=False) for _ in range(m)])
+    cols = np.array([rng.choice(7, 4, replace=False) for _ in range(m)])
+    vals = rng.integers(-2, 3, size=(m, 3, 4)).astype(float)
+    i = np.broadcast_to(rows[:, :, None], vals.shape).ravel()
+    j = np.broadcast_to(cols[:, None, :], vals.shape).ravel()
+    hits = np.zeros(shape, dtype=int)
+    np.add.at(hits, (i, j), 1)
+    assert hits[:6].min() > 2
+    dense = np.zeros(shape)
+    np.add.at(dense, (i, j), vals.ravel())
+    assert (dense[:6] == 0.0).any()
+
+    out = assembly._scatter(rows, cols, vals, shape, keep_zeros)
+    assert out.format == "csr" and out.shape == shape
+    assert out.has_canonical_format and out.indices.dtype == np.int32
+    assert np.array_equal(out.toarray(), dense)
+    stored = (hits > 0) if keep_zeros else (dense != 0.0)
+    assert out.nnz == stored.sum()
+    pattern = np.zeros(shape, dtype=bool)
+    pattern[np.repeat(np.arange(shape[0]), np.diff(out.indptr)),
+            out.indices] = True
+    assert np.array_equal(pattern, stored)
+
+
 def test_velocity_matrix_exactly_symmetric(sys_jitter):
     _, bs, _ = sys_jitter
     A = bs.velocity_matrix()

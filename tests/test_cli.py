@@ -1,7 +1,9 @@
+import configparser
 import csv
 import json
 import pathlib
 import re
+import sys
 import textwrap
 
 import numpy as np
@@ -84,11 +86,15 @@ def test_config_parses_ini(tmp_path):
 
 def test_readme_example_config_is_the_default(tmp_path):
     """The README's example INI, inline comments included, spells out
-    the defaults."""
+    the defaults of every option."""
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
     cfg = cli.RunConfig.from_file(_ini(tmp_path, block))
     assert vars(cfg) == vars(cli.RunConfig())
+    parser = configparser.ConfigParser()
+    parser.read_string(block)
+    for section, key, _, _ in cli.OPTIONS.values():
+        assert parser.has_option(section, key), (section, key)
 
 
 @pytest.mark.parametrize("kw", [
@@ -129,6 +135,18 @@ def test_config_rejects_unknown_option_and_missing_file(tmp_path):
     path = _ini(tmp_path, "[mesh]\ndomain = 0 0 1\n", name="dom.ini")
     with pytest.raises(cli.ConfigError):
         cli.RunConfig.from_file(path)
+
+
+# undocumented spellings of [problem] kind, [preconditioner] kind and
+# [verify] nx / levels
+@pytest.mark.parametrize("text", ["[problem]\nproblem = zero\n",
+                                  "[preconditioner]\npc = PC\n",
+                                  "[verify]\nverify_nx = 2\n",
+                                  "[verify]\nverify_levels = 2\n"],
+                         ids=["problem", "pc", "verify_nx", "verify_levels"])
+def test_config_refuses_undocumented_alias(tmp_path, text):
+    with pytest.raises(cli.ConfigError, match="unknown option"):
+        cli.RunConfig.from_file(_ini(tmp_path, text))
 
 
 def test_report_round_trips_json():
@@ -304,8 +322,7 @@ def test_coercivity_guard_follows_dense_probe(shape, degree, jitter,
     sp_ = spaces.build_spaces(m, degree)
     prob = spaces.ProblemSpec(degree=degree,
                               alpha=spaces.default_alpha(degree))
-    raw = assembly.build_block_system(sp_, prob, bcs=False)
-    lo, _ = spectra.coercivity_bounds(raw)
+    lo, _ = spectra.coercivity_bounds(sp_, prob.alpha)
     assert (lo > 0) == coercive
     bs = assembly.build_block_system(sp_, prob)
     if coercive:
@@ -313,6 +330,26 @@ def test_coercivity_guard_follows_dense_probe(shape, degree, jitter,
     else:
         with pytest.raises(cli.ConfigError, match="not positive definite"):
             cli.check_coercive(bs)
+
+
+def _head(path, n=200):
+    with open(path, "rb") as fh:
+        return fh.read(n)
+
+
+# files that configparser cannot parse, and one that is not text
+@pytest.mark.parametrize("content", [
+    b"nx = 3\n", b"[mesh]\nnx = 3\nnx = 4\n", b"[mesh]\nnx = 3\n[mesh]\n",
+    b"[mesh]\n  stray\n", b"[discretization]\nalpha = %\n",
+    _head(sys.executable),
+], ids=["no-section-header", "repeated-key", "repeated-section",
+        "indented-stray-line", "percent-sign", "program-binary"])
+def test_main_refuses_malformed_config_file(tmp_path, capsys, content):
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(content)
+    assert cli.main(["solve", "--config", str(bad),
+                     "--out", str(tmp_path / "x")]) == 2
+    assert "configuration error: " in capsys.readouterr().err
 
 
 def test_main_exit_codes(tmp_path, capsys):
