@@ -459,8 +459,9 @@ def boundary_flux_per_facet(sp_, g):
 
 def a_form_value(sp_, alpha, u1, t1, u2, t2):
     """a((w, wbar), (v, vbar)) evaluated term by term by quadrature.
-    When both pairs are the same arrays, their kernels are evaluated
-    once."""
+    Each argument is one vector or a stack of them along leading axes
+    (`SpaceSet.velocity_coeffs`); the value carries those axes.  When
+    both pairs are the same arrays, their kernels are evaluated once."""
     def kernels(u, t):
         """Cell gradients, and per side the jump w - wbar and the
         normal derivative of w."""
@@ -469,9 +470,12 @@ def a_form_value(sp_, alpha, u1, t1, u2, t2):
         for e in range(sp_.nsides):
             f = sp_.mesh.cell_facets[:, e]
             n = sp_.normal[:, e]
-            wb = np.einsum("cqi,cdi->cqd", sp_.psibar[f], c[f], optimize=True)
-            gx = np.einsum("cqi,cdi->cqd", sp_.gx_f[:, e], uc, optimize=True)
-            gy = np.einsum("cqi,cdi->cqd", sp_.gy_f[:, e], uc, optimize=True)
+            wb = np.einsum("cqi,...cdi->...cqd", sp_.psibar[f],
+                           c[..., f, :, :], optimize=True)
+            gx = np.einsum("cqi,...cdi->...cqd", sp_.gx_f[:, e], uc,
+                           optimize=True)
+            gy = np.einsum("cqi,...cdi->...cqd", sp_.gy_f[:, e], uc,
+                           optimize=True)
             sides.append((sp_.velocity_trace_at_facet_qp(u, e) - wb,
                           gx * n[:, None, 0, None] + gy * n[:, None, 1, None]))
         return sp_.velocity_grad_at_cell_qp(u), sides
@@ -479,13 +483,15 @@ def a_form_value(sp_, alpha, u1, t1, u2, t2):
     g1, sides1 = kernels(u1, t1)
     g2, sides2 = ((g1, sides1) if u2 is u1 and t2 is t1
                   else kernels(u2, t2))
-    val = np.einsum("cq,cqdj,cqdj->", sp_.cell_qw, g1, g2, optimize=True)
+    val = np.einsum("cq,...cqdj,...cqdj->...", sp_.cell_qw, g1, g2,
+                    optimize=True)
     pen = alpha / sp_.mesh.h
     for e, ((j1, dn1), (j2, dn2)) in enumerate(zip(sides1, sides2)):
         w = _side_weights(sp_, e)
-        val += np.einsum("c,cq,cqd,cqd->", pen, w, j1, j2, optimize=True)
-        val -= np.einsum("cq,cqd,cqd->", w, j1, dn2, optimize=True)
-        val -= np.einsum("cq,cqd,cqd->", w, dn1, j2, optimize=True)
+        val += np.einsum("c,cq,...cqd,...cqd->...", pen, w, j1, j2,
+                         optimize=True)
+        val -= np.einsum("cq,...cqd,...cqd->...", w, j1, dn2, optimize=True)
+        val -= np.einsum("cq,...cqd,...cqd->...", w, dn1, j2, optimize=True)
     return val
 
 

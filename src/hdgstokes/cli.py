@@ -359,8 +359,9 @@ def run_verify(cfg, outdir):
         res = spectra.condensed_schur_identity(bs, cs)
         record("schur_identity_" + label, res <= 1e-9, residual=res)
 
-    # spectra of the full and condensed pressure Schur complements
-    full = [spectra.schur_spectrum(bs) for _, _, bs, _ in probes]
+    # spectra of the pressure Schur complement and of its element blocks
+    full = [spectra.schur_spectrum(cs, bs.M_p, bs.M_s)
+            for _, _, bs, cs in probes]
     cond = [spectra.element_block_spectrum(cs, bs.M_p, bs.M_s)
             for _, _, bs, cs in probes]
 

@@ -182,31 +182,37 @@ def _component_block(K, h):
 def recover_velocity(cs, ubar, p, pbar, L_u=None):
     """Interior velocity from the condensed solution:
     u = A_uu^-1 (L_u - A_tu^T ubar - B_pu^T p - B_su^T pbar), per cell
-    and per component."""
+    and per component.  ubar, p and pbar may be stacks of vectors along
+    matching leading axes; u then carries them too."""
     nc = cs.spaces.mesh.num_cells
-    y = np.concatenate([ubar, p, pbar])
-    yl = y[cs.local_rows]
+    y = np.concatenate([ubar, p, pbar], axis=-1)
+    yl = y[..., cs.local_rows]
     f = (cs.L_u if L_u is None else L_u).reshape(nc, -1)
-    rhs = f - np.einsum("cmn,cm->cn", cs.local_coupling, yl, optimize=True)
+    rhs = f - np.einsum("cmn,...cm->...cn", cs.local_coupling, yl,
+                        optimize=True)
     Linv = cs.chol_inv
-    u = (rhs.reshape(nc, 2, -1) @ Linv.transpose(0, 2, 1)) @ Linv
-    return u.ravel()
+    u = (rhs.reshape(*rhs.shape[:-1], 2, -1) @ Linv.transpose(0, 2, 1)) \
+        @ Linv
+    return u.reshape(*rhs.shape[:-2], -1)
 
 
 def lift_traces(cs, ubar):
-    """Velocity lifting of a facet field: the cell-local solve with the
-    facet datum as the only source.  Reproduces componentwise-harmonic
-    polynomials given their own traces (and only those; generic
-    polynomials acquire a discrete residual)."""
-    zero_u = np.zeros_like(cs.L_u)
-    return recover_velocity(cs, ubar, np.zeros(cs.n_p),
-                            np.zeros(cs.n_s), L_u=zero_u)
+    """Velocity lifting of a facet field, or of a stack of them along
+    leading axes: the cell-local solve with the facet datum as the only
+    source.  Reproduces componentwise-harmonic polynomials given their
+    own traces (and only those; generic polynomials acquire a discrete
+    residual)."""
+    lead = ubar.shape[:-1]
+    return recover_velocity(cs, ubar, np.zeros(lead + (cs.n_p,)),
+                            np.zeros(lead + (cs.n_s,)),
+                            L_u=np.zeros_like(cs.L_u))
 
 
 def trace_form_value(cs, alpha, vbar, wbar):
     """Condensed velocity form evaluated by the variational route:
     lift both facet fields, then evaluate the velocity form term by
-    term with quadrature.  Independent of the assembled Abar.  A field
+    term with quadrature.  Independent of the assembled Abar.  Stacks
+    of fields along leading axes give the value of each pair.  A field
     passed as both arguments is lifted once."""
     lv = lift_traces(cs, vbar)
     lw = lv if wbar is vbar else lift_traces(cs, wbar)

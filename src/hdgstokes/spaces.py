@@ -222,30 +222,34 @@ class SpaceSet:
 
     # -- views of coefficient vectors ----------------------------------
 
+    # The vector views and evaluations below take one vector or a stack
+    # of them along leading axes, (..., n); the results carry the same
+    # leading axes.
+
     def velocity_coeffs(self, u):
-        """(nc, 2, nb) view of a cell-velocity vector."""
-        return u.reshape(self.mesh.num_cells, 2, self.nb)
+        """(..., nc, 2, nb) view of a cell-velocity vector."""
+        return u.reshape(*u.shape[:-1], self.mesh.num_cells, 2, self.nb)
 
     def facet_velocity_coeffs(self, ubar):
-        """(nf, 2, nbf) view of a facet-velocity vector, numbered one
-        component after the other; writes go through to ubar."""
-        return ubar.reshape(2, self.mesh.num_facets, self.nbf) \
-            .transpose(1, 0, 2)
+        """(..., nf, 2, nbf) view of a facet-velocity vector, numbered
+        one component after the other; writes go through to ubar."""
+        return ubar.reshape(*ubar.shape[:-1], 2, self.mesh.num_facets,
+                            self.nbf).swapaxes(-3, -2)
 
     def velocity_at_cell_qp(self, u):
         c = self.velocity_coeffs(u)
-        return np.einsum("cqi,cdi->cqd", self.phi, c, optimize=True)
+        return np.einsum("cqi,...cdi->...cqd", self.phi, c, optimize=True)
 
     def velocity_grad_at_cell_qp(self, u):
-        """(nc, nq, 2, 2) array of d u_d / d x_j."""
+        """(..., nc, nq, 2, 2) array of d u_d / d x_j."""
         c = self.velocity_coeffs(u)
-        gxx = np.einsum("cqi,cdi->cqd", self.gx, c, optimize=True)
-        gyy = np.einsum("cqi,cdi->cqd", self.gy, c, optimize=True)
+        gxx = np.einsum("cqi,...cdi->...cqd", self.gx, c, optimize=True)
+        gyy = np.einsum("cqi,...cdi->...cqd", self.gy, c, optimize=True)
         return np.stack([gxx, gyy], axis=-1)
 
     def velocity_trace_at_facet_qp(self, u, side):
         c = self.velocity_coeffs(u)
-        return np.einsum("cqi,cdi->cqd", self.phi_f[:, side], c,
+        return np.einsum("cqi,...cdi->...cqd", self.phi_f[:, side], c,
                          optimize=True)
 
 
@@ -302,16 +306,6 @@ def constant_pressure_vector(spaces):
     one = lambda x, y: np.ones_like(x)
     return np.concatenate([project_pressure(spaces, one),
                            project_facet_pressure(spaces, one)])
-
-
-def constant_facet_velocity_fields(spaces):
-    """(n_ubar, 2) representations of the two constant trace fields;
-    near-nullspace of the condensed velocity operator."""
-    e0 = project_facet_velocity(spaces, lambda x, y: (np.ones_like(x),
-                                                      np.zeros_like(x)))
-    e1 = project_facet_velocity(spaces, lambda x, y: (np.zeros_like(x),
-                                                      np.ones_like(x)))
-    return np.column_stack([e0, e1])
 
 
 def vertex_trace_prolongator(spaces):

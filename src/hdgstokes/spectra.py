@@ -4,8 +4,8 @@ Everything here measures; nothing assumes.  The norms are built from
 the element kernels of the assembly module.  The probes compute:
 
 * extreme generalized eigenvalues of the pressure Schur complement
-  against the pressure mass, full and condensed, with the constant
-  pressure deflated;
+  and of its element blocks against the pressure mass, with the
+  constant pressure deflated;
 * coercivity and boundedness constants of the velocity form against
   the velocity pair norm, with the two constant fields deflated (on
   one component: both are copies of one scalar form);
@@ -13,6 +13,8 @@ the element kernels of the assembly module.  The probes compute:
   bound covers constant pressures, since cell velocities carry no
   boundary condition);
 * a facet-pressure inf-sup proxy against the cell-velocity DG norm;
+* Rayleigh ratios of the condensed velocity form against a trace
+  seminorm, over random facet fields lifted as stacks;
 * pointwise divergence and interelement normal-flux checks of a
   computed velocity (exactly zero, up to roundoff, on triangles).
 
@@ -21,17 +23,23 @@ The pressure masses are diagonal (orthonormal modal bases, checked by
 per-cell one of `cell_infsup` included, is the standard symmetric
 problem D^-1/2 S D^-1/2 with D = diag(M).  Only extreme eigenvalues
 are read, so the global pressure pencils are solved by Lanczos
-(`_lanczos_extremes`) on operators that are never formed: B A^-1 B^T
-applied with the `amg.spd_lu` factorization of A (`schur_spectrum`),
-the sparse facet block -C_ss (`element_block_spectrum`), and the
-inverse of the facet inf-sup matrix, whose largest eigenvalue is the
-reciprocal of the wanted smallest one (`facet_infsup`).  Pencils that
-are block diagonal by cell (-C_pp, and the pencils of `cell_infsup`)
-are solved exactly, cell by cell, with batched dense eigensolvers.
-Two probes stay dense, on small meshes only: `coercivity_bounds`,
-whose pencil is indefinite for a weak penalty, scatters the per-cell
-forms of one velocity component; `condensed_schur_identity` compares
-entrywise, with Bbar and C sliced from K (`CondensedSystem.block`).
+(`_lanczos_extremes`, which tests its Ritz values every
+`_LANCZOS_CHECK` steps) on operators that are never formed: the
+pressure Schur complement in its condensed form
+Bbar Abar^-1 Bbar^T - C, with Bbar and C the pressure rows of K and
+Abar^-1 one `amg.spd_lu` factorization of the scalar block
+`Abar_scalar` applied to both velocity components as a two-column
+block (`schur_spectrum`); the sparse facet block -C_ss
+(`element_block_spectrum`); and the inverse of the facet inf-sup
+matrix, whose largest eigenvalue is the reciprocal of the wanted
+smallest one (`facet_infsup`).  Pencils that are block diagonal by
+cell (-C_pp, and the pencils of `cell_infsup`) are solved exactly,
+cell by cell, with batched dense eigensolvers.  Two probes stay
+dense, on small meshes only: `coercivity_bounds`, whose pencil is
+indefinite for a weak penalty, scatters the per-cell forms of one
+velocity component; `condensed_schur_identity` compares the condensed
+form entrywise with the full B A^-1 B^T, the one place the full
+velocity matrix is factored.
 
 A constant mode is deflated with one Householder reflector that maps
 it onto the first coordinate, which is then dropped: applied to
@@ -92,9 +100,18 @@ def trace_seminorm_matrix(sp_):
 # Lanczos accepts a requested Ritz value once its residual estimate is
 # at most this fraction of the largest |Ritz value|, and gives up after
 # this many steps; the pressure pencils of the 16x16 verify level take
-# at most 400.
+# at most 400.  The Ritz values are checked every _LANCZOS_CHECK steps
+# (and at the last step), since each check costs two tridiagonal
+# eigensolves, dearer than a step of the cheaper probes.
 _LANCZOS_TOL = 1e-12
 _LANCZOS_MAX_STEPS = 1000
+_LANCZOS_CHECK = 8
+
+# trace_form_ratios lifts its random fields this many at a time: on the
+# 16x16 verify level, stacks of 10 take 0.07-0.09 s for 50 fields (0.26
+# s one at a time) and hold about 8 MiB; stacks of 25 are no faster,
+# and stacks of 50 raise the peak resident set of verify by 12 MiB
+_TRACE_BLOCK = 10
 
 
 def _lanczos_extremes(op, n, ends=(0, -1)):
@@ -108,8 +125,9 @@ def _lanczos_extremes(op, n, ends=(0, -1)):
     T_j = S diag(theta) S^T the j-step tridiagonal and b_j the norm of
     the next residual, the Ritz value theta_i is accepted when
     b_j |S_ji| <= _LANCZOS_TOL max |theta|; the scale is not |theta_i|,
-    so that an eigenvalue 0 converges too.  RuntimeError after
-    _LANCZOS_MAX_STEPS steps."""
+    so that an eigenvalue 0 converges too.  The test runs every
+    _LANCZOS_CHECK steps, at the last step (n, or the cap) and when the
+    residual vanishes.  RuntimeError after _LANCZOS_MAX_STEPS steps."""
     q = np.random.default_rng(0).standard_normal(n)
     q /= np.linalg.norm(q)
     Q = np.empty((min(n, _LANCZOS_MAX_STEPS), n))
@@ -120,15 +138,16 @@ def _lanczos_extremes(op, n, ends=(0, -1)):
         a.append(q @ r)
         _krylov.orthogonalize(Q[:j + 1], r)
         b.append(np.linalg.norm(r))
-        want = [e % (j + 1) for e in ends]
-        ritz = {}
-        for i in {0, j, *want}:
-            theta, s = sla.eigh_tridiagonal(a, b[:-1], select="i",
-                                            select_range=(i, i))
-            ritz[i] = theta[0], b[-1] * abs(s[-1, 0])
-        scale = max(abs(ritz[0][0]), abs(ritz[j][0]))
-        if all(ritz[i][1] <= _LANCZOS_TOL * scale for i in want):
-            return [ritz[i][0] for i in want]
+        if (j + 1) % _LANCZOS_CHECK == 0 or j + 1 == len(Q) or not b[-1]:
+            want = [e % (j + 1) for e in ends]
+            ritz = {}
+            for i in {0, j, *want}:
+                theta, s = sla.eigh_tridiagonal(a, b[:-1], select="i",
+                                                select_range=(i, i))
+                ritz[i] = theta[0], b[-1] * abs(s[-1, 0])
+            scale = max(abs(ritz[0][0]), abs(ritz[j][0]))
+            if all(ritz[i][1] <= _LANCZOS_TOL * scale for i in want):
+                return [ritz[i][0] for i in want]
         q = r / b[-1]
     raise RuntimeError("Lanczos did not converge in %d steps" % len(Q))
 
@@ -204,17 +223,34 @@ def _schur_dense(A, B):
     return 0.5 * (S + S.T)
 
 
+def _pressure_rows(cs):
+    """(Bbar, C): the pressure rows (p, s) of K, split at the last
+    facet-velocity column."""
+    nt = cs.n_t
+    return cs.K[nt:, :nt], cs.K[nt:, nt:]
+
+
 # -- probes -----------------------------------------------------------
 
-def schur_spectrum(bs, deflate=True):
-    """Extreme generalized eigenvalues of (B A^-1 B^T, M) with the
-    constant pressure deflated; returns (lmin, lmax)."""
-    B = bs.divergence_matrix().tocsr()
-    BT = B.T.tocsr()
-    solve = _amg.spd_lu(bs.velocity_matrix()).solve
-    c = _spaces.constant_pressure_vector(bs.spaces) if deflate else None
-    return _mass_pencil_extremes(lambda x: B @ solve(BT @ x),
-                                 bs.pressure_mass(), c)
+def schur_spectrum(cs, M_p, M_s, deflate=True):
+    """Extreme generalized eigenvalues of the pressure Schur complement
+    against bdiag(M_p, M_s), with the constant pressure deflated;
+    returns (lmin, lmax).
+
+    The complement is applied in its condensed form
+    Bbar Abar^-1 Bbar^T - C, the same matrix as B A^-1 B^T
+    (`condensed_schur_identity` measures the difference).  Abar^-1 is
+    one `spd_lu` factorization of `cs.Abar_scalar`, applied to both
+    velocity components as one two-column block."""
+    Bbar, C = _pressure_rows(cs)
+    BbarT = Bbar.T.tocsr()
+    solve = _amg.spd_lu(cs.Abar_scalar).solve
+
+    def apply(x):
+        y = solve((BbarT @ x).reshape(2, -1).T).T.ravel()
+        return Bbar @ y - C @ x
+    c = _spaces.constant_pressure_vector(cs.spaces) if deflate else None
+    return _mass_pencil_extremes(apply, sp.block_diag([M_p, M_s]), c)
 
 
 def element_block_spectrum(cs, M_p, M_s, deflate=False):
@@ -256,9 +292,8 @@ def condensed_schur_identity(bs, cs):
     pressure rows of K."""
     S_full = _schur_dense(bs.velocity_matrix(),
                           bs.divergence_matrix().tocsr())
-    nt = cs.n_t
-    S_cond = (_schur_dense(cs.Abar, cs.K[nt:, :nt])
-              - cs.K[nt:, nt:].toarray())
+    Bbar, C = _pressure_rows(cs)
+    S_cond = _schur_dense(cs.Abar, Bbar) - C.toarray()
     return float(np.abs(S_full - S_cond).max())
 
 
@@ -289,9 +324,12 @@ def coercivity_bounds(sp_, alpha):
     one = lambda x, y: (np.ones_like(x), np.zeros_like(x))
     const = np.concatenate([_spaces.project_velocity(sp_, one),
                             _spaces.project_facet_velocity(sp_, one)])[comp]
+    # LAPACK's plain QR driver "gv": on the 8x8 level (n = 1391) it
+    # takes 0.25 s against 0.33 s for the default divide and conquer,
+    # and two one-value subsets (the two ends) take 0.45 s
     w = sla.eigh(_deflate(A, const), _deflate(N, const), lower=True,
                  eigvals_only=True, overwrite_a=True, overwrite_b=True,
-                 check_finite=False)
+                 check_finite=False, driver="gv")
     return float(w[0]), float(w[-1])
 
 
@@ -329,21 +367,22 @@ def trace_form_ratios(cs, alpha, n_samples=50, seed=3):
     """Rayleigh ratios of the condensed velocity form (variational
     route: lift, then evaluate the form by quadrature) against the
     mean-deflated trace seminorm, over random facet fields vanishing
-    on the boundary."""
+    on the boundary.  The fields are lifted and evaluated as stacks of
+    _TRACE_BLOCK."""
     sp_ = cs.spaces
     Nh = trace_seminorm_matrix(sp_)
     rng = np.random.default_rng(seed)
     interior = ~sp_.mesh.boundary_mask
     ratios = []
-    for _ in range(n_samples):
-        w = np.zeros(sp_.n_ubar)
+    for start in range(0, n_samples, _TRACE_BLOCK):
+        W = np.zeros((min(_TRACE_BLOCK, n_samples - start), sp_.n_ubar))
         # drawn facet by facet, whatever the order of the dofs
-        sp_.facet_velocity_coeffs(w)[interior] = rng.standard_normal(
-            (interior.sum(), 2, sp_.nbf))
-        num = _condense.trace_form_value(cs, alpha, w, w)
-        den = w @ (Nh @ w)
+        sp_.facet_velocity_coeffs(W)[:, interior] = rng.standard_normal(
+            (len(W), interior.sum(), 2, sp_.nbf))
+        num = _condense.trace_form_value(cs, alpha, W, W)
+        den = np.einsum("mi,im->m", W, Nh @ W.T)
         ratios.append(num / den)
-    return np.array(ratios)
+    return np.concatenate(ratios)
 
 
 def field_checks(sp_, u):

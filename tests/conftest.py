@@ -1,6 +1,18 @@
+import numpy as np
 import pytest
 
 from hdgstokes import assembly, condense, mesh, spaces
+
+
+def constant_facet_velocity_fields(sp_):
+    """(n_ubar, 2) representations of the two constant trace fields,
+    (1, 0) and (0, 1); both velocity forms vanish on them, paired with
+    the matching constant cell velocity."""
+    return np.column_stack([
+        spaces.project_facet_velocity(sp_, lambda x, y: (np.ones_like(x),
+                                                         np.zeros_like(x))),
+        spaces.project_facet_velocity(sp_, lambda x, y: (np.zeros_like(x),
+                                                         np.ones_like(x)))])
 
 
 @pytest.fixture(scope="session")

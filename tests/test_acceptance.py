@@ -46,7 +46,7 @@ def schur_ladder():
     t0 = time.monotonic()
     for n in (4, 8, 16):
         _, bs, cs = _system(mesh.generate(n, n))
-        full.append(spectra.schur_spectrum(bs))
+        full.append(spectra.schur_spectrum(cs, bs.M_p, bs.M_s))
         elem.append(spectra.element_block_spectrum(cs, bs.M_p, bs.M_s,
                                                    deflate=True))
     return full, elem, time.monotonic() - t0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import constant_facet_velocity_fields
 from hdgstokes import assembly, mesh, spaces
 
 SQ = np.sqrt(2.0)
@@ -99,7 +100,7 @@ def test_a_form_on_matched_traces_is_dirichlet_energy(raw_jitter):
 def test_constant_pair_in_kernel(raw_jitter):
     sp_, bs = raw_jitter
     A = bs.velocity_matrix()
-    consts = spaces.constant_facet_velocity_fields(sp_)
+    consts = constant_facet_velocity_fields(sp_)
     for d, fn in enumerate([lambda x, y: (np.ones_like(x), 0 * x),
                             lambda x, y: (0 * x, np.ones_like(x))]):
         z = np.concatenate([spaces.project_velocity(sp_, fn), consts[:, d]])

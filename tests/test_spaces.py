@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import constant_facet_velocity_fields
 from hdgstokes import mesh, quadrature, spaces
 
 
@@ -95,7 +96,7 @@ def test_facet_projection_reproduces_traces(tri_jitter):
 
 def test_constant_facet_velocity_fields(tri4x4):
     s = spaces.build_spaces(tri4x4, 2)
-    fields = spaces.constant_facet_velocity_fields(s)
+    fields = constant_facet_velocity_fields(s)
     assert fields.shape == (s.n_ubar, 2)
     for d in range(2):
         c = fields[:, d].reshape(2, s.mesh.num_facets, s.nbf) \

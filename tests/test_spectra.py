@@ -1,10 +1,9 @@
-import copy
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from conftest import constant_facet_velocity_fields
 from hdgstokes import assembly, condense, mesh, spaces, spectra
 
 
@@ -35,7 +34,7 @@ def oracle_sys(request):
 
 
 def test_schur_spectrum_matches_dense_oracle(oracle_sys):
-    sp_, bs, _ = oracle_sys
+    sp_, bs, cs = oracle_sys
     A = bs.velocity_matrix().toarray()
     B = bs.divergence_matrix().toarray()
     M = bs.pressure_mass().toarray()
@@ -43,15 +42,15 @@ def test_schur_spectrum_matches_dense_oracle(oracle_sys):
     c = spaces.constant_pressure_vector(sp_)
     Z = _complement(M @ c, len(c))
     w = sla.eigh(Z.T @ S @ Z, Z.T @ M @ Z, eigvals_only=True)
-    lo, hi = spectra.schur_spectrum(bs)
+    lo, hi = spectra.schur_spectrum(cs, bs.M_p, bs.M_s)
     assert abs(lo - w[0]) < 1e-9 * abs(w[0])
     assert abs(hi - w[-1]) < 1e-9 * abs(w[-1])
     assert lo > 0
 
 
 def test_constant_pressure_rayleigh_quotient_zero(sys2):
-    _, bs, _ = sys2
-    lo, _ = spectra.schur_spectrum(bs, deflate=False)
+    _, bs, cs = sys2
+    lo, _ = spectra.schur_spectrum(cs, bs.M_p, bs.M_s, deflate=False)
     assert abs(lo) < 1e-10
 
 
@@ -94,10 +93,8 @@ def test_probes_refuse_non_diagonal_mass(sys2):
     n = bs.M_p.shape[0]
     coupled = (bs.M_p + 1e-3 * sp.eye(n, k=1)
                + 1e-3 * sp.eye(n, k=-1)).tocsr()
-    bad = copy.copy(bs)
-    bad.M_p = coupled
     with pytest.raises(ValueError, match="not positive diagonal"):
-        spectra.schur_spectrum(bad)
+        spectra.schur_spectrum(cs, coupled, bs.M_s)
     for deflate in (False, True):
         with pytest.raises(ValueError, match="not positive diagonal"):
             spectra.element_block_spectrum(cs, coupled, bs.M_s,
@@ -134,7 +131,7 @@ def test_coercivity_matches_dense_oracle(tri2, cavity):
     A = bs.velocity_matrix().toarray()
     N = assembly.velocity_blocks(sp_, cavity.alpha,
                                  consistency=False).velocity_matrix().toarray()
-    consts = spaces.constant_facet_velocity_fields(sp_)
+    consts = constant_facet_velocity_fields(sp_)
     cols = []
     for d, fn in enumerate([lambda x, y: (np.ones_like(x), 0 * x),
                             lambda x, y: (0 * x, np.ones_like(x))]):
@@ -209,7 +206,7 @@ def test_facet_infsup_matches_element_schur(oracle_sys):
 def test_trace_seminorm_kernel_and_value(tri2):
     sp_ = spaces.build_spaces(tri2, 2)
     T = spectra.trace_seminorm_matrix(sp_)
-    consts = spaces.constant_facet_velocity_fields(sp_)
+    consts = constant_facet_velocity_fields(sp_)
     assert np.abs(T @ consts).max() < 1e-12
 
     # independent evaluation for the trace of (x, 0)
@@ -294,3 +291,69 @@ def test_lanczos_extremes_step_cap_raises(monkeypatch):
     monkeypatch.setattr(spectra, "_LANCZOS_MAX_STEPS", 20)
     with pytest.raises(RuntimeError, match="did not converge in 20 steps"):
         spectra._lanczos_extremes(A.__matmul__, 300)
+
+
+def test_lanczos_extremes_converges_between_checks():
+    """A pencil that converges only at step n, which is not a multiple
+    of the check cadence, is caught by the last-step check."""
+    n = 2 * spectra._LANCZOS_CHECK + 3
+    A, _ = _diagonal_in_rotated_basis(np.linspace(1.0, 2.0, n), 7)
+    calls = []
+
+    def op(x):
+        calls.append(1)
+        return A @ x
+    lo, hi = spectra._lanczos_extremes(op, n)
+    w = np.linalg.eigvalsh(A)
+    assert len(calls) == n and n % spectra._LANCZOS_CHECK
+    assert abs(lo - w[0]) < 1e-12 and abs(hi - w[-1]) < 1e-12
+
+
+def _ratio_system(shape, k, jitter):
+    m = mesh.generate(3, 3, shape, jitter=jitter, seed=1)
+    sp_ = spaces.build_spaces(m, k)
+    prob = spaces.lid_driven_cavity(degree=k)
+    return prob.alpha, condense.condense(
+        assembly.build_block_system(sp_, prob))
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.2])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("shape", ["triangle", "quadrilateral"])
+def test_trace_form_ratios_match_per_sample_loop(shape, k, jitter):
+    """The stacked ratios equal one lift and one quadrature form per
+    sample, drawn from the same stream; 13 samples leave a partial
+    stack."""
+    alpha, cs = _ratio_system(shape, k, jitter)
+    sp_ = cs.spaces
+    Nh = spectra.trace_seminorm_matrix(sp_)
+    rng = np.random.default_rng(3)
+    interior = ~sp_.mesh.boundary_mask
+    loop = []
+    for _ in range(13):
+        w = np.zeros(sp_.n_ubar)
+        sp_.facet_velocity_coeffs(w)[interior] = rng.standard_normal(
+            (interior.sum(), 2, sp_.nbf))
+        loop.append(condense.trace_form_value(cs, alpha, w, w)
+                    / (w @ (Nh @ w)))
+    got = spectra.trace_form_ratios(cs, alpha, n_samples=13, seed=3)
+    assert got.shape == (13,)
+    assert np.abs(got - loop).max() <= 1e-13 * np.abs(loop).max()
+
+
+@pytest.mark.parametrize("shape", ["triangle", "quadrilateral"])
+def test_trace_form_value_stack_matches_per_field(shape):
+    """A (2, 3) stack of field pairs gives the value of each pair, and
+    the lift of a stack is the lift of each field."""
+    alpha, cs = _ratio_system(shape, 2, 0.2)
+    rng = np.random.default_rng(0)
+    V = rng.standard_normal((2, 3, cs.n_t))
+    W = rng.standard_normal((2, 3, cs.n_t))
+    got = condense.trace_form_value(cs, alpha, V, W)
+    assert got.shape == (2, 3)
+    want = np.array([condense.trace_form_value(cs, alpha, v, w)
+                     for v, w in zip(V.reshape(6, -1), W.reshape(6, -1))])
+    assert np.abs(got.ravel() - want).max() <= 1e-13 * np.abs(want).max()
+    lifted = condense.lift_traces(cs, V).reshape(6, -1)
+    one = np.array([condense.lift_traces(cs, v) for v in V.reshape(6, -1)])
+    assert np.abs(lifted - one).max() <= 1e-13 * np.abs(one).max()
