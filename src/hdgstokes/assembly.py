@@ -144,14 +144,6 @@ class Side:
             axis=2)
 
 
-def scalar_dg_penalty(sp_, alpha):
-    """(nc, nb, nb) sum over sides of alpha/h <phi, phi>."""
-    out = np.zeros((sp_.mesh.num_cells, sp_.nb, sp_.nb))
-    for e in range(sp_.nsides):
-        out += Side(sp_, e, alpha).penalty()
-    return _sym(out)
-
-
 def both_components(scalar):
     """(m, 2n, 2n) block diagonal repeating a scalar (m, n, n) batch
     for the two velocity components."""
@@ -217,7 +209,8 @@ class BlockSystem:
     facet_att, the (2nbf)^2 block of A_tt on the facet's velocity dofs
     (A_tt couples no two facets), rows and columns by component, then
     mode, as in `_t`.  Global: the CSR blocks M_p, M_s; the right-hand
-    sides L_u, L_t; g_values, the eliminated boundary datum.
+    sides L_u, L_t; g_values, the eliminated boundary datum; coercive,
+    the cell-wise coercivity guard of `velocity_blocks`.
     A_uu, A_tu, A_tt, B_pu and B_su are scattered from the per-cell and
     per-facet blocks on every access.
     """
@@ -325,56 +318,80 @@ class BlockSystem:
         return np.concatenate([self.L_u, self.L_t, np.zeros(np_tot)])
 
 
-def velocity_blocks(sp_, alpha, consistency=True):
-    """BlockSystem holding the velocity form only: local_auu_scalar, the
-    facet-velocity rows of the per-cell stack, and facet_att.  Without the
-    consistency terms the same blocks form the velocity pair norm.  The
-    same kernels, on one component, also fill local_form (nc, m, m), the
-    unconstrained form of each cell, [[A_0, T^T], [T, P]] with the cell
-    basis first and then the facet basis of each side: A_0 is
-    local_auu_scalar, T and P the `Side.facet_cell` and
-    `Side.facet_facet` kernels."""
+def local_velocity_form(sp_, alpha, consistency=True):
+    """(L, c): the unconstrained velocity form of every cell, on one
+    component, and the coefficients of the constant pair it annihilates.
+
+    L (nc, m, m) is [[A_0, T^T], [T, P]], the cell basis first and then
+    the facet basis of each side: A_0 is the cell block, T and P the
+    `Side.facet_cell` and `Side.facet_facet` kernels.  Without the
+    consistency terms it is the velocity pair norm.  L is affine in
+    alpha, L_0 + alpha L_pen.  c (nc, m) holds the coefficients of
+    v = vbar = 1 (both bases are orthonormal).  This is the one sum of
+    the `Side` kernels into the velocity form."""
     nb, nbf = sp_.nb, sp_.nbf
-    dt = _dof_maps(sp_)["t"]
-    bs = BlockSystem(sp_, alpha)
-    auu = scalar_stiffness(sp_)
-    bs.facet_att = np.zeros((sp_.mesh.num_facets, 2 * nbf, 2 * nbf))
     m = nb + sp_.nsides * nbf
-    bs.local_form = L = np.zeros((sp_.mesh.num_cells, m, m))
+    L = np.zeros((sp_.mesh.num_cells, m, m))
+    auu = scalar_stiffness(sp_)
     for e in range(sp_.nsides):
         side = Side(sp_, e, alpha)
         auu += _sym(side.penalty())
         if consistency:
             X = side.consistency()
             auu -= X + X.transpose(0, 2, 1)
-        T = side.facet_cell(consistency)
-        P = side.facet_facet()
         s = slice(nb + e * nbf, nb + (e + 1) * nbf)
-        L[:, s, :nb] = T
-        L[:, s, s] = P
-        for comp in range(2):
-            r = slice((2 * e + comp) * nbf, (2 * e + comp + 1) * nbf)
-            bs.local_coupling[:, r, comp * nb:(comp + 1) * nb] = T
-            bs.local_rows[:, r] = dt[side.facets, comp]
-            c = slice(comp * nbf, (comp + 1) * nbf)
-            np.add.at(bs.facet_att[:, c, c], side.facets, P)
-    bs.local_auu_scalar = auu
+        L[:, s, :nb] = side.facet_cell(consistency)
+        L[:, s, s] = side.facet_facet()
     L[:, :nb, :nb] = auu
     L[:, :nb, nb:] = L[:, nb:, :nb].transpose(0, 2, 1)
-    return bs
-
-
-def local_velocity_form(bs):
-    """The unconstrained velocity forms `bs.local_form` of the cells, on
-    one component, and the (nc, m) coefficients of the constant pair
-    v = vbar = 1, which each form annihilates (both bases are
-    orthonormal)."""
-    sp_ = bs.spaces
     c = np.concatenate(
         [np.einsum("cq,cqi->ci", sp_.cell_qw, sp_.phi, optimize=True),
          facet_integrals(sp_)[sp_.mesh.cell_facets]
          .reshape(sp_.mesh.num_cells, -1)], axis=1)
-    return bs.local_form, c
+    return L, c
+
+
+def velocity_blocks(sp_, alpha, consistency=True):
+    """BlockSystem holding the velocity form only, laid out from
+    `local_velocity_form`: local_auu_scalar, the facet-velocity rows of
+    the per-cell stack, and facet_att (without the consistency terms,
+    the velocity pair norm).  The forms are not kept: bs.coercive
+    records whether each is positive definite off its constant pair c,
+    by a batched Cholesky of L + sigma c c^T with c of unit length and
+    sigma the largest diagonal entry of L.  That suffices for
+    coercivity: the cell-wise sum is then positive off the constant
+    fields, so the condensed velocity block is SPD, and so is every
+    cell block that `condense` factors."""
+    nb, nbf = sp_.nb, sp_.nbf
+    dt = _dof_maps(sp_)["t"]
+    bs = BlockSystem(sp_, alpha)
+    L, const = local_velocity_form(sp_, alpha, consistency)
+    const /= np.linalg.norm(const, axis=1)[:, None]
+    sigma = np.einsum("cii->ci", L).max(axis=1)
+    bs.coercive = True
+    try:
+        # 512 cells at a time, each a shifted copy: one factor of all
+        # 8,192 cells of 64x64 triangles (k = 2), though freed at once,
+        # raised the later process peak inside `condense` from 347 to
+        # 354 MiB
+        for i in range(0, len(L), 512):
+            s = slice(i, i + 512)
+            np.linalg.cholesky(L[s] + sigma[s, None, None]
+                               * const[s, :, None] * const[s, None, :])
+    except np.linalg.LinAlgError:
+        bs.coercive = False
+    bs.local_auu_scalar = L[:, :nb, :nb].copy()
+    bs.facet_att = np.zeros((sp_.mesh.num_facets, 2 * nbf, 2 * nbf))
+    for e in range(sp_.nsides):
+        facets = sp_.mesh.cell_facets[:, e]
+        s = slice(nb + e * nbf, nb + (e + 1) * nbf)
+        for comp in range(2):
+            r = slice((2 * e + comp) * nbf, (2 * e + comp + 1) * nbf)
+            bs.local_coupling[:, r, comp * nb:(comp + 1) * nb] = L[:, s, :nb]
+            bs.local_rows[:, r] = dt[facets, comp]
+            c = slice(comp * nbf, (comp + 1) * nbf)
+            np.add.at(bs.facet_att[:, c, c], facets, L[:, s, s])
+    return bs
 
 
 def build_block_system(sp_, problem, bcs=True):

@@ -199,42 +199,12 @@ def _problem(cfg):
     return spaces.ProblemSpec(degree=cfg.degree, alpha=cfg.alpha)
 
 
-def check_coercive(bs):
-    """ConfigError unless every cell's unconstrained velocity form is
-    positive definite off its constant pair.  That suffices for
-    coercivity: the cell-wise sum is then positive off the constant
-    fields, so the condensed velocity block is SPD, and so is every
-    cell block that `condense` factors.  The check is a batched
-    Cholesky of L + sigma c c^T, with the local forms L and unit
-    constant pairs c of `assembly.local_velocity_form` and sigma the
-    largest diagonal entry of L."""
-    L, c = assembly.local_velocity_form(bs)
-    c /= np.linalg.norm(c, axis=1)[:, None]
-    sigma = np.einsum("cii->ci", L).max(axis=1)
-    try:
-        # 512 cells at a time, each a shifted copy (L is bs.local_form):
-        # one factor of all 8,192 cells of 64x64 triangles (k = 2),
-        # though freed at once, raised the later process peak inside
-        # `condense` from 347 to 354 MiB
-        for i in range(0, len(L), 512):
-            s = slice(i, i + 512)
-            np.linalg.cholesky(L[s] + sigma[s, None, None]
-                               * c[s, :, None] * c[s, None, :])
-    except np.linalg.LinAlgError:
-        raise ConfigError("the local velocity form is not positive "
-                          "definite for alpha = %g on these cells; raise "
-                          "alpha or use less distorted cells"
-                          % bs.alpha) from None
-
-
-def discretize(cfg, m, problem=None):
+def discretize(cfg, m):
     """Discretization stage on mesh m: spaces, boundary-flux check,
-    assembly, coercivity check and static condensation.  Returns
-    (spaces, bs, cs).
-
-    problem defaults to the configured one."""
+    assembly with its coercivity guard, and static condensation.
+    Returns (spaces, bs, cs)."""
     sp_ = spaces.build_spaces(m, cfg.degree)
-    prob = _problem(cfg) if problem is None else problem
+    prob = _problem(cfg)
     g = spaces.interpolate_boundary(sp_, prob.boundary_velocity)
     flux = assembly.boundary_flux_per_facet(sp_, g)
     scale = max(np.abs(g).max(), 1.0)
@@ -243,10 +213,10 @@ def discretize(cfg, m, problem=None):
                           "elimination would break mass conservation")
 
     bs = assembly.build_block_system(sp_, prob)
-    check_coercive(bs)
-    # the guard is the only reader of the local forms: dropped, they stay
-    # out of the memory peak inside `condense`
-    bs.local_form = None
+    if not bs.coercive:
+        raise ConfigError("the local velocity form is not positive "
+                          "definite for alpha = %g on these cells; raise "
+                          "alpha or use less distorted cells" % bs.alpha)
     return sp_, bs, condense.condense(bs)
 
 
@@ -346,10 +316,8 @@ def run_verify(cfg, outdir):
     def record(name, passed, **data):
         checks.append({"name": name, "passed": bool(passed), **data})
 
-    zero = spaces.ProblemSpec(degree=cfg.degree, alpha=cfg.alpha)
-    two_cell = discretize(cfg, _mesh.generate(1, 1, cfg.shape, cfg.domain),
-                          zero)
-    probes = [(m, *discretize(cfg, m, zero))
+    two_cell = discretize(cfg, _mesh.generate(1, 1, cfg.shape, cfg.domain))
+    probes = [(m, *discretize(cfg, m))
               for m in _mesh_ladder(cfg, cfg.verify_nx, cfg.verify_nx,
                                     cfg.verify_levels)]
     base = probes[0]
@@ -404,15 +372,17 @@ def run_verify(cfg, outdir):
               and max(highs) - min(highs) <= 0.25 * min(highs))
     record("trace_form_bracket_stable", stable, lower=lows, upper=highs)
 
-    # one converged solve: conservation and kernel hygiene
+    # one converged solve: conservation and kernel hygiene; the
+    # pointwise bounds hold only on triangles (`spectra.field_checks`),
+    # so on quadrilaterals they are recorded, not gated
     result, _, _, rep = solve_once(cfg, base[0], pc_kind="PM",
                                    method="minres", tol=1e-10)
     fc = result["field_checks"]
     scale = max(fc["velocity_scale"], 1e-300)
-    ok = (rep.converged
-          and fc["max_divergence"] <= 1e-8 * scale
-          and fc["max_normal_jump"] <= 1e-8 * scale
-          and rep.nullspace_residual <= 1e-10)
+    ok = rep.converged and rep.nullspace_residual <= 1e-10
+    if cfg.shape == "triangle":
+        ok = ok and (fc["max_divergence"] <= 1e-8 * scale
+                     and fc["max_normal_jump"] <= 1e-8 * scale)
     record("conservation_and_kernel", ok, field_checks=fc,
            nullspace_residual=rep.nullspace_residual,
            converged=rep.converged)

@@ -118,11 +118,11 @@ def minres(A, b, pc=None, tol=1e-8, maxiter=1000, nullspace=None,
     """Left-preconditioned MINRES.
 
     pc applies the inverse of the preconditioner.  Breakdown of the
-    Lanczos inner product (r, pc r) <= 0 - possible when pc is
-    indefinite - is reported, never silently ignored.  `residuals`
-    holds the relative residual of every iteration: the updated one,
-    or the true one where it was recomputed (always the last entry of
-    a converged solve).  `lanczos` holds the recurrence's (alfa, beta):
+    Lanczos inner product - (r, pc r) < 0, or = 0 for the first
+    residual, possible when pc is indefinite or singular - is reported,
+    never silently ignored.  `residuals` holds the relative residual of
+    every iteration: the updated one, or the true one where it was
+    recomputed (always the last entry of a converged solve).  `lanczos` holds the recurrence's (alfa, beta):
     the diagonal of the Lanczos tridiagonal and, shifted by one, its
     off-diagonal.
     """
@@ -148,10 +148,10 @@ def minres(A, b, pc=None, tol=1e-8, maxiter=1000, nullspace=None,
     r1 = b.copy()
     y = proj(apply_pc(r1))
     beta1 = r1 @ y
-    if beta1 <= 0.0:
-        if beta1 < 0.0:
-            return report(0, False, "indefinite preconditioner: (r, z) < 0")
-        return report(0, True)
+    if beta1 < 0.0:
+        return report(0, False, "indefinite preconditioner: (r, z) < 0")
+    if beta1 == 0.0:
+        return report(0, False, "singular preconditioner: (r, z) = 0")
     beta1 = np.sqrt(beta1)
 
     oldb, beta = 0.0, beta1
@@ -233,7 +233,10 @@ def gmres(A, b, pc=None, tol=1e-8, maxiter=1000, restart=50,
     iterations, at an estimated residual <= tol or at breakdown; it
     then forms the true residual proj(b - A x) once.  Its norm is the
     convergence test (and replaces the estimate as the last entry of
-    `residuals` when it passes); otherwise it starts the next cycle."""
+    `residuals` when it passes); otherwise it starts the next cycle.
+    A Hessenberg column that the earlier rotations leave zero (pc
+    annihilates the basis vector) is a breakdown: the cycle ends
+    before it, and so does the solve."""
     matvec = _as_matvec(A)
     apply_pc = pc if pc is not None else (lambda x: x.copy())
     proj = _projector(nullspace)
@@ -251,7 +254,8 @@ def gmres(A, b, pc=None, tol=1e-8, maxiter=1000, restart=50,
                        None, tol)
 
     r = b
-    while total < maxiter:
+    breakdown = None
+    while total < maxiter and breakdown is None:
         m = min(restart, maxiter - total)
         V = np.zeros((m + 1, n))
         H = np.zeros((m + 1, m))
@@ -270,6 +274,10 @@ def gmres(A, b, pc=None, tol=1e-8, maxiter=1000, restart=50,
                 H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
                 H[i, j] = t
             denom = np.hypot(H[j, j], H[j + 1, j])
+            if denom == 0.0:
+                breakdown = "singular operator at iteration %d" % total
+                residuals.append(abs(g[j]) / bnorm)
+                break
             cs[j] = H[j, j] / denom
             sn[j] = H[j + 1, j] / denom
             H[j, j] = denom
@@ -280,15 +288,16 @@ def gmres(A, b, pc=None, tol=1e-8, maxiter=1000, restart=50,
             if H[j + 1, j] == 0.0 or res <= tol:
                 break
             V[j + 1] = w / H[j + 1, j]
-        y = np.linalg.solve(np.triu(H[:j + 1, :j + 1]), g[:j + 1])
-        x = x + apply_pc(V[:j + 1].T @ y)
+        k = j if breakdown else j + 1
+        y = np.linalg.solve(np.triu(H[:k, :k]), g[:k])
+        x = x + apply_pc(V[:k].T @ y)
         r = proj(b - matvec(x))
         relres = np.linalg.norm(r) / bnorm
         if relres <= tol:
-            converged = True
+            converged, breakdown = True, None
             residuals[-1] = relres
             break
 
     x = proj(x)
     return _report("gmres", label, x, nullspace, total, converged, residuals,
-                   [], None, tol)
+                   [], breakdown, tol)

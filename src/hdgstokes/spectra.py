@@ -65,10 +65,10 @@ from . import spaces as _spaces
 
 def _dg_schur(sp_, alpha, R):
     """Per-cell R N^-1 R^T for a stack R of rows acting on the cell
-    velocity, with N the cell DG norm |grad v|^2_K + alpha/h |v|^2_dK."""
-    N0 = (_assembly.scalar_stiffness(sp_)
-          + _assembly.scalar_dg_penalty(sp_, alpha))
-    return _condense.cell_schur(N0, R)[0]
+    velocity, with N the cell DG norm |grad v|^2_K + alpha/h |v|^2_dK,
+    the cell block of the velocity pair norm."""
+    L, _ = _assembly.local_velocity_form(sp_, alpha, consistency=False)
+    return _condense.cell_schur(L[:, :sp_.nb, :sp_.nb], R)[0]
 
 
 def trace_seminorm_matrix(sp_):
@@ -304,10 +304,11 @@ def coercivity_bounds(sp_, alpha):
 
     The claim is about the bilinear form itself, so no boundary
     condition enters: both matrices are scattered from the per-cell
-    forms `local_form` of `assembly.velocity_blocks` (the pair norm
-    is the form without its consistency terms), cell dof c nb + i,
-    then facet dof nc nb + f nbf + j.  Returns (c_lower, c_upper); a
-    nonpositive lower value flags a coercivity failure."""
+    forms of `assembly.local_velocity_form` (the pair norm is the form
+    without its consistency terms), cell dof c nb + i, then facet dof
+    nc nb + f nbf + j, and so is the constant field.  Returns
+    (c_lower, c_upper); a nonpositive lower value flags a coercivity
+    failure."""
     mesh = sp_.mesh
     nc, nb, nbf = mesh.num_cells, sp_.nb, sp_.nbf
     n = nc * nb + mesh.num_facets * nbf
@@ -315,15 +316,13 @@ def coercivity_bounds(sp_, alpha):
         [np.arange(nc * nb).reshape(nc, nb),
          (nc * nb + mesh.cell_facets[:, :, None] * nbf
           + np.arange(nbf)).reshape(nc, -1)], axis=1)
-    A, N = (_assembly._scatter(dofs, dofs, _assembly.velocity_blocks(
-        sp_, alpha, consistency).local_form, (n, n)).toarray()
-        for consistency in (True, False))
-    comp = np.concatenate([
-        sp_.velocity_coeffs(np.arange(sp_.n_u))[:, 0].ravel(),
-        sp_.n_u + np.arange(sp_.n_ubar // 2)])
-    one = lambda x, y: (np.ones_like(x), np.zeros_like(x))
-    const = np.concatenate([_spaces.project_velocity(sp_, one),
-                            _spaces.project_facet_velocity(sp_, one)])[comp]
+
+    def dense(consistency):
+        L, c = _assembly.local_velocity_form(sp_, alpha, consistency)
+        return _assembly._scatter(dofs, dofs, L, (n, n)).toarray(), c
+    (A, c), (N, _) = dense(True), dense(False)
+    const = np.zeros(n)
+    const[dofs] = c
     # LAPACK's plain QR driver "gv": on the 8x8 level (n = 1391) it
     # takes 0.25 s against 0.33 s for the default divide and conquer,
     # and two one-value subsets (the two ends) take 0.45 s

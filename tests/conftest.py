@@ -15,6 +15,15 @@ def constant_facet_velocity_fields(sp_):
                                                          np.ones_like(x)))])
 
 
+def dg_penalty(sp_, alpha):
+    """(nc, nb, nb) sum over sides of alpha/h <phi, phi>, summed here
+    from the `Side` kernels, apart from `assembly.local_velocity_form`,
+    for the dense oracles."""
+    out = sum(assembly.Side(sp_, e, alpha).penalty()
+              for e in range(sp_.nsides))
+    return 0.5 * (out + out.transpose(0, 2, 1))
+
+
 @pytest.fixture(scope="session")
 def tri2():
     """Two right triangles tiling [-1,1]^2."""

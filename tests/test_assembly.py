@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import constant_facet_velocity_fields
+from conftest import constant_facet_velocity_fields, dg_penalty
 from hdgstokes import assembly, mesh, spaces
 
 SQ = np.sqrt(2.0)
@@ -202,7 +202,58 @@ def test_eliminated_datum_satisfies_no_penetration(sys4x4, cavity):
 
 def test_local_kernels_positive_semidefinite(raw_jitter):
     sp_, _ = raw_jitter
-    for batch in (assembly.scalar_dg_penalty(sp_, 24.0),
+    for batch in (dg_penalty(sp_, 24.0),
                   assembly.scalar_stiffness(sp_)):
         w = np.linalg.eigvalsh(batch)
         assert w.min() > -1e-11 * w.max()
+
+
+@pytest.mark.parametrize("mesh_name", ["tri_jitter", "quad_jitter"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_local_velocity_form_affine_in_alpha(request, mesh_name, k):
+    """L(alpha) = L(0) + alpha (L(1) - L(0)); the constant pair c does
+    not depend on alpha or the consistency terms, and L annihilates
+    it."""
+    sp_ = spaces.build_spaces(request.getfixturevalue(mesh_name), k)
+    L0, c = assembly.local_velocity_form(sp_, 0.0)
+    L1, _ = assembly.local_velocity_form(sp_, 1.0)
+    for alpha in (24.0, 54.0):
+        for consistency in (True, False):
+            L, c_a = assembly.local_velocity_form(sp_, alpha, consistency)
+            assert np.array_equal(c_a, c)
+            if consistency:
+                expect = L0 + alpha * (L1 - L0)
+                assert np.abs(L - expect).max() <= 1e-13 * np.abs(L).max()
+            assert np.abs(np.einsum("cij,cj->ci", L, c)).max() \
+                <= 1e-12 * np.abs(L).max()
+
+
+@pytest.mark.parametrize("shape", ["triangle", "quadrilateral"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("jitter", [0.0, 0.2])
+def test_velocity_blocks_are_slices_of_local_form(shape, k, jitter):
+    """local_auu_scalar, the facet-velocity rows of the per-cell stack
+    and facet_att are the slices and per-facet sums of the local forms,
+    bit for bit."""
+    m = mesh.generate(3, 3, shape, jitter=jitter, seed=5)
+    sp_ = spaces.build_spaces(m, k)
+    alpha = spaces.default_alpha(k)
+    bs = assembly.velocity_blocks(sp_, alpha)
+    L, _ = assembly.local_velocity_form(sp_, alpha)
+    nb, nbf = sp_.nb, sp_.nbf
+    assert np.array_equal(bs.local_auu_scalar, L[:, :nb, :nb])
+    att = np.zeros((m.num_facets, nbf, nbf))
+    for e in range(sp_.nsides):
+        s = slice(nb + e * nbf, nb + (e + 1) * nbf)
+        np.add.at(att, m.cell_facets[:, e], L[:, s, s])
+        for comp in range(2):
+            rows = bs.local_coupling[:, (2 * e + comp) * nbf:
+                                     (2 * e + comp + 1) * nbf]
+            assert np.array_equal(rows[:, :, comp * nb:(comp + 1) * nb],
+                                  L[:, s, :nb])
+            assert not rows[:, :, (1 - comp) * nb:(2 - comp) * nb].any()
+    for comp in range(2):
+        c = slice(comp * nbf, (comp + 1) * nbf)
+        assert np.array_equal(bs.facet_att[:, c, c], att)
+        other = slice((1 - comp) * nbf, (2 - comp) * nbf)
+        assert not bs.facet_att[:, c, other].any()

@@ -238,6 +238,21 @@ def test_verify_passes_on_small_ladder(tmp_path, capsys):
     assert all(line.endswith("pass") for line in lines)
 
 
+def test_verify_passes_on_default_quadrilaterals(tmp_path):
+    """The pointwise divergence and normal-jump bounds hold only on
+    triangles: on quadrilaterals they are recorded, and verify gates
+    convergence and the kernel residual."""
+    path = _ini(tmp_path, "[mesh]\nshape = quadrilateral\n")
+    assert cli.main(["verify", "--config", path,
+                     "--out", str(tmp_path / "v")]) == 0
+    report = json.loads((tmp_path / "v" / "verify.json").read_text())
+    (check,) = [c for c in report["checks"]
+                if c["name"] == "conservation_and_kernel"]
+    assert check["passed"] and check["converged"]
+    fc = check["field_checks"]
+    assert fc["max_divergence"] > 1e-8 * fc["velocity_scale"]
+
+
 def test_export_round_trips_matrices(tmp_path):
     cfg = cli.RunConfig(nx=1, ny=1)
     out = tmp_path / "export"
@@ -317,7 +332,8 @@ def test_coercivity_guard_follows_dense_probe(shape, degree, jitter,
                                               coercive):
     """At the default alpha on 6x6 meshes, the cell-wise guard refuses
     the velocity forms that the dense probe finds not coercive, and
-    accepts the others."""
+    accepts the others; `discretize` turns a refusal into a
+    ConfigError."""
     m = mesh.generate(6, 6, shape, jitter=jitter, seed=1)
     sp_ = spaces.build_spaces(m, degree)
     prob = spaces.ProblemSpec(degree=degree,
@@ -325,11 +341,14 @@ def test_coercivity_guard_follows_dense_probe(shape, degree, jitter,
     lo, _ = spectra.coercivity_bounds(sp_, prob.alpha)
     assert (lo > 0) == coercive
     bs = assembly.build_block_system(sp_, prob)
+    assert bs.coercive == coercive
+    cfg = cli.RunConfig(shape=shape, nx=6, ny=6, degree=degree,
+                        jitter=jitter, seed=1)
     if coercive:
-        cli.check_coercive(bs)
+        cli.discretize(cfg, m)
     else:
         with pytest.raises(cli.ConfigError, match="not positive definite"):
-            cli.check_coercive(bs)
+            cli.discretize(cfg, m)
 
 
 def _head(path, n=200):

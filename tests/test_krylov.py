@@ -59,6 +59,32 @@ def test_minres_reports_indefinite_preconditioner():
     assert "indefinite" in rep.breakdown
 
 
+# A = diag(1, 2, 3), b = e_1, and a preconditioner r -> (0, r_0, 0):
+# (b, pc b) = 0 for b != 0, and pc annihilates pc b
+_DIAG3 = np.diag([1.0, 2.0, 3.0])
+_E1 = np.array([1.0, 0.0, 0.0])
+
+
+def _shift_pc(r):
+    return np.array([0.0, r[0], 0.0])
+
+
+def test_minres_reports_zero_first_lanczos_product():
+    rep = krylov.minres(_DIAG3, _E1, pc=_shift_pc, tol=1e-10, maxiter=50)
+    assert not rep.converged
+    assert rep.breakdown is not None and "(r, z) = 0" in rep.breakdown
+    assert rep.iterations == 0
+
+
+def test_gmres_reports_annihilated_column():
+    rep = krylov.gmres(_DIAG3, _E1, pc=_shift_pc, tol=1e-10, maxiter=50)
+    assert not rep.converged
+    assert rep.breakdown is not None and "singular" in rep.breakdown
+    assert rep.iterations == len(rep.residuals) == 2
+    assert np.all(np.isfinite(rep.x))
+    assert rep.to_dict()["breakdown"] == rep.breakdown
+
+
 def test_minres_preconditioned_residual_monotone():
     A = _spd(60, 4)
     M = np.diag(1.0 / np.diag(A))

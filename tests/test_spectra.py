@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from conftest import constant_facet_velocity_fields
+from conftest import constant_facet_velocity_fields, dg_penalty
 from hdgstokes import assembly, condense, mesh, spaces, spectra
 
 
@@ -166,8 +166,7 @@ def test_cell_infsup_positive_and_congruence_invariant(tri4x4, cavity):
 def test_cell_infsup_matches_dense_oracle(sys2):
     sp_, bs, _ = sys2
     alpha = bs.alpha
-    S1 = (assembly.scalar_stiffness(sp_)
-          + assembly.scalar_dg_penalty(sp_, alpha))[0]
+    S1 = (assembly.scalar_stiffness(sp_) + dg_penalty(sp_, alpha))[0]
     nb = sp_.nb
     N = np.zeros((2 * nb, 2 * nb))
     N[:nb, :nb] = S1
@@ -187,8 +186,7 @@ def test_facet_infsup_matches_element_schur(oracle_sys):
     sp_, bs, _ = oracle_sys
     val = spectra.facet_infsup(bs)
     assert val > 0
-    S1 = (assembly.scalar_stiffness(sp_)
-          + assembly.scalar_dg_penalty(sp_, bs.alpha))
+    S1 = assembly.scalar_stiffness(sp_) + dg_penalty(sp_, bs.alpha)
     nc, nb = tuple([sp_.mesh.num_cells, sp_.nb])
     Ssum = np.zeros((sp_.n_pbar, sp_.n_pbar))
     Bsu = bs.B_su.toarray()
