@@ -5,19 +5,19 @@ the sparse factorization of every SPD matrix the solver factors.
 in the form of Cockburn, Dubois, Gopalakrishnan & Tan ("Multigrid for
 an HDG method", IMA J. Numer. Anal., 2014): the trace unknowns are
 smoothed by facet-block Jacobi, and the smooth error is removed on an
-auxiliary space (continuous P1 on the mesh vertices in `precond`)
-through a prolongator P.  One cycle is a smoothing step, the Galerkin
-correction P (P^T A P)^-1 P^T and the same smoothing step again, so a
-cycle is a symmetric operator.  The smoothing step is the degree-2
-Chebyshev polynomial in S A on [1/4, 1], with S the facet-block
-inverse D^-1 scaled by 1/lambda_max(D^-1 A) (Adams, Brezina, Hu &
-Tuminaro, J. Comput. Phys. 188, 2003).  Its error polynomial
-1 - c1 t + c2 t^2 has modulus below 1 on (0, c1/c2) = (0, 1.25), so
-the cycle stays A-contractive even when the power iteration
-underestimates lambda_max, and every cycle count gives a positive
-definite approximate inverse whose spectrum against A lies in (0, 1].
-The power iteration starts from a fixed seed, so the cycle is the same
-operator from run to run.
+auxiliary space (continuous P1 on the interior mesh vertices) through
+the prolongator P of `spaces.vertex_trace_prolongator`.  One cycle is
+a smoothing step, the Galerkin correction P (P^T A P)^-1 P^T and the
+same smoothing step again, so a cycle is a symmetric operator.  The
+smoothing step is the degree-2 Chebyshev polynomial in S A on [1/4, 1],
+with S the facet-block inverse D^-1 scaled by 1/lambda_max(D^-1 A)
+(Adams, Brezina, Hu & Tuminaro, J. Comput. Phys. 188, 2003).  Its
+error polynomial 1 - c1 t + c2 t^2 has modulus below 1 on
+(0, c1/c2) = (0, 1.25), so the cycle stays A-contractive even when the
+power iteration underestimates lambda_max, and every cycle count gives
+a positive definite approximate inverse whose spectrum against A lies
+in (0, 1].  The power iteration starts from a fixed seed, so the cycle
+is the same operator from run to run.
 
 The smoothing step from a zero guess is one precomputed matrix,
 c1 S - c2 S A S, which has the sparsity of A, since S is block diagonal; it

@@ -24,8 +24,9 @@ are defined here once, for the norms of the spectra module as well.
 Pressure masses: M_p is the plain cell mass (identity in the modal
 basis); M_s carries the facet weight h_K+ + h_K- (interior) or h_K
 (boundary).  Both are diagonal because the modal bases are
-orthonormal; `mass_diagonal` is the one check of that, for the
-preconditioners and the spectral probes alike.
+orthonormal; `build_block_system` checks that once, with
+`mass_diagonal`, and stores the diagonal (`BlockSystem.mass`) that the
+preconditioners and the spectral probes read.
 
 Dirichlet data on the facet velocity is eliminated symmetrically:
 constrained rows/columns of A are cleared, the diagonal is set to one,
@@ -208,7 +209,8 @@ class BlockSystem:
     indices local_rows in the condensed t, p, s numbering.  Per facet:
     facet_att, the (2nbf)^2 block of A_tt on the facet's velocity dofs
     (A_tt couples no two facets), rows and columns by component, then
-    mode, as in `_t`.  Global: the CSR blocks M_p, M_s; the right-hand
+    mode, as in `_t`.  Global: the CSR blocks M_p, M_s and mass, their
+    diagonal (n_p + n_s,) as `mass_diagonal` checked it; the right-hand
     sides L_u, L_t; g_values, the eliminated boundary datum; coercive,
     the cell-wise coercivity guard of `velocity_blocks`.
     A_uu, A_tu, A_tt, B_pu and B_su are scattered from the per-cell and
@@ -418,6 +420,8 @@ def build_block_system(sp_, problem, bcs=True):
     bs.M_s = _scatter(dm["s"], dm["s"],
                       facet_mass(sp_, facet_mass_weights(sp_.mesh)),
                       (sp_.n_pbar, sp_.n_pbar))
+    bs.mass = np.concatenate([mass_diagonal(bs.M_p, "cell pressure mass"),
+                              mass_diagonal(bs.M_s, "facet pressure mass")])
 
     # body force
     F = _spaces._eval_vector(problem.body_force, sp_.cell_qp)

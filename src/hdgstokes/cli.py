@@ -9,7 +9,7 @@ which states each option once; every run is deterministic for a fixed
 configuration.
 
 All four share one pipeline of two stages: `discretize` (spaces,
-boundary-flux check, assembly, static condensation) and
+assembly, boundary-flux check, static condensation) and
 `krylov_solve` (block preconditioner, MINRES or GMRES).
 
 Exit codes: 0 success, 1 failed verification or non-converged solve,
@@ -200,19 +200,17 @@ def _problem(cfg):
 
 
 def discretize(cfg, m):
-    """Discretization stage on mesh m: spaces, boundary-flux check,
-    assembly with its coercivity guard, and static condensation.
-    Returns (spaces, bs, cs)."""
+    """Discretization stage on mesh m: spaces, assembly, the flux check
+    of the eliminated boundary datum, the coercivity guard, and static
+    condensation.  Returns (spaces, bs, cs)."""
     sp_ = spaces.build_spaces(m, cfg.degree)
-    prob = _problem(cfg)
-    g = spaces.interpolate_boundary(sp_, prob.boundary_velocity)
+    bs = assembly.build_block_system(sp_, _problem(cfg))
+    g = bs.g_values
     flux = assembly.boundary_flux_per_facet(sp_, g)
     scale = max(np.abs(g).max(), 1.0)
     if flux.size and np.abs(flux).max() > 1e-10 * scale:
         raise ConfigError("boundary datum has nonzero normal flux; "
                           "elimination would break mass conservation")
-
-    bs = assembly.build_block_system(sp_, prob)
     if not bs.coercive:
         raise ConfigError("the local velocity form is not positive "
                           "definite for alpha = %g on these cells; raise "
@@ -220,11 +218,11 @@ def discretize(cfg, m):
     return sp_, bs, condense.condense(bs)
 
 
-def krylov_solve(cfg, bs, cs, kind, method, tol):
+def krylov_solve(cfg, cs, kind, method, tol):
     """Solve stage: preconditioner `kind` and MINRES or GMRES on the
     condensed system.  Returns the SolverReport (solution in .x)."""
-    pc = precond.build_preconditioner(cs, bs.M_p, bs.M_s, kind=kind,
-                                      rbar_mode=cfg.rbar, cycles=cfg.cycles)
+    pc = precond.build_preconditioner(cs, kind=kind, rbar_mode=cfg.rbar,
+                                      cycles=cfg.cycles)
     opts = {"tol": tol, "maxiter": cfg.maxiter,
             "nullspace": cs.nullspace_vector(), "label": kind}
     if method == "minres":
@@ -232,12 +230,13 @@ def krylov_solve(cfg, bs, cs, kind, method, tol):
     return krylov.gmres(cs.K, cs.rhs, pc.apply, restart=cfg.restart, **opts)
 
 
-def solve_once(cfg, m, pc_kind=None, method=None, tol=None):
-    """Both stages and the velocity recovery on a given mesh.
+def solve_once(cfg, level, pc_kind=None, method=None, tol=None):
+    """The solve stage and the velocity recovery on a discretized
+    level (m, spaces, bs, cs), a mesh and what `discretize` made of it.
 
-    Returns (result dict, fields, condensed system, solver report)."""
-    sp_, bs, cs = discretize(cfg, m)
-    rep = krylov_solve(cfg, bs, cs, pc_kind or cfg.pc, method or cfg.method,
+    Returns (result dict, fields, solver report)."""
+    m, sp_, bs, cs = level
+    rep = krylov_solve(cfg, cs, pc_kind or cfg.pc, method or cfg.method,
                        cfg.tol if tol is None else tol)
 
     ubar, p, pbar = cs.split(rep.x)
@@ -264,13 +263,13 @@ def solve_once(cfg, m, pc_kind=None, method=None, tol=None):
         "pressure_mean_shift": float(shift),
     }
     fields = {"u": u, "ubar": ubar, "p": p, "pbar": pbar}
-    return result, fields, cs, rep
+    return result, fields, rep
 
 
 def run_solve(cfg, outdir, save_solution=False):
     os.makedirs(outdir, exist_ok=True)
     (m,) = _mesh_ladder(cfg, cfg.nx, cfg.ny, 1)
-    result, fields, _, rep = solve_once(cfg, m)
+    result, fields, rep = solve_once(cfg, (m, *discretize(cfg, m)))
     with open(os.path.join(outdir, "report.json"), "w") as fh:
         json.dump(result, fh, indent=2)
     if save_solution:
@@ -287,10 +286,10 @@ def run_study(cfg, outdir):
     detail = []
     failed = False
     for level, m in enumerate(_mesh_ladder(cfg, cfg.nx, cfg.ny, cfg.levels)):
-        _, bs, cs = discretize(cfg, m)
+        _, _, cs = discretize(cfg, m)
         row = {"level": level, "cells": m.num_cells, "dofs": cs.size}
         for kind in precond.KINDS:
-            rep = krylov_solve(cfg, bs, cs, kind, "minres", cfg.tol)
+            rep = krylov_solve(cfg, cs, kind, "minres", cfg.tol)
             row[kind] = rep.iterations if rep.converged else -1
             failed = failed or not rep.converged
             detail.append({"level": level, **rep.to_dict()})
@@ -328,10 +327,8 @@ def run_verify(cfg, outdir):
         record("schur_identity_" + label, res <= 1e-9, residual=res)
 
     # spectra of the pressure Schur complement and of its element blocks
-    full = [spectra.schur_spectrum(cs, bs.M_p, bs.M_s)
-            for _, _, bs, cs in probes]
-    cond = [spectra.element_block_spectrum(cs, bs.M_p, bs.M_s)
-            for _, _, bs, cs in probes]
+    full = [spectra.schur_spectrum(cs) for _, _, _, cs in probes]
+    cond = [spectra.element_block_spectrum(cs) for _, _, _, cs in probes]
 
     def drift_ok(seq):
         ok = all(lo > 0 for lo, _ in seq)
@@ -365,7 +362,7 @@ def run_verify(cfg, outdir):
     # trace-form equivalence bracket across levels
     lows, highs = [], []
     for _, _, _, cs in probes:
-        r = spectra.trace_form_ratios(cs, cfg.alpha)
+        r = spectra.trace_form_ratios(cs)
         lows.append(r.min())
         highs.append(r.max())
     stable = (max(lows) - min(lows) <= 0.25 * min(lows)
@@ -375,8 +372,8 @@ def run_verify(cfg, outdir):
     # one converged solve: conservation and kernel hygiene; the
     # pointwise bounds hold only on triangles (`spectra.field_checks`),
     # so on quadrilaterals they are recorded, not gated
-    result, _, _, rep = solve_once(cfg, base[0], pc_kind="PM",
-                                   method="minres", tol=1e-10)
+    result, _, rep = solve_once(cfg, base, pc_kind="PM", method="minres",
+                                tol=1e-10)
     fc = result["field_checks"]
     scale = max(fc["velocity_scale"], 1e-300)
     ok = rep.converged and rep.nullspace_residual <= 1e-10

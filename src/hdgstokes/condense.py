@@ -62,6 +62,8 @@ class CondensedSystem:
         component, K[:n_t/2, :n_t/2]; Abar = block("t", "t") is
         bdiag(Abar_scalar, Abar_scalar).
     rhs : full condensed right-hand side (t, p, s ordering).
+    mass : (n_p + n_s,) checked pressure mass diagonal, `BlockSystem.mass`.
+    alpha : penalty of the condensed velocity form, `BlockSystem.alpha`.
 
     Recovery data, read by `recover_velocity`:
 
@@ -75,8 +77,10 @@ class CondensedSystem:
     L_u : (n_u,) interior-velocity load vector.
     """
 
-    def __init__(self, spaces, layout):
+    def __init__(self, spaces, layout, mass, alpha):
         self.spaces = spaces
+        self.mass = mass
+        self.alpha = alpha
         # the range of each block in the condensed numbering
         self._ranges = {key: slice(offset, offset + n)
                         for key, (_, offset, n) in layout.items()}
@@ -130,7 +134,7 @@ def condense(bs):
     """Eliminate interior velocities from an assembled BlockSystem."""
     sp_ = bs.spaces
     nc, nb = sp_.mesh.num_cells, sp_.nb
-    cs = CondensedSystem(sp_, bs.layout)
+    cs = CondensedSystem(sp_, bs.layout, bs.mass, bs.alpha)
 
     V, Wt, Linv = cell_schur(bs.local_auu_scalar, bs.local_coupling)
     V *= -1.0
@@ -208,12 +212,12 @@ def lift_traces(cs, ubar):
                             L_u=np.zeros_like(cs.L_u))
 
 
-def trace_form_value(cs, alpha, vbar, wbar):
-    """Condensed velocity form evaluated by the variational route:
-    lift both facet fields, then evaluate the velocity form term by
-    term with quadrature.  Independent of the assembled Abar.  Stacks
-    of fields along leading axes give the value of each pair.  A field
-    passed as both arguments is lifted once."""
+def trace_form_value(cs, vbar, wbar):
+    """Condensed velocity form (penalty `cs.alpha`) evaluated by the
+    variational route: lift both facet fields, then evaluate the form
+    term by term with quadrature.  Independent of the assembled Abar.
+    Stacks of fields along leading axes give the value of each pair.
+    A field passed as both arguments is lifted once."""
     lv = lift_traces(cs, vbar)
     lw = lv if wbar is vbar else lift_traces(cs, wbar)
-    return _assembly.a_form_value(cs.spaces, alpha, lv, vbar, lw, wbar)
+    return _assembly.a_form_value(cs.spaces, cs.alpha, lv, vbar, lw, wbar)

@@ -122,9 +122,9 @@ def minres(A, b, pc=None, tol=1e-8, maxiter=1000, nullspace=None,
     residual, possible when pc is indefinite or singular - is reported,
     never silently ignored.  `residuals` holds the relative residual of
     every iteration: the updated one, or the true one where it was
-    recomputed (always the last entry of a converged solve).  `lanczos` holds the recurrence's (alfa, beta):
-    the diagonal of the Lanczos tridiagonal and, shifted by one, its
-    off-diagonal.
+    recomputed (always the last entry of a converged solve).
+    `lanczos` holds the recurrence's (alfa, beta): the diagonal of the
+    Lanczos tridiagonal and, shifted by one, its off-diagonal.
     """
     matvec = _as_matvec(A)
     apply_pc = pc if pc is not None else (lambda x: x.copy())

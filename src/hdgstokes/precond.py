@@ -23,9 +23,8 @@ the same holds in both sweeps of the SGS kinds.  Every
 factorization here is `amg.spd_lu` (symmetric minimum-degree ordering,
 diagonal pivots), since all factored blocks are SPD.  The modal bases
 are orthonormal, so the pressure masses of the PM kinds are diagonal:
-they are applied as r / diag(M), after `assembly.mass_diagonal` has
-checked that the off-diagonal part is at roundoff level; a mass that is
-not diagonal is refused.
+they are applied as r / d with d the slices of `cs.mass`, the diagonal
+that assembly checked once (`assembly.mass_diagonal`).
 
 The SGS kinds compose (P_L + P_D) P_D^-1 (P_D + P_L^T) with P_L the
 strictly lower block triangle of the condensed operator.  The sweep
@@ -45,7 +44,6 @@ SGS kinds.  The PM kind reads nothing beyond `Abar_scalar`.
 
 import numpy as np
 
-from . import assembly as _assembly
 from . import spaces as _spaces
 from .amg import AuxiliarySpace, spd_lu
 
@@ -91,12 +89,6 @@ class OperatorApprox:
         return self.amg.solve(r, cycles=self.cycles)
 
 
-def _diagonal_solver(M, name):
-    """r -> M^-1 r for a mass that `assembly.mass_diagonal` accepts."""
-    d = _assembly.mass_diagonal(M, name)
-    return lambda r: r / d
-
-
 class Preconditioner:
     """One of the four block preconditioners; `apply` maps a condensed
     residual to the preconditioned vector."""
@@ -134,13 +126,12 @@ class Preconditioner:
         return np.concatenate([z1, z2, z3])
 
 
-def build_preconditioner(cs, M_p, M_s, kind="PM", rbar_mode="exact",
-                         cycles=4):
+def build_preconditioner(cs, kind="PM", rbar_mode="exact", cycles=4):
     """Assemble one of the four preconditioners for a condensed system.
 
-    M_p, M_s are the assembled pressure mass blocks; the PM kinds
-    require them diagonal and raise ValueError otherwise.  The velocity
-    block approximation is built on the scalar block `cs.Abar_scalar`.
+    The PM kinds divide by the pressure mass diagonal `cs.mass`.  The
+    velocity block approximation is built on the scalar block
+    `cs.Abar_scalar`.
     """
     if kind not in KINDS:
         raise ValueError("unknown preconditioner kind %r; expected one of %s"
@@ -149,8 +140,9 @@ def build_preconditioner(cs, M_p, M_s, kind="PM", rbar_mode="exact",
                           spaces=cs.spaces)
 
     if kind.startswith("PM"):
-        solve2 = _diagonal_solver(M_p, "cell pressure mass")
-        solve3 = _diagonal_solver(M_s, "facet pressure mass")
+        d_p, d_s = cs.mass[:cs.n_p], cs.mass[cs.n_p:]
+        solve2 = lambda r: r / d_p
+        solve3 = lambda r: r / d_s
     else:
         solve2 = spd_lu(-cs.block("p", "p")).solve
         solve3 = spd_lu(-cs.block("s", "s")).solve

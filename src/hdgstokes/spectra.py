@@ -18,11 +18,12 @@ the element kernels of the assembly module.  The probes compute:
 * pointwise divergence and interelement normal-flux checks of a
   computed velocity (exactly zero, up to roundoff, on triangles).
 
-The pressure masses are diagonal (orthonormal modal bases, checked by
-`assembly.mass_diagonal`), so every pressure pencil (S, M), the
-per-cell one of `cell_infsup` included, is the standard symmetric
-problem D^-1/2 S D^-1/2 with D = diag(M).  Only extreme eigenvalues
-are read, so the global pressure pencils are solved by Lanczos
+The pressure masses are diagonal (orthonormal modal bases, checked once
+by assembly), and the probes read only that diagonal D (`cs.mass`,
+`bs.mass`): every pressure pencil (S, M), the per-cell one of
+`cell_infsup` included, is the standard symmetric problem
+D^-1/2 S D^-1/2.  Only extreme eigenvalues are read, so the global
+pressure pencils are solved by Lanczos
 (`_lanczos_extremes`, which tests its Ritz values every
 `_LANCZOS_CHECK` steps) on operators that are never formed: the
 pressure Schur complement in its condensed form
@@ -198,16 +199,15 @@ def _deflate(S, v):
     return flat[:n * n].reshape(n, n).T
 
 
-def _mass_pencil_extremes(apply, M, c=None):
-    """(lmin, lmax) of the pencil (S, M) for a diagonal mass M, on the
-    M-orthogonal complement of c when c is given; `apply` is the
-    product x -> S x.
+def _mass_pencil_extremes(apply, d, c=None):
+    """(lmin, lmax) of the pencil (S, D) for the diagonal mass
+    D = diag(d), on the D-orthogonal complement of c when c is given;
+    `apply` is the product x -> S x.
 
-    With D = diag(M) the pencil is the standard problem
-    H = D^-1/2 S D^-1/2, and the constraint c^T M x = 0 reads
-    v^T y = 0 for y = D^1/2 x, v = D^1/2 c, which `_restricted`
-    removes."""
-    s = 1.0 / np.sqrt(_assembly.mass_diagonal(M, "pressure mass"))
+    The pencil is the standard problem H = D^-1/2 S D^-1/2, and the
+    constraint c^T D x = 0 reads v^T y = 0 for y = D^1/2 x,
+    v = D^1/2 c, which `_restricted` removes."""
+    s = 1.0 / np.sqrt(d)
     op = lambda x: s * apply(s * x)
     n = len(s)
     if c is not None:
@@ -232,10 +232,10 @@ def _pressure_rows(cs):
 
 # -- probes -----------------------------------------------------------
 
-def schur_spectrum(cs, M_p, M_s, deflate=True):
+def schur_spectrum(cs, deflate=True):
     """Extreme generalized eigenvalues of the pressure Schur complement
-    against bdiag(M_p, M_s), with the constant pressure deflated;
-    returns (lmin, lmax).
+    against the pressure mass (diagonal `cs.mass`), with the constant
+    pressure deflated; returns (lmin, lmax).
 
     The complement is applied in its condensed form
     Bbar Abar^-1 Bbar^T - C, the same matrix as B A^-1 B^T
@@ -250,10 +250,10 @@ def schur_spectrum(cs, M_p, M_s, deflate=True):
         y = solve((BbarT @ x).reshape(2, -1).T).T.ravel()
         return Bbar @ y - C @ x
     c = _spaces.constant_pressure_vector(cs.spaces) if deflate else None
-    return _mass_pencil_extremes(apply, sp.block_diag([M_p, M_s]), c)
+    return _mass_pencil_extremes(apply, cs.mass, c)
 
 
-def element_block_spectrum(cs, M_p, M_s, deflate=False):
+def element_block_spectrum(cs, deflate=False):
     """Extreme generalized eigenvalues of (bdiag(-C_pp, -C_ss), M).
 
     The element-matrix preconditioner blocks are the cell and facet
@@ -270,10 +270,10 @@ def element_block_spectrum(cs, M_p, M_s, deflate=False):
     C_pp, C_ss = cs.block("p", "p"), cs.block("s", "s")
     if deflate:
         C = sp.block_diag([-C_pp, -C_ss], format="csr")
-        return _mass_pencil_extremes(C.__matmul__, sp.block_diag([M_p, M_s]),
+        return _mass_pencil_extremes(C.__matmul__, cs.mass,
                                      _spaces.constant_pressure_vector(
                                          cs.spaces))
-    s = 1.0 / np.sqrt(_assembly.mass_diagonal(M_p, "pressure mass"))
+    s = 1.0 / np.sqrt(cs.mass[:cs.n_p])
     npc = cs.spaces.np_cell
     C = C_pp.tocoo()
     cell = C.row // npc
@@ -282,7 +282,7 @@ def element_block_spectrum(cs, M_p, M_s, deflate=False):
     G = np.zeros((cs.n_p // npc, npc, npc))
     G[cell, C.row % npc, C.col % npc] = -C.data * s[C.row] * s[C.col]
     wp = np.linalg.eigvalsh(G)
-    lo, hi = _mass_pencil_extremes((-C_ss).__matmul__, M_s)
+    lo, hi = _mass_pencil_extremes((-C_ss).__matmul__, cs.mass[cs.n_p:])
     return float(min(wp[:, 0].min(), lo)), float(max(wp[:, -1].max(), hi))
 
 
@@ -338,8 +338,7 @@ def cell_infsup(bs):
     (B_pu N_dg^-1 B_pu^T, M_p); one beta per cell (no deflation)."""
     rows, Bp = bs.local_block("p")
     G = _dg_schur(bs.spaces, bs.alpha, Bp)
-    s = 1.0 / np.sqrt(_assembly.mass_diagonal(bs.M_p, "pressure mass"))
-    s = s[rows]
+    s = 1.0 / np.sqrt(bs.mass[rows])    # cell pressures lead bs.mass
     G *= s[:, :, None]
     G *= s[:, None, :]
     w = np.linalg.eigvalsh(G)
@@ -355,16 +354,17 @@ def facet_infsup(bs):
     rows, Bs = bs.local_block("s")
     G = _dg_schur(sp_, bs.alpha, Bs)
     Gs = _assembly._scatter(rows, rows, G, (sp_.n_pbar, sp_.n_pbar))
-    d = np.sqrt(_assembly.mass_diagonal(bs.M_s, "pressure mass"))
+    d = np.sqrt(bs.mass[sp_.n_p:])
     solve = _amg.spd_lu(Gs).solve
     (top,) = _lanczos_extremes(lambda x: d * solve(d * x), len(d),
                                ends=(-1,))
     return float(np.sqrt(max(1.0 / top, 0.0)))
 
 
-def trace_form_ratios(cs, alpha, n_samples=50, seed=3):
+def trace_form_ratios(cs, n_samples=50, seed=3):
     """Rayleigh ratios of the condensed velocity form (variational
-    route: lift, then evaluate the form by quadrature) against the
+    route: lift, then evaluate the form, with the penalty `cs.alpha`,
+    by quadrature) against the
     mean-deflated trace seminorm, over random facet fields vanishing
     on the boundary.  The fields are lifted and evaluated as stacks of
     _TRACE_BLOCK."""
@@ -378,7 +378,7 @@ def trace_form_ratios(cs, alpha, n_samples=50, seed=3):
         # drawn facet by facet, whatever the order of the dofs
         sp_.facet_velocity_coeffs(W)[:, interior] = rng.standard_normal(
             (len(W), interior.sum(), 2, sp_.nbf))
-        num = _condense.trace_form_value(cs, alpha, W, W)
+        num = _condense.trace_form_value(cs, W, W)
         den = np.einsum("mi,im->m", W, Nh @ W.T)
         ratios.append(num / den)
     return np.concatenate(ratios)

@@ -45,10 +45,9 @@ def schur_ladder():
     full, elem = [], []
     t0 = time.monotonic()
     for n in (4, 8, 16):
-        _, bs, cs = _system(mesh.generate(n, n))
-        full.append(spectra.schur_spectrum(cs, bs.M_p, bs.M_s))
-        elem.append(spectra.element_block_spectrum(cs, bs.M_p, bs.M_s,
-                                                   deflate=True))
+        _, _, cs = _system(mesh.generate(n, n))
+        full.append(spectra.schur_spectrum(cs))
+        elem.append(spectra.element_block_spectrum(cs, deflate=True))
     return full, elem, time.monotonic() - t0
 
 
@@ -61,21 +60,19 @@ def cavity_ladder():
     finest = None
     t0 = time.monotonic()
     for n in (8, 16, 32, 64):
-        _, bs, cs = _system(mesh.generate(n, n))
+        _, _, cs = _system(mesh.generate(n, n))
         nullv = cs.nullspace_vector()
         for kind in KINDS:
-            pc = precond.build_preconditioner(cs, bs.M_p, bs.M_s, kind=kind,
-                                              rbar_mode="exact")
+            pc = precond.build_preconditioner(cs, kind=kind, rbar_mode="exact")
             rep = krylov.minres(cs.K, cs.rhs, pc.apply, tol=1e-8,
                                 maxiter=1000, nullspace=nullv, label=kind)
             assert rep.converged, f"{kind} stalled on the {n}x{n} level"
             counts[kind].append(rep.iterations)
-        finest = (bs, cs, nullv)
+        finest = (cs, nullv)
     elapsed = time.monotonic() - t0
 
-    bs, cs, nullv = finest
-    pc = precond.build_preconditioner(cs, bs.M_p, bs.M_s, kind="PC-SGS",
-                                      rbar_mode="exact")
+    cs, nullv = finest
+    pc = precond.build_preconditioner(cs, kind="PC-SGS", rbar_mode="exact")
     grep = krylov.gmres(cs.K, cs.rhs, pc.apply, tol=1e-8, maxiter=600,
                         restart=150, nullspace=nullv, label="PC-SGS")
     return counts, elapsed, grep
@@ -172,7 +169,8 @@ def test_08_divergence_free_and_normal_continuity():
     """A converged cavity velocity is pointwise divergence-free with
     continuous normal components across interior facets."""
     cfg = cli.RunConfig(nx=16, ny=16, tol=1e-10, pc="PM")
-    result, _, _, rep = cli.solve_once(cfg, mesh.generate(16, 16))
+    m = mesh.generate(16, 16)
+    result, _, rep = cli.solve_once(cfg, (m, *cli.discretize(cfg, m)))
     assert rep.converged
     fc = result["field_checks"]
     scale = fc["velocity_scale"]
@@ -186,7 +184,7 @@ def test_09_trace_form_norm_equivalence_bracket():
     lows, highs = [], []
     for n in (4, 8, 16):
         _, _, cs = _system(mesh.generate(n, n))
-        r = spectra.trace_form_ratios(cs, ALPHA, n_samples=50, seed=3)
+        r = spectra.trace_form_ratios(cs, n_samples=50, seed=3)
         lows.append(r.min())
         highs.append(r.max())
     assert max(lows) - min(lows) <= 0.25 * min(lows), lows

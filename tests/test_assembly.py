@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import constant_facet_velocity_fields, dg_penalty
 from hdgstokes import assembly, mesh, spaces
@@ -152,6 +153,26 @@ def test_pressure_mass_is_identity_for_cells(sys_jitter):
     _, bs, _ = sys_jitter
     n = bs.M_p.shape[0]
     assert abs(bs.M_p - np.eye(n)).max() < 1e-13
+
+
+def test_pressure_mass_diagonal_checked_in_assembly(quad_jitter, cavity):
+    """Assembly stores the diagonal of both pressure masses, which
+    `mass_diagonal` checks: a coupled or a negative mass is refused."""
+    def system(m):
+        sp_ = spaces.build_spaces(m, cavity.degree)
+        return assembly.build_block_system(sp_, cavity)
+
+    tri = system(mesh.generate(2, 2, jitter=0.1, seed=3))
+    for bs in (tri, system(quad_jitter)):
+        assert np.array_equal(bs.mass, np.concatenate([bs.M_p.diagonal(),
+                                                       bs.M_s.diagonal()]))
+    n = tri.M_p.shape[0]
+    coupled = (tri.M_p + 1e-3 * sp.eye(n, k=1)
+               + 1e-3 * sp.eye(n, k=-1)).tocsr()
+    with pytest.raises(ValueError, match="not positive diagonal"):
+        assembly.mass_diagonal(coupled, "cell pressure mass")
+    with pytest.raises(ValueError, match="not positive diagonal"):
+        assembly.mass_diagonal(-tri.M_s, "facet pressure mass")
 
 
 def test_facet_mass_weights_two_cell(tri2):

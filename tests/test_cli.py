@@ -97,6 +97,16 @@ def test_readme_example_config_is_the_default(tmp_path):
         assert parser.has_option(section, key), (section, key)
 
 
+def test_readme_library_snippet_runs():
+    """The README's Library snippet runs as written and converges."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    scope = {}
+    exec(block, scope)
+    assert scope["rep"].converged
+    assert scope["u"].shape == (scope["sp"].n_u,)
+
+
 @pytest.mark.parametrize("kw", [
     {"degree": 4}, {"degree": 0}, {"pc": "ILU"}, {"shape": "hexagon"},
     {"method": "cg"}, {"rbar": "ilu"}, {"problem": "channel"},

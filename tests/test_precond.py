@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from hdgstokes import amg, assembly, condense, krylov, mesh, precond, spaces
@@ -47,14 +46,14 @@ def test_kinds():
 
 
 def test_unknown_kind_rejected(small):
-    bs, cs = small
+    _, cs = small
     with pytest.raises(ValueError):
-        precond.build_preconditioner(cs, bs.M_p, bs.M_s, "ILU")
+        precond.build_preconditioner(cs, "ILU")
 
 
 def test_block_diagonal_application(small):
     bs, cs = small
-    pc = precond.build_preconditioner(cs, bs.M_p, bs.M_s, "PM")
+    pc = precond.build_preconditioner(cs, "PM")
     rng = np.random.default_rng(0)
     r = rng.standard_normal(cs.size)
     r1, r2, r3 = cs.split(r)
@@ -72,7 +71,7 @@ def test_diagonal_mass_apply_matches_sparse_lu(shape, k):
     sp_ = spaces.build_spaces(m, k)
     bs = assembly.build_block_system(sp_, spaces.lid_driven_cavity(k))
     cs = condense.condense(bs)
-    pc = precond.build_preconditioner(cs, bs.M_p, bs.M_s, "PM")
+    pc = precond.build_preconditioner(cs, "PM")
     r = np.random.default_rng(6).standard_normal(cs.size)
     _, r2, r3 = cs.split(r)
     _, z2, z3 = cs.split(pc.apply(r))
@@ -81,20 +80,9 @@ def test_diagonal_mass_apply_matches_sparse_lu(shape, k):
         assert np.abs(z - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def test_non_diagonal_mass_refused(small):
-    bs, cs = small
-    n = bs.M_p.shape[0]
-    coupled = (bs.M_p + 1e-3 * sp.eye(n, k=1)
-               + 1e-3 * sp.eye(n, k=-1)).tocsr()
-    with pytest.raises(ValueError, match="not positive diagonal"):
-        precond.build_preconditioner(cs, coupled, bs.M_s, "PM")
-    with pytest.raises(ValueError, match="not positive diagonal"):
-        precond.build_preconditioner(cs, bs.M_p, -bs.M_s, "PM-SGS")
-
-
 def test_pc_pressure_blocks_are_element_schur(small):
-    bs, cs = small
-    pc = precond.build_preconditioner(cs, bs.M_p, bs.M_s, "PC")
+    _, cs = small
+    pc = precond.build_preconditioner(cs, "PC")
     rng = np.random.default_rng(1)
     r = rng.standard_normal(cs.size)
     _, r2, r3 = cs.split(r)
@@ -107,7 +95,7 @@ def test_pc_pressure_blocks_are_element_schur(small):
 @pytest.mark.parametrize("kind", ["PM-SGS", "PC-SGS"])
 def test_sgs_sweep_matches_composition(small, kind):
     bs, cs = small
-    pc = precond.build_preconditioner(cs, bs.M_p, bs.M_s, kind)
+    pc = precond.build_preconditioner(cs, kind)
     P = _dense_sweep_operator(bs, cs, kind)
     Pinv = np.linalg.inv(P)
     rng = np.random.default_rng(2)
@@ -128,8 +116,8 @@ def test_sgs_operator_positive_definite(small, kind):
 
 @pytest.mark.parametrize("kind", precond.KINDS)
 def test_application_symmetric_and_linear(small, kind):
-    bs, cs = small
-    pc = precond.build_preconditioner(cs, bs.M_p, bs.M_s, kind)
+    _, cs = small
+    pc = precond.build_preconditioner(cs, kind)
     rng = np.random.default_rng(3)
     v, w = rng.standard_normal((2, cs.size))
     sym = v @ pc.apply(w) - w @ pc.apply(v)
@@ -187,7 +175,7 @@ def test_velocity_apply_matches_full_block_lu(shape):
     sp_ = spaces.build_spaces(m, k)
     bs = assembly.build_block_system(sp_, spaces.lid_driven_cavity(k))
     cs = condense.condense(bs)
-    pc = precond.build_preconditioner(cs, bs.M_p, bs.M_s, "PM")
+    pc = precond.build_preconditioner(cs, "PM")
     r = np.random.default_rng(7).standard_normal(cs.size)
     r1, _, _ = cs.split(r)
     z1, _, _ = cs.split(pc.apply(r))
@@ -200,7 +188,7 @@ def test_scalar_block_halves_fill(cavity):
     sp_ = spaces.build_spaces(m, cavity.degree)
     bs = assembly.build_block_system(sp_, cavity)
     cs = condense.condense(bs)
-    pc = precond.build_preconditioner(cs, bs.M_p, bs.M_s, "PM")
+    pc = precond.build_preconditioner(cs, "PM")
     assert cs.Abar_scalar.shape[0] * 2 == cs.n_t
     assert 2 * pc.rbar.lu.nnz <= amg.spd_lu(cs.Abar).nnz
 
@@ -210,8 +198,8 @@ def test_multigrid_two_column_apply_matches_columns(cavity):
     sp_ = spaces.build_spaces(m, cavity.degree)
     bs = assembly.build_block_system(sp_, cavity)
     cs = condense.condense(bs)
-    pc = precond.build_preconditioner(cs, bs.M_p, bs.M_s, "PM",
-                                      rbar_mode="multigrid", cycles=2)
+    pc = precond.build_preconditioner(cs, "PM", rbar_mode="multigrid",
+                                      cycles=2)
     assert pc.rbar.mode == "multigrid"
     R = np.random.default_rng(8).standard_normal((cs.n_t // 2, 2))
     Z = pc.rbar.apply(R)
@@ -226,8 +214,8 @@ def test_multigrid_certificate_and_solve(cavity):
     sp_ = spaces.build_spaces(m, cavity.degree)
     bs = assembly.build_block_system(sp_, cavity)
     cs = condense.condense(bs)
-    pc = precond.build_preconditioner(cs, bs.M_p, bs.M_s, "PM",
-                                      rbar_mode="multigrid", cycles=4)
+    pc = precond.build_preconditioner(cs, "PM", rbar_mode="multigrid",
+                                      cycles=4)
     assert not pc.rbar.degraded
     # Rbar acts on one velocity component; Abar is two copies of that
     # block, so the scalar pair has the spectrum of the full pair
@@ -245,8 +233,8 @@ def _multigrid_setup(n, shape="triangle", k=2, jitter=0.0, alpha=None,
     bs = assembly.build_block_system(sp_,
                                      spaces.lid_driven_cavity(k, alpha))
     cs = condense.condense(bs)
-    pc = precond.build_preconditioner(cs, bs.M_p, bs.M_s, "PM-SGS",
-                                      rbar_mode="multigrid", cycles=cycles)
+    pc = precond.build_preconditioner(cs, "PM-SGS", rbar_mode="multigrid",
+                                      cycles=cycles)
     assert pc.rbar.mode == "multigrid"
     return cs, pc
 

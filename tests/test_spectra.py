@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from conftest import constant_facet_velocity_fields, dg_penalty
 from hdgstokes import assembly, condense, mesh, spaces, spectra
@@ -42,15 +41,15 @@ def test_schur_spectrum_matches_dense_oracle(oracle_sys):
     c = spaces.constant_pressure_vector(sp_)
     Z = _complement(M @ c, len(c))
     w = sla.eigh(Z.T @ S @ Z, Z.T @ M @ Z, eigvals_only=True)
-    lo, hi = spectra.schur_spectrum(cs, bs.M_p, bs.M_s)
+    lo, hi = spectra.schur_spectrum(cs)
     assert abs(lo - w[0]) < 1e-9 * abs(w[0])
     assert abs(hi - w[-1]) < 1e-9 * abs(w[-1])
     assert lo > 0
 
 
 def test_constant_pressure_rayleigh_quotient_zero(sys2):
-    _, bs, cs = sys2
-    lo, _ = spectra.schur_spectrum(cs, bs.M_p, bs.M_s, deflate=False)
+    _, _, cs = sys2
+    lo, _ = spectra.schur_spectrum(cs, deflate=False)
     assert abs(lo) < 1e-10
 
 
@@ -61,7 +60,7 @@ def test_element_block_spectrum_matches_dense_oracle(oracle_sys):
     Ss = bs.B_su.toarray() @ np.linalg.solve(Auu, bs.B_su.toarray().T)
     wp = sla.eigh(Sp, bs.M_p.toarray(), eigvals_only=True)
     ws = sla.eigh(Ss, bs.M_s.toarray(), eigvals_only=True)
-    lo, hi = spectra.element_block_spectrum(cs, bs.M_p, bs.M_s)
+    lo, hi = spectra.element_block_spectrum(cs)
     assert abs(lo - min(wp[0], ws[0])) < 1e-9
     assert abs(hi - max(wp[-1], ws[-1])) < 1e-9
     assert lo > 0
@@ -79,35 +78,18 @@ def test_element_block_spectrum_deflated_matches_dense_oracle(oracle_sys):
     c = spaces.constant_pressure_vector(sp_)
     Z = _complement(M @ c, len(c))
     w = sla.eigh(Z.T @ C @ Z, Z.T @ M @ Z, eigvals_only=True)
-    lo, hi = spectra.element_block_spectrum(cs, bs.M_p, bs.M_s,
-                                            deflate=True)
+    lo, hi = spectra.element_block_spectrum(cs, deflate=True)
     assert abs(lo - w[0]) < 1e-9 * abs(w[0])
     assert abs(hi - w[-1]) < 1e-9 * abs(w[-1])
     assert lo > 0
 
 
-def test_probes_refuse_non_diagonal_mass(sys2):
-    """The probes solve standard problems on diag(M), so they refuse a
-    mass with off-diagonal entries, as the preconditioner does."""
-    _, bs, cs = sys2
-    n = bs.M_p.shape[0]
-    coupled = (bs.M_p + 1e-3 * sp.eye(n, k=1)
-               + 1e-3 * sp.eye(n, k=-1)).tocsr()
-    with pytest.raises(ValueError, match="not positive diagonal"):
-        spectra.schur_spectrum(cs, coupled, bs.M_s)
-    for deflate in (False, True):
-        with pytest.raises(ValueError, match="not positive diagonal"):
-            spectra.element_block_spectrum(cs, coupled, bs.M_s,
-                                           deflate=deflate)
-
-
 def test_element_block_spectrum_deflated_bracket_nests(sys2):
     """Restricting to a subspace can only narrow the eigenvalue range
     (Cauchy interlacing)."""
-    _, bs, cs = sys2
-    lo, hi = spectra.element_block_spectrum(cs, bs.M_p, bs.M_s)
-    lod, hid = spectra.element_block_spectrum(cs, bs.M_p, bs.M_s,
-                                              deflate=True)
+    _, _, cs = sys2
+    lo, hi = spectra.element_block_spectrum(cs)
+    lod, hid = spectra.element_block_spectrum(cs, deflate=True)
     assert lo - 1e-12 <= lod and hid <= hi + 1e-12
     assert lod > 0
 
@@ -119,7 +101,7 @@ def test_element_block_spectrum_mesh_independent_when_structured(cavity):
         sp_ = spaces.build_spaces(m, 2)
         bs = assembly.build_block_system(sp_, cavity)
         cs = condense.condense(bs)
-        vals.append(spectra.element_block_spectrum(cs, bs.M_p, bs.M_s))
+        vals.append(spectra.element_block_spectrum(cs))
     (l0, u0), (l1, u1) = vals
     assert abs(l1 - l0) < 1e-2 * l0
     assert abs(u1 - u0) < 1e-2 * u0
@@ -234,10 +216,10 @@ def test_pair_norm_of_matched_traces_is_dirichlet_energy(sys_jitter):
     assert abs(z @ (N @ z) - 32.0 / 3.0) < 1e-10
 
 
-def test_trace_form_ratios_reproducible(sys4x4, cavity):
+def test_trace_form_ratios_reproducible(sys4x4):
     _, _, cs = sys4x4
-    r1 = spectra.trace_form_ratios(cs, cavity.alpha, n_samples=10, seed=3)
-    r2 = spectra.trace_form_ratios(cs, cavity.alpha, n_samples=10, seed=3)
+    r1 = spectra.trace_form_ratios(cs, n_samples=10, seed=3)
+    r2 = spectra.trace_form_ratios(cs, n_samples=10, seed=3)
     assert np.array_equal(r1, r2)
     assert r1.shape == (10,)
     assert np.all(np.isfinite(r1)) and np.all(r1 > 0)
@@ -311,8 +293,7 @@ def _ratio_system(shape, k, jitter):
     m = mesh.generate(3, 3, shape, jitter=jitter, seed=1)
     sp_ = spaces.build_spaces(m, k)
     prob = spaces.lid_driven_cavity(degree=k)
-    return prob.alpha, condense.condense(
-        assembly.build_block_system(sp_, prob))
+    return condense.condense(assembly.build_block_system(sp_, prob))
 
 
 @pytest.mark.parametrize("jitter", [0.0, 0.2])
@@ -322,7 +303,7 @@ def test_trace_form_ratios_match_per_sample_loop(shape, k, jitter):
     """The stacked ratios equal one lift and one quadrature form per
     sample, drawn from the same stream; 13 samples leave a partial
     stack."""
-    alpha, cs = _ratio_system(shape, k, jitter)
+    cs = _ratio_system(shape, k, jitter)
     sp_ = cs.spaces
     Nh = spectra.trace_seminorm_matrix(sp_)
     rng = np.random.default_rng(3)
@@ -332,9 +313,9 @@ def test_trace_form_ratios_match_per_sample_loop(shape, k, jitter):
         w = np.zeros(sp_.n_ubar)
         sp_.facet_velocity_coeffs(w)[interior] = rng.standard_normal(
             (interior.sum(), 2, sp_.nbf))
-        loop.append(condense.trace_form_value(cs, alpha, w, w)
+        loop.append(condense.trace_form_value(cs, w, w)
                     / (w @ (Nh @ w)))
-    got = spectra.trace_form_ratios(cs, alpha, n_samples=13, seed=3)
+    got = spectra.trace_form_ratios(cs, n_samples=13, seed=3)
     assert got.shape == (13,)
     assert np.abs(got - loop).max() <= 1e-13 * np.abs(loop).max()
 
@@ -343,13 +324,13 @@ def test_trace_form_ratios_match_per_sample_loop(shape, k, jitter):
 def test_trace_form_value_stack_matches_per_field(shape):
     """A (2, 3) stack of field pairs gives the value of each pair, and
     the lift of a stack is the lift of each field."""
-    alpha, cs = _ratio_system(shape, 2, 0.2)
+    cs = _ratio_system(shape, 2, 0.2)
     rng = np.random.default_rng(0)
     V = rng.standard_normal((2, 3, cs.n_t))
     W = rng.standard_normal((2, 3, cs.n_t))
-    got = condense.trace_form_value(cs, alpha, V, W)
+    got = condense.trace_form_value(cs, V, W)
     assert got.shape == (2, 3)
-    want = np.array([condense.trace_form_value(cs, alpha, v, w)
+    want = np.array([condense.trace_form_value(cs, v, w)
                      for v, w in zip(V.reshape(6, -1), W.reshape(6, -1))])
     assert np.abs(got.ravel() - want).max() <= 1e-13 * np.abs(want).max()
     lifted = condense.lift_traces(cs, V).reshape(6, -1)
