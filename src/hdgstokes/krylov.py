@@ -16,10 +16,11 @@ extreme eigenvalue estimates off it.
 gmres is restarted GMRES with the preconditioner applied on the right,
 so its recurrence estimate *is* the true residual norm; it tolerates
 indefinite preconditioners by construction.  Each new basis vector is
-orthogonalized by `orthogonalize`: two passes of classical
-Gram-Schmidt, as orthogonal to working precision as two passes of
-modified Gram-Schmidt ("twice is enough"), each pass two dense
-products with the basis instead of a Python loop over its vectors.
+orthogonalized by `orthogonalize`, which only GMRES uses: two passes
+of classical Gram-Schmidt, as orthogonal to working precision as two
+passes of modified Gram-Schmidt ("twice is enough"), each pass two
+dense products with the basis instead of a Python loop over its
+vectors.
 Each restart cycle forms the true residual b - A x once, at its end;
 it is both the convergence test and the start vector of the next
 cycle, so a solve costs one matvec per iteration plus one per cycle.
@@ -90,7 +91,8 @@ def orthogonalize(Q, w):
 
     Two passes of classical Gram-Schmidt, w -= Q^T (Q w); returns the
     summed coefficients of both passes, the projection Q w of the
-    input.  GMRES and the Lanczos probes of `spectra` both use it."""
+    input.  GMRES is its only user: the Lanczos probes of `spectra`
+    keep no basis."""
     h = np.zeros(len(Q))
     for _ in range(2):
         c = Q @ w

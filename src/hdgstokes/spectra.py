@@ -7,8 +7,8 @@ the element kernels of the assembly module.  The probes compute:
   and of its element blocks against the pressure mass, with the
   constant pressure deflated;
 * coercivity and boundedness constants of the velocity form against
-  the velocity pair norm, with the two constant fields deflated (on
-  one component: both are copies of one scalar form);
+  the velocity pair norm, on the complement of the two constant fields
+  (on one component: both are copies of one scalar form);
 * per-cell divergence inf-sup constants (no deflation: the local
   bound covers constant pressures, since cell velocities carry no
   boundary condition);
@@ -23,32 +23,34 @@ by assembly), and the probes read only that diagonal D (`cs.mass`,
 `bs.mass`): every pressure pencil (S, M), the per-cell one of
 `cell_infsup` included, is the standard symmetric problem
 D^-1/2 S D^-1/2.  Only extreme eigenvalues are read, so the global
-pressure pencils are solved by Lanczos
-(`_lanczos_extremes`, which tests its Ritz values every
+pencils are solved by plain Lanczos (`_lanczos_extremes`: the
+three-term recurrence, no stored basis, Ritz values tested every
 `_LANCZOS_CHECK` steps) on operators that are never formed: the
 pressure Schur complement in its condensed form
 Bbar Abar^-1 Bbar^T - C, with Bbar and C the pressure rows of K and
 Abar^-1 one `amg.spd_lu` factorization of the scalar block
 `Abar_scalar` applied to both velocity components as a two-column
 block (`schur_spectrum`); the sparse facet block -C_ss
-(`element_block_spectrum`); and the inverse of the facet inf-sup
-matrix, whose largest eigenvalue is the reciprocal of the wanted
-smallest one (`facet_infsup`).  Pencils that are block diagonal by
-cell (-C_pp, and the pencils of `cell_infsup`) are solved exactly,
-cell by cell, with batched dense eigensolvers.  Two probes stay
-dense, on small meshes only: `coercivity_bounds`, whose pencil is
-indefinite for a weak penalty, scatters the per-cell forms of one
-velocity component; `condensed_schur_identity` compares the condensed
-form entrywise with the full B A^-1 B^T, the one place the full
-velocity matrix is factored.
+(`element_block_spectrum`); the inverse of the facet inf-sup matrix,
+whose largest eigenvalue is the reciprocal of the wanted smallest one
+(`facet_infsup`); and the pencil of `coercivity_bounds`, indefinite
+for a weak penalty, with the per-cell forms of one velocity component
+scattered to sparse matrices and the pair norm factored once by
+`spd_lu`.  Pencils that are block diagonal by cell (-C_pp, and the
+pencils of `cell_infsup`) are solved exactly, cell by cell, with
+batched dense eigensolvers.  One probe stays dense, on small meshes
+only: `condensed_schur_identity` compares the condensed form
+entrywise with the full B A^-1 B^T, the one place the full velocity
+matrix is factored.
 
-A constant mode is deflated with one Householder reflector that maps
-it onto the first coordinate, which is then dropped: applied to
-vectors for the scaled constant pressure of a Lanczos pencil
-(`_restricted`), so that the iteration runs in the complement and the
-constant cannot come back through roundoff; applied to both dense
-matrices of the coercivity pencil (`_deflate`).  Per-cell Schur pieces
-share the elimination of `condense.cell_schur`.
+The constant pressure is deflated from a Lanczos pencil with one
+Householder reflector that maps the scaled constant onto the first
+coordinate, which is then dropped (`_restricted`), so that the
+iteration runs in the complement and the constant cannot come back
+through roundoff.  The coercivity pencil drops one dof instead: both
+of its forms vanish on the constant field, so any complement gives
+the same eigenvalues.  Per-cell Schur pieces share the elimination of
+`condense.cell_schur`.
 """
 
 import numpy as np
@@ -58,7 +60,6 @@ import scipy.sparse as sp
 from . import amg as _amg
 from . import assembly as _assembly
 from . import condense as _condense
-from . import krylov as _krylov
 from . import spaces as _spaces
 
 
@@ -100,12 +101,17 @@ def trace_seminorm_matrix(sp_):
 
 # Lanczos accepts a requested Ritz value once its residual estimate is
 # at most this fraction of the largest |Ritz value|, and gives up after
-# this many steps; the pressure pencils of the 16x16 verify level take
-# at most 400.  The Ritz values are checked every _LANCZOS_CHECK steps
-# (and at the last step), since each check costs two tridiagonal
-# eigensolves, dearer than a step of the cheaper probes.
+# this many steps.  On the default verify ladder (triangles, k = 2,
+# 4x4, 8x8, 16x16) the probes take: Schur 200, 264, 368 steps; facet
+# block -C_ss 72, 152, 280; facet inf-sup 32, 48, 88; coercivity 176
+# and 416 (4x4 and 8x8 only) and 184 at alpha = 0.01 on 4x4.  With no
+# stored basis the cap bounds time only; it leaves room for the
+# alpha = 0.01 probe on a larger verify base: 1296 steps on 16x16, 2688
+# on 32x32.  The Ritz values are checked every _LANCZOS_CHECK steps
+# (and at step n and the last step), since each check costs two
+# tridiagonal eigensolves, dearer than a step of the cheaper probes.
 _LANCZOS_TOL = 1e-12
-_LANCZOS_MAX_STEPS = 1000
+_LANCZOS_MAX_STEPS = 4000
 _LANCZOS_CHECK = 8
 
 # trace_form_ratios lifts its random fields this many at a time: on the
@@ -115,88 +121,72 @@ _LANCZOS_CHECK = 8
 _TRACE_BLOCK = 10
 
 
-def _lanczos_extremes(op, n, ends=(0, -1)):
-    """Extreme eigenvalues of a symmetric operator op on R^n.
+def _lanczos_extremes(op, n, ends=(0, -1), solve=None):
+    """Extreme eigenvalues of a symmetric operator op on R^n, or of the
+    pencil (op, N) when `solve` applies N^-1 for an SPD N.
 
-    Lanczos from a fixed-seed start vector, with full
-    reorthogonalization (`krylov.orthogonalize`: two classical
-    Gram-Schmidt passes per step), so the same operator gives the same
-    values bit for bit.  `ends` index the ascending Ritz values (0 the
-    smallest, -1 the largest); they are returned in that order.  With
+    The plain three-term Lanczos recurrence from a fixed-seed start
+    vector, so the same operator gives the same values bit for bit.
+    Only the last two Lanczos vectors are kept: without
+    reorthogonalization the extreme Ritz values still converge, and
+    lost orthogonality only repeats converged values (Paige, 1980).
+    For a pencil the recurrence runs in the N inner product on
+    N^-1 op, starting from N^-1 z for the seeded z, and carries
+    p = N q beside each vector q, so a step costs one product and one
+    solve.  `ends` index the ascending Ritz values (0 the smallest, -1
+    the largest); they are returned in that order.  With
     T_j = S diag(theta) S^T the j-step tridiagonal and b_j the norm of
     the next residual, the Ritz value theta_i is accepted when
     b_j |S_ji| <= _LANCZOS_TOL max |theta|; the scale is not |theta_i|,
     so that an eigenvalue 0 converges too.  The test runs every
-    _LANCZOS_CHECK steps, at the last step (n, or the cap) and when the
-    residual vanishes.  RuntimeError after _LANCZOS_MAX_STEPS steps."""
-    q = np.random.default_rng(0).standard_normal(n)
-    q /= np.linalg.norm(q)
-    Q = np.empty((min(n, _LANCZOS_MAX_STEPS), n))
-    a, b = [], []
-    for j in range(len(Q)):
-        Q[j] = q
+    _LANCZOS_CHECK steps, at step n, at the cap and when the residual
+    vanishes; the cap is _LANCZOS_MAX_STEPS whatever n is, since the
+    recurrence may need more than n steps.  RuntimeError after
+    _LANCZOS_MAX_STEPS steps."""
+    r = np.random.default_rng(0).standard_normal(n)
+    w = r if solve is None else solve(r)
+    beta = np.sqrt(w @ r)
+    a, b, p_old = [], [], 0.0
+    for j in range(_LANCZOS_MAX_STEPS):
+        q = w / beta
+        p = q if solve is None else r / beta
         r = op(q)
+        r -= beta * p_old
         a.append(q @ r)
-        _krylov.orthogonalize(Q[:j + 1], r)
-        b.append(np.linalg.norm(r))
-        if (j + 1) % _LANCZOS_CHECK == 0 or j + 1 == len(Q) or not b[-1]:
+        r -= a[-1] * p
+        w = r if solve is None else solve(r)
+        beta = np.sqrt(max(w @ r, 0.0))
+        b.append(beta)
+        if ((j + 1) % _LANCZOS_CHECK == 0 or j + 1 in (n, _LANCZOS_MAX_STEPS)
+                or not beta):
             want = [e % (j + 1) for e in ends]
             ritz = {}
             for i in {0, j, *want}:
                 theta, s = sla.eigh_tridiagonal(a, b[:-1], select="i",
                                                 select_range=(i, i))
-                ritz[i] = theta[0], b[-1] * abs(s[-1, 0])
+                ritz[i] = theta[0], beta * abs(s[-1, 0])
             scale = max(abs(ritz[0][0]), abs(ritz[j][0]))
             if all(ritz[i][1] <= _LANCZOS_TOL * scale for i in want):
                 return [ritz[i][0] for i in want]
-        q = r / b[-1]
-    raise RuntimeError("Lanczos did not converge in %d steps" % len(Q))
-
-
-def _householder(v):
-    """Unit w with (I - 2 w w^T) v = -+|v| e_1."""
-    w = v / np.linalg.norm(v)
-    w[0] += np.copysign(1.0, w[0])
-    return w / np.linalg.norm(w)
+        p_old = p
+    raise RuntimeError("Lanczos did not converge in %d steps"
+                       % _LANCZOS_MAX_STEPS)
 
 
 def _restricted(op, v):
     """op restricted to the complement of v, as an operator on
-    R^(n-1): the coordinates in the basis P e_2, ..., P e_n of
-    `_deflate`, with the reflector P applied to vectors.  Iterating
-    there keeps v out exactly, where projecting it out of each product
-    lets roundoff bring it back."""
-    w = _householder(v)
+    R^(n-1): the reflector P = I - 2 w w^T with P v = -+|v| e_1 maps
+    {y : v^T y = 0} onto the trailing coordinates, and the iteration
+    runs in the orthonormal basis P e_2, ..., P e_n, with P applied to
+    vectors.  Iterating there keeps v out exactly, where projecting it
+    out of each product lets roundoff bring it back."""
+    w = v / np.linalg.norm(v)
+    w[0] += np.copysign(1.0, w[0])
+    w /= np.linalg.norm(w)
 
     def reflect(x):
         return x - 2.0 * (w @ x) * w
     return lambda y: reflect(op(reflect(np.concatenate(([0.0], y)))))[1:]
-
-
-def _deflate(S, v):
-    """S restricted to the complement of v, in S's own buffer.
-
-    S is symmetric and C-contiguous; it is overwritten.  The
-    Householder reflector P = I - 2 w w^T with P v = -+|v| e_1 maps
-    {y : v^T y = 0} onto the trailing coordinates, so the restriction
-    is (P S P)[1:, 1:] in the orthonormal basis P e_2, ..., P e_n.
-    Returned as a Fortran-ordered view whose lower triangle holds it:
-    the rank-2 update is BLAS `syr2` on that triangle, the block is
-    moved to the front of S's buffer, and LAPACK reads the view
-    without a copy."""
-    w = _householder(v)
-    u = S @ w
-    z = 2.0 * u - 2.0 * (w @ u) * w
-    # P S P = S - w z^T - z w^T, on the lower triangle of S^T
-    S = sla.blas.dsyr2(-1.0, w, z, lower=1, a=S.T, overwrite_a=1).T
-    n = S.shape[0] - 1
-    flat = S.reshape(-1)
-    # row i of S[1:, 1:] moves to flat[i*n:(i+1)*n], which ends before
-    # its own source and before every later one starts
-    for i in range(n):
-        flat[i * n:(i + 1) * n] = flat[(i + 1) * (n + 1) + 1:
-                                       (i + 2) * (n + 1)]
-    return flat[:n * n].reshape(n, n).T
 
 
 def _mass_pencil_extremes(apply, d, c=None):
@@ -300,13 +290,18 @@ def condensed_schur_identity(bs, cs):
 def coercivity_bounds(sp_, alpha):
     """Extreme eigenvalues of the velocity form against the pair norm,
     on the complement of the two constant fields, measured on one
-    velocity component with its constant deflated from both matrices.
+    velocity component.
 
     The claim is about the bilinear form itself, so no boundary
     condition enters: both matrices are scattered from the per-cell
     forms of `assembly.local_velocity_form` (the pair norm is the form
     without its consistency terms), cell dof c nb + i, then facet dof
-    nc nb + f nbf + j, and so is the constant field.  Returns
+    nc nb + f nbf + j, and so is the constant field.  Both forms vanish
+    on that field, so every complement of it gives the same
+    eigenvalues: the one taken drops the dof where the field is
+    largest, which leaves the norm positive definite.  The pencil,
+    indefinite for a weak penalty, is solved by Lanczos with one
+    `spd_lu` factorization of the reduced norm.  Returns
     (c_lower, c_upper); a nonpositive lower value flags a coercivity
     failure."""
     mesh = sp_.mesh
@@ -317,19 +312,16 @@ def coercivity_bounds(sp_, alpha):
          (nc * nb + mesh.cell_facets[:, :, None] * nbf
           + np.arange(nbf)).reshape(nc, -1)], axis=1)
 
-    def dense(consistency):
+    def scattered(consistency):
         L, c = _assembly.local_velocity_form(sp_, alpha, consistency)
-        return _assembly._scatter(dofs, dofs, L, (n, n)).toarray(), c
-    (A, c), (N, _) = dense(True), dense(False)
+        return _assembly._scatter(dofs, dofs, L, (n, n)), c
+    (A, c), (N, _) = scattered(True), scattered(False)
     const = np.zeros(n)
     const[dofs] = c
-    # LAPACK's plain QR driver "gv": on the 8x8 level (n = 1391) it
-    # takes 0.25 s against 0.33 s for the default divide and conquer,
-    # and two one-value subsets (the two ends) take 0.45 s
-    w = sla.eigh(_deflate(A, const), _deflate(N, const), lower=True,
-                 eigvals_only=True, overwrite_a=True, overwrite_b=True,
-                 check_finite=False, driver="gv")
-    return float(w[0]), float(w[-1])
+    keep = np.delete(np.arange(n), np.argmax(np.abs(const)))
+    lo, hi = _lanczos_extremes(A[keep][:, keep].__matmul__, n - 1,
+                               solve=_amg.spd_lu(N[keep][:, keep]).solve)
+    return float(lo), float(hi)
 
 
 def cell_infsup(bs):
