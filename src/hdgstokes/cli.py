@@ -73,13 +73,15 @@ OPTIONS = {
 
 def _number(label, value, kind, lo, hi, meaning):
     """value as a number of kind in [lo, hi]; ConfigError naming the
-    option otherwise (an int has no fractional part)."""
+    option otherwise (an int has no fractional part, and a bool, though
+    an int subclass, is no number)."""
     try:
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
         out = None
-    if out is None or (kind is int and isinstance(value, (float, np.floating))
-                       and out != value):
+    if out is None or isinstance(value, (bool, np.bool_)) or (
+            kind is int and isinstance(value, (float, np.floating))
+            and out != value):
         raise ConfigError("%s must be %s, not %r" % (
             label, {int: "an integer", float: "a number"}[kind], value))
     if not lo <= out <= hi:

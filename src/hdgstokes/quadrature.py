@@ -1,4 +1,5 @@
-"""Gauss quadrature on segments and triangles, batched over a mesh.
+"""Gauss quadrature on segments, triangles and quadrilaterals, batched
+over a mesh.
 
 Triangle rules come from a Duffy-type collapse of a tensor Gauss rule:
 with x = u, y = v(1-u) the integral over the unit triangle becomes
@@ -6,9 +7,16 @@ int_0^1 int_0^1 f(u, v(1-u)) (1-u) du dv.  A monomial x^a y^b of total
 degree d maps to a polynomial of degree d+1 in u and d in v, so the
 point counts below give exactness for all polynomials up to `degree`.
 
-Quadrilateral cells are integrated by splitting along the 0-2 diagonal
-into two triangles, which is exact for any bilinear-image geometry with
-straight edges (the only kind produced by the mesh module).
+Quadrilateral cells are integrated by an n x n tensor Gauss rule on
+the unit square, pushed through the bilinear map of the cell's four
+corners, n = (degree + 3) // 2.  Each physical coordinate is bilinear
+in the reference coordinates (u, v), so a polynomial of total degree d
+in x, y has degree <= d in u and in v, and the Jacobian determinant is
+affine: the pulled-back integrand has degree <= d + 1 in each
+coordinate, within the 2n - 1 of the rule.  That is the exactness of
+the triangle rules with half the points of a two-triangle split (the
+mesh module keeps every corner counter-clockwise, so the determinant
+is positive).
 """
 
 import numpy as np
@@ -49,19 +57,38 @@ def _map_triangles(tri_verts, ref_pts, ref_w):
     return qp, qw
 
 
+def _map_quadrilaterals(quad_verts, degree):
+    """Push the n x n Gauss rule of the unit square to a batch of
+    bilinear quadrilaterals, exact for integrands of total degree
+    `degree` (module docstring).
+
+    quad_verts : (m, 4, 2), corners in the order (0,0), (1,0), (1,1),
+    (0,1) of the unit square; returns qp (m, n*n, 2), qw (m, n*n).
+    """
+    x, w = gauss01((degree + 3) // 2)
+    U, V = np.meshgrid(x, x, indexing="ij")
+    u, v = U.ravel(), V.ravel()
+    # bilinear corner functions and their u- and v-derivatives, (nq, 4)
+    N = np.stack([(1 - u) * (1 - v), u * (1 - v), u * v, (1 - u) * v], 1)
+    Nu = np.stack([v - 1, 1 - v, v, -v], 1)
+    Nv = np.stack([u - 1, -u, u, 1 - u], 1)
+    qp = np.einsum("qi,cid->cqd", N, quad_verts)
+    Ju = np.einsum("qi,cid->cqd", Nu, quad_verts)
+    Jv = np.einsum("qi,cid->cqd", Nv, quad_verts)
+    det = Ju[..., 0] * Jv[..., 1] - Ju[..., 1] * Jv[..., 0]
+    return qp, det * np.outer(w, w).ravel()
+
+
 def cell_rule(mesh, degree):
     """Batched physical-cell rule exact through total degree `degree`.
 
     Returns qp (nc, nq, 2) and qw (nc, nq); weights include the
     physical measure, so qw.sum(axis=1) equals the cell areas.
     """
-    ref_pts, ref_w = triangle_rule(degree)
     verts = mesh.vertices[mesh.cells]
     if mesh.cell_type == "triangle":
-        return _map_triangles(verts, ref_pts, ref_w)
-    qp1, qw1 = _map_triangles(verts[:, [0, 1, 2]], ref_pts, ref_w)
-    qp2, qw2 = _map_triangles(verts[:, [0, 2, 3]], ref_pts, ref_w)
-    return np.concatenate([qp1, qp2], axis=1), np.concatenate([qw1, qw2], axis=1)
+        return _map_triangles(verts, *triangle_rule(degree))
+    return _map_quadrilaterals(verts, degree)
 
 
 def facet_rule(mesh, n):

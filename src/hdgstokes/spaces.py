@@ -129,7 +129,8 @@ class SpaceSet:
         self.n_pbar = nf * self.nbf
 
         # quadrature: product-type bases on physical quads need the
-        # doubled degree, affine triangles do not
+        # doubled degree, affine triangles do not; on quads that is a
+        # tensor Gauss rule of (2k + 1)^2 points (9 / 25 / 49)
         cell_deg = 4 * k if quad_cells else 2 * k
         nqf = 2 * k + 1 if quad_cells else k + 1
         self.cell_qp, self.cell_qw = quadrature.cell_rule(mesh, cell_deg)

@@ -38,10 +38,10 @@ for a weak penalty, with the per-cell forms of one velocity component
 scattered to sparse matrices and the pair norm factored once by
 `spd_lu`.  Pencils that are block diagonal by cell (-C_pp, and the
 pencils of `cell_infsup`) are solved exactly, cell by cell, with
-batched dense eigensolvers.  One probe stays dense, on small meshes
-only: `condensed_schur_identity` compares the condensed form
-entrywise with the full B A^-1 B^T, the one place the full velocity
-matrix is factored.
+batched dense eigensolvers.  One probe compares matrices entrywise:
+`condensed_schur_identity` forms the condensed form and the full
+B A^-1 B^T a block of pressure columns at a time, the one place the
+full velocity matrix is factored.
 
 The constant pressure is deflated from a Lanczos pencil with one
 Householder reflector that maps the scaled constant onto the first
@@ -119,6 +119,12 @@ _LANCZOS_CHECK = 8
 # s one at a time) and hold about 8 MiB; stacks of 25 are no faster,
 # and stacks of 50 raise the peak resident set of verify by 12 MiB
 _TRACE_BLOCK = 10
+
+# condensed_schur_identity forms its difference this many pressure
+# columns at a time: on a 16x16 base (3,936 pressure unknowns, 2 vCPU)
+# the probe then traces 17 MiB and takes 6.7 s, against 778 MiB and
+# 9.7 s with every column at once
+_IDENTITY_BLOCK = 64
 
 
 def _lanczos_extremes(op, n, ends=(0, -1), solve=None):
@@ -206,13 +212,6 @@ def _mass_pencil_extremes(apply, d, c=None):
     return float(lo), float(hi)
 
 
-def _schur_dense(A, B):
-    """B A^-1 B^T with the `spd_lu` factorization of A, dense and
-    symmetrized."""
-    S = B @ _amg.spd_lu(A).solve(B.T.toarray())
-    return 0.5 * (S + S.T)
-
-
 def _pressure_rows(cs):
     """(Bbar, C): the pressure rows (p, s) of K, split at the last
     facet-velocity column."""
@@ -279,12 +278,24 @@ def element_block_spectrum(cs, deflate=False):
 def condensed_schur_identity(bs, cs):
     """Max-norm residual of the algebraic identity
     Bbar Abar^-1 Bbar^T - C = B A^-1 B^T, with Bbar and C the
-    pressure rows of K."""
-    S_full = _schur_dense(bs.velocity_matrix(),
-                          bs.divergence_matrix().tocsr())
+    pressure rows of K.
+
+    A and Abar are factored once each by `spd_lu`; the difference of
+    the two sides is formed `_IDENTITY_BLOCK` pressure columns at a
+    time, so no dense complement or dense right-hand side of every
+    pressure unknown is held."""
+    B = bs.divergence_matrix().tocsr()
     Bbar, C = _pressure_rows(cs)
-    S_cond = _schur_dense(cs.Abar, Bbar) - C.toarray()
-    return float(np.abs(S_full - S_cond).max())
+    BT, BbarT, C = B.T.tocsc(), Bbar.T.tocsc(), C.tocsc()
+    full = _amg.spd_lu(bs.velocity_matrix()).solve
+    cond = _amg.spd_lu(cs.Abar).solve
+    res = 0.0
+    for j in range(0, B.shape[0], _IDENTITY_BLOCK):
+        J = slice(j, j + _IDENTITY_BLOCK)
+        D = (B @ full(BT[:, J].toarray())
+             - Bbar @ cond(BbarT[:, J].toarray()) + C[:, J].toarray())
+        res = max(res, float(np.abs(D).max()))
+    return res
 
 
 def coercivity_bounds(sp_, alpha):
@@ -380,11 +391,14 @@ def field_checks(sp_, u):
     """Pointwise divergence and interelement normal-flux jump maxima
     of a cell velocity, plus the velocity scale for normalization.
 
-    On triangles both maxima vanish to roundoff for a converged
-    solution: the divergence of a P_k velocity lies in the pressure
-    space and the normal trace jump in the facet pressure space.  On
-    physical quadrilaterals neither containment holds, so only
-    smallness, not exactness, can be expected."""
+    The maxima are taken over the cell quadrature points of
+    `quadrature.cell_rule` and the facet points of `facet_rule`.  On
+    triangles both vanish to roundoff for a converged solution: the
+    divergence of a P_k velocity lies in the pressure space and the
+    normal trace jump in the facet pressure space.  On physical
+    quadrilaterals neither containment holds, so only smallness, not
+    exactness, can be expected, and the divergence maximum depends on
+    where the cell rule puts its points."""
     g = sp_.velocity_grad_at_cell_qp(u)
     div = g[..., 0, 0] + g[..., 1, 1]
     vals = sp_.velocity_at_cell_qp(u)

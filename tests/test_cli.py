@@ -120,6 +120,8 @@ def test_readme_library_snippet_runs():
     {"domain": ("0", "0", "1", "1", "extra")}, {"seed": -1, "jitter": 0.1},
     {"alpha": float("inf")}, {"domain": (0.0, 0.0, float("inf"), 1.0)},
     {"nxx": 3}, {"nx": 2.5}, {"degree": 2.7}, {"cycles": 1.9},
+    # a bool is an int subclass, not a number option
+    {"nx": True}, {"tol": True}, {"alpha": True},
 ])
 def test_config_rejects_bad_values(kw):
     with pytest.raises(cli.ConfigError):

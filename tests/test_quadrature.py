@@ -41,8 +41,9 @@ def test_cell_rule_integrates_areas(tri_jitter):
                                           ("quadrilateral", 0.15)])
 def test_cell_rule_polynomial_exactness(shape, jitter):
     """Global polynomials integrate exactly over the square, cell by
-    cell, on distorted meshes (quads are split into two affine
-    triangles so straight-sided distortion is harmless)."""
+    cell, on distorted meshes (quads carry a tensor Gauss rule through
+    their bilinear map, whose Jacobian is affine, so straight-sided
+    distortion is harmless)."""
     m = mesh.generate(3, 3, shape, jitter=jitter, seed=2)
     pts, w = quadrature.cell_rule(m, 4)
     x, y = pts[..., 0], pts[..., 1]
@@ -50,6 +51,35 @@ def test_cell_rule_polynomial_exactness(shape, jitter):
     assert abs(np.sum(w * x ** 2 * y ** 2) - 4.0 / 9.0) < 1e-13
     assert abs(np.sum(w * x ** 3 * y)) < 1e-13
     assert abs(np.sum(w * x ** 4) - 4.0 / 5.0) < 1e-13
+
+
+@pytest.mark.parametrize("degree", [4, 8, 12])
+def test_quadrilateral_rule_matches_two_triangle_split(degree):
+    """On jittered quadrilaterals the tensor rule integrates every
+    monomial x^a y^b with a + b <= degree, cell by cell, as the split
+    into two affine triangles does (the reference, exact by
+    construction), with ((degree + 3) // 2)^2 positive weights per
+    cell summing to the cell area."""
+    m = mesh.generate(4, 4, "quadrilateral", jitter=0.25, seed=3)
+    pts, w = quadrature.cell_rule(m, degree)
+    assert pts.shape == (m.num_cells, ((degree + 3) // 2) ** 2, 2)
+    assert w.shape == pts.shape[:2]
+    assert np.all(w > 0)
+    assert np.allclose(w.sum(axis=1), m.areas, rtol=0, atol=1e-15)
+
+    ref_pts, ref_w = quadrature.triangle_rule(degree)
+    verts = m.vertices[m.cells]
+    halves = [quadrature._map_triangles(verts[:, t], ref_pts, ref_w)
+              for t in ([0, 1, 2], [0, 2, 3])]
+    tri_pts = np.concatenate([h[0] for h in halves], axis=1)
+    tri_w = np.concatenate([h[1] for h in halves], axis=1)
+    x, y = pts[..., 0], pts[..., 1]
+    tx, ty = tri_pts[..., 0], tri_pts[..., 1]
+    for a in range(degree + 1):
+        for b in range(degree + 1 - a):
+            got = np.sum(w * x ** a * y ** b, axis=1)
+            ref = np.sum(tri_w * tx ** a * ty ** b, axis=1)
+            assert np.abs(got - ref).max() < 1e-14, (a, b)
 
 
 def test_facet_rule_lengths_and_moments(tri2):
