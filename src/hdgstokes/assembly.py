@@ -52,16 +52,17 @@ def _kernel(a, w, b):
     return np.einsum("cqi,cq,cqj->cij", a, w, b, optimize=True)
 
 
-def _scatter(rows, cols, vals, shape, keep_zeros=True):
+def _scatter(rows, cols, vals, shape):
     """Accumulate batched dense blocks into CSR; every scatter of
-    element blocks goes through here.
+    element blocks goes through here, so no assembled matrix stores an
+    exact zero.
 
     rows (m, r), cols (m, c), vals (m, r, c); duplicate index pairs
-    are summed, and exact zeros dropped unless keep_zeros.  The m r
-    block rows go straight into CSR, stably sorted by row: the same
-    unsorted rows, in the same order, as a COO-to-CSR conversion of
-    the expanded triplets, so every sum is the same to the bit, with
-    no expanded row index array.  Column indices are int32.
+    are summed, then exact zeros dropped.  The m r block rows go
+    straight into CSR, stably sorted by row: the same unsorted rows,
+    in the same order, as a COO-to-CSR conversion of the expanded
+    triplets, so every sum is the same to the bit, with no expanded
+    row index array.  Column indices are int32.
     """
     m, r = rows.shape
     c = cols.shape[1]
@@ -73,8 +74,7 @@ def _scatter(rows, cols, vals, shape, keep_zeros=True):
                          cols.astype(np.int32)[order // r].ravel(), indptr),
                         shape=shape)
     out.sum_duplicates()
-    if not keep_zeros:
-        out.eliminate_zeros()
+    out.eliminate_zeros()
     return out
 
 
@@ -104,18 +104,18 @@ def _side_weights(sp_, e):
 class Side:
     """Side e of every cell: quadrature data and the per-side kernels,
     each an (nc, rows, cols) batch.  w are the side's quadrature
-    weights, wpen = alpha/h_K w, phi the cell basis, dn its normal
-    derivative, psibar the facet basis."""
+    weights, wpen = alpha/h_K w, phi the cell basis and dn its outward
+    normal derivative (views of `SpaceSet.phi_f` and `dn_f`), psibar
+    the facet basis."""
 
     def __init__(self, sp_, e, alpha):
         self.facets = sp_.mesh.cell_facets[:, e]
-        self.normal = n = sp_.normal[:, e]
+        self.normal = sp_.normal[:, e]
         self.w = _side_weights(sp_, e)
         self.wpen = self.w * (alpha / sp_.mesh.h)[:, None]
         self.phi = sp_.phi_f[:, e]
         self.psibar = sp_.psibar[self.facets]
-        self.dn = (sp_.gx_f[:, e] * n[:, None, 0, None]
-                   + sp_.gy_f[:, e] * n[:, None, 1, None])
+        self.dn = sp_.dn_f[:, e]
 
     def penalty(self):
         """alpha/h <phi, phi>, before symmetrization."""
@@ -143,16 +143,6 @@ class Side:
             [np.einsum("cqi,cq,cqj,c->cij", self.psibar, self.w, self.phi,
                        self.normal[:, d], optimize=True) for d in (0, 1)],
             axis=2)
-
-
-def both_components(scalar):
-    """(m, 2n, 2n) block diagonal repeating a scalar (m, n, n) batch
-    for the two velocity components."""
-    m, n, _ = scalar.shape
-    out = np.zeros((m, 2 * n, 2 * n))
-    out[:, :n, :n] = scalar
-    out[:, n:, n:] = scalar
-    return out
 
 
 def local_divergence(sp_):
@@ -204,7 +194,7 @@ class BlockSystem:
 
     Per cell: local_auu_scalar, the nb^2 block of one cell-velocity
     component (the form acts on both components alike, so it is stored
-    once; local_auu is the derived (2nb)^2 block of both), and
+    once and scattered once per component), and
     local_coupling, every row coupled to the cell velocity, with its
     indices local_rows in the condensed t, p, s numbering.  Per facet:
     facet_att, the (2nbf)^2 block of A_tt on the facet's velocity dofs
@@ -214,7 +204,8 @@ class BlockSystem:
     sides L_u, L_t; g_values, the eliminated boundary datum; coercive,
     the cell-wise coercivity guard of `velocity_blocks`.
     A_uu, A_tu, A_tt, B_pu and B_su are scattered from the per-cell and
-    per-facet blocks on every access.
+    per-facet blocks on every access, through `_scatter`, so none of
+    them stores an exact zero.
     """
 
     def __init__(self, sp_, alpha):
@@ -261,26 +252,23 @@ class BlockSystem:
                          stack_rows.start + (e + 1) * m2)
             V[own, side, side] += self.facet_att[fe[own]]
 
-    def _times_u(self, key, keep_zeros=False):
+    def _times_u(self, key):
         rows, vals = self.local_block(key)
         return _scatter(rows, self._u, vals,
-                        (self.layout[key][2], self.spaces.n_u), keep_zeros)
-
-    @property
-    def local_auu(self):
-        return both_components(self.local_auu_scalar)
+                        (self.layout[key][2], self.spaces.n_u))
 
     @property
     def A_uu(self):
+        # one scatter of the scalar block per velocity component
         n_u = self.spaces.n_u
-        return _scatter(self._u, self._u, self.local_auu, (n_u, n_u),
-                        keep_zeros=False)
+        u = self._u.reshape(-1, self.spaces.nb)
+        return _scatter(u, u, np.repeat(self.local_auu_scalar, 2, axis=0),
+                        (n_u, n_u))
 
     @property
     def A_tt(self):
         n_t = self.spaces.n_ubar
-        return _scatter(self._t, self._t, self.facet_att, (n_t, n_t),
-                        keep_zeros=False)
+        return _scatter(self._t, self._t, self.facet_att, (n_t, n_t))
 
     @property
     def A_tu(self):
@@ -288,9 +276,7 @@ class BlockSystem:
 
     @property
     def B_pu(self):
-        # the dense divergence blocks keep their exact zeros; the other
-        # blocks drop them, with the zero component blocks
-        return self._times_u("p", keep_zeros=True)
+        return self._times_u("p")
 
     @property
     def B_su(self):
@@ -302,9 +288,14 @@ class BlockSystem:
                        format="csr")
 
     def divergence_matrix(self):
-        B = sp.vstack([self.B_pu, self.B_su])
-        z = sp.csr_matrix((B.shape[0], self.spaces.n_ubar))
-        return sp.bmat([[B, z]], format="csr")
+        """[[B_pu, 0], [B_su, 0]] in one scatter of the p and s rows,
+        which follow the t rows in the per-cell stack and in the
+        condensed numbering; the facet-velocity columns stay empty."""
+        sp_ = self.spaces
+        stack_rows = slice(self.layout["p"][0].start, None)
+        return _scatter(self.local_rows[:, stack_rows] - sp_.n_ubar, self._u,
+                        self.local_coupling[:, stack_rows],
+                        (sp_.n_p + sp_.n_pbar, sp_.n_u + sp_.n_ubar))
 
     def saddle_matrix(self):
         A = self.velocity_matrix()
@@ -490,15 +481,11 @@ def a_form_value(sp_, alpha, u1, t1, u2, t2):
         sides = []
         for e in range(sp_.nsides):
             f = sp_.mesh.cell_facets[:, e]
-            n = sp_.normal[:, e]
             wb = np.einsum("cqi,...cdi->...cqd", sp_.psibar[f],
                            c[..., f, :, :], optimize=True)
-            gx = np.einsum("cqi,...cdi->...cqd", sp_.gx_f[:, e], uc,
+            dn = np.einsum("cqi,...cdi->...cqd", sp_.dn_f[:, e], uc,
                            optimize=True)
-            gy = np.einsum("cqi,...cdi->...cqd", sp_.gy_f[:, e], uc,
-                           optimize=True)
-            sides.append((sp_.velocity_trace_at_facet_qp(u, e) - wb,
-                          gx * n[:, None, 0, None] + gy * n[:, None, 1, None]))
+            sides.append((sp_.velocity_trace_at_facet_qp(u, e) - wb, dn))
         return sp_.velocity_grad_at_cell_qp(u), sides
 
     g1, sides1 = kernels(u1, t1)

@@ -154,8 +154,7 @@ def condense(bs):
     # exactly symmetric.  Exact zeros, such as the cross-component
     # facet-velocity entries, are not stored.
     bs.add_facet_blocks(V)
-    cs.K = _assembly._scatter(rows, rows, V, (cs.size, cs.size),
-                              keep_zeros=False)
+    cs.K = _assembly._scatter(rows, rows, V, (cs.size, cs.size))
     del V
     # the scatter leaves K's arrays as views of buffers of the unsummed
     # stack size; copy them out, one at a time, and free the buffers

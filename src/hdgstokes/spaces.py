@@ -99,9 +99,12 @@ class SpaceSet:
 
     phi, gx, gy : (nc, nq, nb) cell velocity basis / gradients at
         cell quadrature points; psi likewise for the pressure.
-    phi_f, gx_f, gy_f : (nc, nsides, nqf, nb) traces of the cell
-        basis at the quadrature points of each side's facet, in facet
-        point order (both adjacent cells see identical points).
+    phi_f : (nc, nsides, nqf, nb) trace of the cell basis at the
+        quadrature points of each side's facet, in facet point order
+        (both adjacent cells see identical points).
+    dn_f : (nc, nsides, nqf, nb) outward normal derivative of the cell
+        basis at the same points, gx n_x + gy n_y; the one statement of
+        it, read by the side kernels of `assembly`.
     psibar : (nf, nqf, nbf) scalar facet basis at facet points;
         shared by facet velocity components and facet pressure.
     normal : (nc, nsides, 2) outward unit normal per cell side.
@@ -154,18 +157,15 @@ class SpaceSet:
 
         # traces at facet points, per cell side
         self.phi_f = np.empty((nc, self.nsides, nqf, self.nb))
-        self.gx_f = np.empty_like(self.phi_f)
-        self.gy_f = np.empty_like(self.phi_f)
+        self.dn_f = np.empty_like(self.phi_f)
         self.normal = np.empty((nc, self.nsides, 2))
         for e in range(self.nsides):
             f = mesh.cell_facets[:, e]
-            pts = self.facet_qp[f]
-            ph, gx, gy = self.cell_basis_at(pts)
-            self.phi_f[:, e] = ph
-            self.gx_f[:, e] = gx
-            self.gy_f[:, e] = gy
-            self.normal[:, e] = (mesh.facet_normals[f]
-                                 * mesh.cell_facet_sign[:, e, None])
+            self.normal[:, e] = n = (mesh.facet_normals[f]
+                                     * mesh.cell_facet_sign[:, e, None])
+            self.phi_f[:, e], gx, gy = self.cell_basis_at(self.facet_qp[f])
+            self.dn_f[:, e] = (gx * n[:, None, 0, None]
+                               + gy * n[:, None, 1, None])
         self.psibar = np.einsum("fqm,fmi->fqi",
                                 Vf, self.coeff_f, optimize=True)
 

@@ -94,7 +94,7 @@ def trace_seminorm_matrix(sp_):
     rows = _assembly._dof_maps(sp_)["t"][cf].transpose(2, 0, 1, 3) \
         .reshape(2 * nc, m)
     return _assembly._scatter(rows, rows, np.concatenate([loc, loc]),
-                              (sp_.n_ubar, sp_.n_ubar), keep_zeros=False)
+                              (sp_.n_ubar, sp_.n_ubar))
 
 
 # -- pencil utilities -------------------------------------------------

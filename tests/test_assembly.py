@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import constant_facet_velocity_fields, dg_penalty
-from hdgstokes import assembly, mesh, spaces
+from hdgstokes import assembly, condense, mesh, spaces, spectra
 
 SQ = np.sqrt(2.0)
 
@@ -31,11 +31,10 @@ def _trace_matched(sp_, fn):
     return u, t
 
 
-@pytest.mark.parametrize("keep_zeros", [True, False])
-def test_scatter_sums_duplicates_like_dense_accumulation(keep_zeros):
+def test_scatter_sums_duplicates_like_dense_accumulation():
     """Every entry gets more than two contributions; integer values
-    make every sum exact, whatever its order, and many of them zero.
-    Rows 6 and 7 get none."""
+    make every sum exact, whatever its order, and many of them zero,
+    which are not stored.  Rows 6 and 7 get none."""
     rng = np.random.default_rng(5)
     m, shape = 40, (8, 7)
     rows = np.array([rng.choice(6, 3, replace=False) for _ in range(m)])
@@ -50,11 +49,11 @@ def test_scatter_sums_duplicates_like_dense_accumulation(keep_zeros):
     np.add.at(dense, (i, j), vals.ravel())
     assert (dense[:6] == 0.0).any()
 
-    out = assembly._scatter(rows, cols, vals, shape, keep_zeros)
+    out = assembly._scatter(rows, cols, vals, shape)
     assert out.format == "csr" and out.shape == shape
     assert out.has_canonical_format and out.indices.dtype == np.int32
     assert np.array_equal(out.toarray(), dense)
-    stored = (hits > 0) if keep_zeros else (dense != 0.0)
+    stored = dense != 0.0
     assert out.nnz == stored.sum()
     pattern = np.zeros(shape, dtype=bool)
     pattern[np.repeat(np.arange(shape[0]), np.diff(out.indptr)),
@@ -278,3 +277,24 @@ def test_velocity_blocks_are_slices_of_local_form(shape, k, jitter):
         assert np.array_equal(bs.facet_att[:, c, c], att)
         other = slice((1 - comp) * nbf, (2 - comp) * nbf)
         assert not bs.facet_att[:, c, other].any()
+
+
+@pytest.mark.parametrize("shape", ["triangle", "quadrilateral"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("jitter", [0.0, 0.2])
+def test_assembled_matrices_store_no_exact_zero(shape, k, jitter):
+    """Every matrix the program assembles follows one storage rule:
+    exact zeros, such as those of the dense divergence blocks, the
+    cross-component blocks and the eliminated boundary rows, are not
+    stored."""
+    m = mesh.generate(3, 3, shape, jitter=jitter, seed=8)
+    sp_ = spaces.build_spaces(m, k)
+    bs = assembly.build_block_system(sp_, spaces.lid_driven_cavity(k))
+    cs = condense.condense(bs)
+    for name, A in (("A", bs.velocity_matrix()),
+                    ("B", bs.divergence_matrix()),
+                    ("saddle", bs.saddle_matrix()),
+                    ("M", bs.pressure_mass()), ("A_tt", bs.A_tt),
+                    ("K", cs.K),
+                    ("trace seminorm", spectra.trace_seminorm_matrix(sp_))):
+        assert A.nnz > 0 and np.all(A.data != 0.0), name

@@ -265,6 +265,34 @@ def test_verify_passes_on_default_quadrilaterals(tmp_path):
     assert fc["max_divergence"] > 1e-8 * fc["velocity_scale"]
 
 
+def test_verify_probes_coercivity_on_a_large_base(tmp_path):
+    """The coercivity probe measures the base level whatever its size:
+    at k = 3 the 8x8 base has more than 4,000 velocity unknowns, and
+    the check must not pass on an empty list of bounds."""
+    path = _ini(tmp_path, "[discretization]\ndegree = 3\n"
+                          "[verify]\nnx = 8\nlevels = 1\n")
+    assert cli.main(["verify", "--config", path,
+                     "--out", str(tmp_path / "v")]) == 0
+    report = json.loads((tmp_path / "v" / "verify.json").read_text())
+    (check,) = [c for c in report["checks"]
+                if c["name"] == "coercivity_positive"]
+    assert check["passed"] and len(check["bounds"]) == 1
+    assert check["bounds"][0][0] > 0
+
+
+def test_verify_on_two_triangles_writes_finite_json(tmp_path):
+    """Two triangles share one interior facet, so a [verify] nx = 1
+    base on triangles has a trace-form bracket to measure."""
+    path = _ini(tmp_path, "[verify]\nnx = 1\nlevels = 1\n")
+    assert cli.main(["verify", "--config", path,
+                     "--out", str(tmp_path / "v")]) in (0, 1)
+
+    def refuse(name):
+        raise ValueError(name)
+    text = (tmp_path / "v" / "verify.json").read_text()
+    json.loads(text, parse_constant=refuse)
+
+
 def test_export_round_trips_matrices(tmp_path):
     cfg = cli.RunConfig(nx=1, ny=1)
     out = tmp_path / "export"
@@ -431,6 +459,15 @@ def test_main_exit_codes(tmp_path, capsys):
                        "--out", str(tmp_path / "t")])
         assert rc == 2, command
         assert "not positive definite" in capsys.readouterr().err
+
+    # one quadrilateral has no interior facet: the trace-form bracket
+    # of verify would divide 0 by 0, so such a base is refused
+    one = _ini(tmp_path, "[mesh]\nshape = quadrilateral\n"
+                         "[verify]\nnx = 1\n", name="one.ini")
+    rc = cli.main(["verify", "--config", one, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "[verify] nx" in err
 
     slow = _ini(tmp_path, """
         [mesh]

@@ -209,11 +209,14 @@ def test_coupled_or_unequal_components_refused(tri_jitter, cavity):
 
 def _full_block_oracle(bs, y, f):
     """Dense K, rhs and recovered velocity from the inverse of the
-    whole (2nb)^2 cell block local_auu, both components at once."""
+    whole (2nb)^2 cell block, both components at once, built here from
+    the scalar block local_auu_scalar."""
     sp_ = bs.spaces
-    nt = sp_.n_ubar
+    nt, nb = sp_.n_ubar, sp_.nb
     N = nt + sp_.n_p + sp_.n_pbar
-    Ainv = np.linalg.inv(bs.local_auu)
+    A = np.zeros((sp_.mesh.num_cells, 2 * nb, 2 * nb))
+    A[:, :nb, :nb] = A[:, nb:, nb:] = bs.local_auu_scalar
+    Ainv = np.linalg.inv(A)
     R = bs.local_coupling
     rows = bs.local_rows
     K = np.zeros((N, N))

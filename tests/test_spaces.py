@@ -196,8 +196,12 @@ def _reference_tables(s):
     ref["psi"] = _power_monomials(x, y, s.ex_p, s.ey_p) @ ref["coeff_p"]
     sides = [basis(s.facet_qp[s.mesh.cell_facets[:, e]])
              for e in range(s.nsides)]
-    for i, name in enumerate(("phi_f", "gx_f", "gy_f")):
-        ref[name] = np.stack([t[i] for t in sides], axis=1)
+    ref["phi_f"] = np.stack([ph for ph, _, _ in sides], axis=1)
+    # the outward normal derivative, by the expression of `SpaceSet`
+    ref["dn_f"] = np.stack(
+        [gx * n[:, None, 0, None] + gy * n[:, None, 1, None]
+         for (_, gx, gy), n in zip(sides, s.normal.transpose(1, 0, 2))],
+        axis=1)
     return ref
 
 
