@@ -311,6 +311,11 @@ def run_study(cfg, outdir):
 def run_verify(cfg, outdir):
     """Spectral verification ladder; writes verify.json and returns a
     nonzero exit code when any check fails."""
+    if cfg.jitter > 0:
+        raise ConfigError("[mesh] jitter = %g: verify compares spectra "
+                          "across mesh levels, and a jittered mesh is "
+                          "drawn anew at each level; use [mesh] jitter = 0"
+                          % cfg.jitter)
     os.makedirs(outdir, exist_ok=True)
     checks = []
 

@@ -10,12 +10,15 @@ Four kinds, all symmetric positive definite:
 Rbar approximates the inverse of the condensed velocity block.  That
 block is two copies of one scalar operator (`condense` checks it), so
 Rbar is built on the scalar block `cs.Abar_scalar` alone: an exact
-sparse factorization, or a fixed number of two-level auxiliary-space
-cycles (`amg.AuxiliarySpace`): Chebyshev facet-block Jacobi smoothing
-around an exact solve on continuous P1 over the interior mesh vertices, mapped
-into the facet basis by `spaces.vertex_trace_prolongator`.  Its
-spectral bracket against the scalar block does not move under mesh
-refinement, so neither do the iteration counts.  It is applied to
+sparse factorization, or `cycles` two-level auxiliary-space cycles
+(`amg.AuxiliarySpace`): Chebyshev facet-block Jacobi smoothing around
+an exact solve on continuous P1 over the interior mesh vertices,
+mapped into the facet basis by `spaces.vertex_trace_prolongator`.
+More than one cycle is applied as a Chebyshev polynomial in the cycle,
+not as a stationary iteration; its spectrum against the scalar block
+stays in (0, 1] and reaches closer to 1 for the same number of
+cycles.  The spectral bracket does not move under mesh refinement, so
+neither do the iteration counts.  Rbar is applied to
 both components at once: the facet velocity is numbered one component
 after the other, so r.reshape(2, -1).T is the (n_t/2, 2) block of the
 two components, a Fortran-ordered view, the order SuperLU solves in;
@@ -56,8 +59,8 @@ SmoothedAggregation = AuxiliarySpace
 
 class OperatorApprox:
     """Approximate inverse of the scalar trace block `cs.Abar_scalar`:
-    'exact' (`spd_lu`) or 'multigrid' (a fixed number of
-    auxiliary-space cycles per apply, `amg.AuxiliarySpace`, with the
+    'exact' (`spd_lu`) or 'multigrid' (`cycles` auxiliary-space cycles
+    per apply as a Chebyshev polynomial, `amg.AuxiliarySpace`, with the
     continuous P1 coarse space of `spaces.vertex_trace_prolongator`
     and Chebyshev facet-block Jacobi smoothing).  Tiny problems, and meshes
     without an interior vertex, silently degrade multigrid to the

@@ -460,6 +460,17 @@ def test_main_exit_codes(tmp_path, capsys):
         assert rc == 2, command
         assert "not positive definite" in capsys.readouterr().err
 
+    # a jittered mesh is drawn anew at each verify level, so the drift
+    # checks compared unrelated meshes (this one exited 1)
+    jittered = _ini(tmp_path, "[mesh]\nshape = quadrilateral\njitter = 0.2\n"
+                              "seed = 7\n[discretization]\ndegree = 3\n",
+                    name="jittered.ini")
+    rc = cli.main(["verify", "--config", jittered,
+                   "--out", str(tmp_path / "j")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "[mesh] jitter" in err
+
     # one quadrilateral has no interior facet: the trace-form bracket
     # of verify would divide 0 by 0, so such a base is refused
     one = _ini(tmp_path, "[mesh]\nshape = quadrilateral\n"
