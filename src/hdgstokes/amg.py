@@ -49,10 +49,10 @@ cycles, plus a few vector updates.
 The lower end of the spectrum of one cycle varies from 0.35 to 0.91
 with the mesh and the degree (triangles at k = 3 with jitter 0.2 to
 quadrilaterals at k = 1, 16 x 16), so it is measured once per
-`AuxiliarySpace`, by the first apply that needs it: alpha is 0.95
-times the smallest Ritz value of 12 plain Lanczos steps on the pencil
-(A, B^-1) from a fixed seed (`_pencil_lower_end`), clamped to
-[1e-3, 0.999].  A Ritz value is never below the smallest eigenvalue;
+`AuxiliarySpace`, by the first apply with two or more cycles: alpha is
+0.95 times the smallest Ritz value (`krylov.ritz_extremes`) of 12 steps
+of `krylov.lanczos` on the pencil (A, B^-1) from a fixed seed, clamped
+to [1e-3, 0.999].  A Ritz value is never below the smallest eigenvalue;
 the margin covers the gap, and an alpha above it would cost accuracy,
 not definiteness.  The estimate costs 13 cycles and 12 products with
 A (0.13 to 0.18 s on 128 x 128 triangles at k = 2, a third of the
@@ -77,11 +77,13 @@ halves the fill of the column ordering SuperLU uses by default.
 """
 
 import functools
+import itertools
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from . import krylov
 
 
 def spd_lu(A):
@@ -130,30 +132,6 @@ def _lambda_max(A, Dinv, iters=20, seed=0):
     return (Av @ (Dinv @ Av)) / (v @ Av)
 
 
-def _pencil_lower_end(A, cycle, steps=12, seed=0):
-    """Smallest Ritz value of `steps` plain Lanczos steps on the pencil
-    (A, B^-1) for the SPD action z = cycle(r) = B r, that is on the
-    spectrum of B A, from a fixed-seed start vector: the recurrence of
-    `spectra._lanczos_extremes`, one product and one cycle per step.
-    A Ritz value is never below the smallest eigenvalue."""
-    r = np.random.default_rng(seed).standard_normal(A.shape[0])
-    w = cycle(r)
-    beta = np.sqrt(w @ r)
-    a, b, p_old = [], [], 0.0
-    for _ in range(steps):
-        q, p = w / beta, r / beta
-        r = A @ q
-        r -= beta * p_old
-        a.append(q @ r)
-        r -= a[-1] * p
-        w = cycle(r)
-        beta = np.sqrt(max(w @ r, 0.0))
-        b.append(beta)
-        p_old = p
-    return sla.eigh_tridiagonal(a, b[:-1], eigvals_only=True,
-                                select="i", select_range=(0, 0))[0]
-
-
 class _Level:
     __slots__ = ("A",)
 
@@ -188,8 +166,12 @@ class AuxiliarySpace:
     def alpha(self):
         """Lower end of the Chebyshev interval, measured on first use:
         one cycle per apply needs none."""
-        lo = _pencil_lower_end(self.levels[0].A,
-                               lambda r: self._cycle(r, False)[0])
+        A = self.levels[0].A
+        r = np.random.default_rng(0).standard_normal(A.shape[0])
+        steps = krylov.lanczos(A.__matmul__, r,
+                               lambda x: self._cycle(x, False)[0])
+        tri = np.array(list(itertools.islice(steps, 12)))
+        lo, _ = krylov.ritz_extremes(tri.T)
         return min(max(_ALPHA_MARGIN * lo, 1e-3), 0.999)
 
     def _cycle(self, r, residual):

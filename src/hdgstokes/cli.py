@@ -281,8 +281,8 @@ def run_solve(cfg, outdir, save_solution=False):
 
 
 def run_study(cfg, outdir):
-    """Iteration counts of all four preconditioners over a refinement
-    ladder; one CSV row per level."""
+    """Iteration counts of all four preconditioners under cfg.method
+    over a refinement ladder; one CSV row per level."""
     os.makedirs(outdir, exist_ok=True)
     rows = []
     detail = []
@@ -291,7 +291,7 @@ def run_study(cfg, outdir):
         _, _, cs = discretize(cfg, m)
         row = {"level": level, "cells": m.num_cells, "dofs": cs.size}
         for kind in precond.KINDS:
-            rep = krylov_solve(cfg, cs, kind, "minres", cfg.tol)
+            rep = krylov_solve(cfg, cs, kind, cfg.method, cfg.tol)
             row[kind] = rep.iterations if rep.converged else -1
             failed = failed or not rep.converged
             detail.append({"level": level, **rep.to_dict()})

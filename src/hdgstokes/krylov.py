@@ -13,6 +13,10 @@ tridiagonal of the preconditioned operator that the recurrence builds
 is kept too, as `SolverReport.lanczos`; `ritz_extremes` reads the
 extreme eigenvalue estimates off it.
 
+`lanczos` is the package's one plain Lanczos recurrence, with no
+stored basis: the probes of `spectra` and the multigrid alpha of `amg`
+read their extreme eigenvalues off its tridiagonal.
+
 gmres is restarted GMRES with the preconditioner applied on the right,
 so its recurrence estimate *is* the true residual norm; it tolerates
 indefinite preconditioners by construction.  Each new basis vector is
@@ -67,12 +71,41 @@ class SolverReport:
 
 
 def ritz_extremes(lanczos):
-    """Smallest and largest eigenvalue of the Lanczos tridiagonal
-    (alfa, beta) that `minres` records as `SolverReport.lanczos`: the
-    extreme Ritz values of the preconditioned operator."""
+    """Smallest and largest eigenvalue, each selected by index, of the
+    Lanczos tridiagonal (alfa, beta) that `minres` records as
+    `SolverReport.lanczos` or `lanczos` yields: extreme Ritz values."""
     alfa, beta = lanczos
-    w = eigh_tridiagonal(alfa, beta[:len(alfa) - 1], eigvals_only=True)
-    return float(w[0]), float(w[-1])
+    j = len(alfa) - 1
+    lo, hi = (eigh_tridiagonal(alfa, beta[:j], eigvals_only=True,
+                               select="i", select_range=(i, i))[0]
+              for i in (0, j))
+    return float(lo), float(hi)
+
+
+def lanczos(op, r, solve=None):
+    """Yield each step's (alfa, beta), the diagonal entry and the next
+    off-diagonal entry of the Lanczos tridiagonal of a symmetric op,
+    or of the pencil (op, N) when `solve` applies N^-1 for an SPD N,
+    from the start vector r (N^-1 r for a pencil).  Only the last two
+    vectors are kept: without reorthogonalization the extreme Ritz
+    values still converge, and lost orthogonality only repeats
+    converged values (Paige, 1980).  A pencil runs in the N inner
+    product and carries p = N q beside each vector q: one product and
+    one solve per step.  The caller stops at beta = 0."""
+    w = r if solve is None else solve(r)
+    beta = np.sqrt(w @ r)
+    p_old = 0.0
+    while True:
+        q = w / beta
+        p = q if solve is None else r / beta
+        r = op(q)
+        r -= beta * p_old
+        alfa = q @ r
+        r -= alfa * p
+        w = r if solve is None else solve(r)
+        beta = np.sqrt(max(w @ r, 0.0))
+        yield alfa, beta
+        p_old = p
 
 
 def _as_matvec(A):
@@ -91,8 +124,7 @@ def orthogonalize(Q, w):
 
     Two passes of classical Gram-Schmidt, w -= Q^T (Q w); returns the
     summed coefficients of both passes, the projection Q w of the
-    input.  GMRES is its only user: the Lanczos probes of `spectra`
-    keep no basis."""
+    input.  GMRES is its only user: `lanczos` keeps no basis."""
     h = np.zeros(len(Q))
     for _ in range(2):
         c = Q @ w
@@ -231,13 +263,13 @@ def gmres(A, b, pc=None, tol=1e-8, maxiter=1000, restart=50,
     """Right-preconditioned restarted GMRES.
 
     The Arnoldi basis is orthogonalized by `orthogonalize` (two-pass
-    classical Gram-Schmidt).  A restart cycle ends at `restart`
-    iterations, at an estimated residual <= tol or at breakdown; it
-    then forms the true residual proj(b - A x) once.  Its norm is the
-    convergence test (and replaces the estimate as the last entry of
-    `residuals` when it passes); otherwise it starts the next cycle.
-    A Hessenberg column that the earlier rotations leave zero (pc
-    annihilates the basis vector) is a breakdown: the cycle ends
+    classical Gram-Schmidt).  A restart cycle ends after min(restart, n)
+    iterations, n the dimension, at an estimated residual <= tol or at
+    breakdown; it then forms the true residual proj(b - A x) once.  Its
+    norm is the convergence test (and replaces the estimate as the last
+    entry of `residuals` when it passes); otherwise it starts the next
+    cycle.  A Hessenberg column that the earlier rotations leave zero
+    (pc annihilates the basis vector) is a breakdown: the cycle ends
     before it, and so does the solve."""
     matvec = _as_matvec(A)
     apply_pc = pc if pc is not None else (lambda x: x.copy())
@@ -258,7 +290,7 @@ def gmres(A, b, pc=None, tol=1e-8, maxiter=1000, restart=50,
     r = b
     breakdown = None
     while total < maxiter and breakdown is None:
-        m = min(restart, maxiter - total)
+        m = min(restart, maxiter - total, n)
         V = np.zeros((m + 1, n))
         H = np.zeros((m + 1, m))
         cs = np.zeros(m)

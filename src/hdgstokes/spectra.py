@@ -23,9 +23,9 @@ by assembly), and the probes read only that diagonal D (`cs.mass`,
 `bs.mass`): every pressure pencil (S, M), the per-cell one of
 `cell_infsup` included, is the standard symmetric problem
 D^-1/2 S D^-1/2.  Only extreme eigenvalues are read, so the global
-pencils are solved by plain Lanczos (`_lanczos_extremes`: the
-three-term recurrence, no stored basis, Ritz values tested every
-`_LANCZOS_CHECK` steps) on operators that are never formed: the
+pencils are solved by plain Lanczos (`_lanczos_extremes` on the steps
+of `krylov.lanczos`, Ritz values tested every `_LANCZOS_CHECK` steps)
+on operators that are never formed: the
 pressure Schur complement in its condensed form
 Bbar Abar^-1 Bbar^T - C, with Bbar and C the pressure rows of K and
 Abar^-1 one `amg.spd_lu` factorization of the scalar block
@@ -60,6 +60,7 @@ import scipy.sparse as sp
 from . import amg as _amg
 from . import assembly as _assembly
 from . import condense as _condense
+from . import krylov as _krylov
 from . import spaces as _spaces
 
 
@@ -131,37 +132,22 @@ def _lanczos_extremes(op, n, ends=(0, -1), solve=None):
     """Extreme eigenvalues of a symmetric operator op on R^n, or of the
     pencil (op, N) when `solve` applies N^-1 for an SPD N.
 
-    The plain three-term Lanczos recurrence from a fixed-seed start
-    vector, so the same operator gives the same values bit for bit.
-    Only the last two Lanczos vectors are kept: without
-    reorthogonalization the extreme Ritz values still converge, and
-    lost orthogonality only repeats converged values (Paige, 1980).
-    For a pencil the recurrence runs in the N inner product on
-    N^-1 op, starting from N^-1 z for the seeded z, and carries
-    p = N q beside each vector q, so a step costs one product and one
-    solve.  `ends` index the ascending Ritz values (0 the smallest, -1
-    the largest); they are returned in that order.  With
-    T_j = S diag(theta) S^T the j-step tridiagonal and b_j the norm of
-    the next residual, the Ritz value theta_i is accepted when
-    b_j |S_ji| <= _LANCZOS_TOL max |theta|; the scale is not |theta_i|,
-    so that an eigenvalue 0 converges too.  The test runs every
-    _LANCZOS_CHECK steps, at step n, at the cap and when the residual
-    vanishes; the cap is _LANCZOS_MAX_STEPS whatever n is, since the
-    recurrence may need more than n steps.  RuntimeError after
-    _LANCZOS_MAX_STEPS steps."""
+    The steps of `krylov.lanczos` from a fixed-seed start vector, so
+    the same operator gives the same values bit for bit.  `ends` index
+    the ascending Ritz values (0 the smallest, -1 the largest); they
+    are returned in that order.  With T_j = S diag(theta) S^T the
+    j-step tridiagonal and b_j the norm of the next residual, the Ritz
+    value theta_i is accepted when b_j |S_ji| <= _LANCZOS_TOL max |theta|;
+    the scale is not |theta_i|, so that an eigenvalue 0 converges too.
+    The test runs every _LANCZOS_CHECK steps, at step n, at the cap and
+    when the residual vanishes; the cap is _LANCZOS_MAX_STEPS whatever
+    n is, since the recurrence may need more than n steps.
+    RuntimeError after _LANCZOS_MAX_STEPS steps."""
     r = np.random.default_rng(0).standard_normal(n)
-    w = r if solve is None else solve(r)
-    beta = np.sqrt(w @ r)
-    a, b, p_old = [], [], 0.0
-    for j in range(_LANCZOS_MAX_STEPS):
-        q = w / beta
-        p = q if solve is None else r / beta
-        r = op(q)
-        r -= beta * p_old
-        a.append(q @ r)
-        r -= a[-1] * p
-        w = r if solve is None else solve(r)
-        beta = np.sqrt(max(w @ r, 0.0))
+    a, b = [], []
+    steps = _krylov.lanczos(op, r, solve)
+    for j, (alfa, beta) in zip(range(_LANCZOS_MAX_STEPS), steps):
+        a.append(alfa)
         b.append(beta)
         if ((j + 1) % _LANCZOS_CHECK == 0 or j + 1 in (n, _LANCZOS_MAX_STEPS)
                 or not beta):
@@ -174,7 +160,6 @@ def _lanczos_extremes(op, n, ends=(0, -1), solve=None):
             scale = max(abs(ritz[0][0]), abs(ritz[j][0]))
             if all(ritz[i][1] <= _LANCZOS_TOL * scale for i in want):
                 return [ritz[i][0] for i in want]
-        p_old = p
     raise RuntimeError("Lanczos did not converge in %d steps"
                        % _LANCZOS_MAX_STEPS)
 

@@ -11,7 +11,8 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
-from hdgstokes import assembly, cli, condense, krylov, mesh, spaces, spectra
+from hdgstokes import (assembly, cli, condense, krylov, mesh, precond, spaces,
+                       spectra)
 
 
 def _ini(tmp_path, text, name="run.ini"):
@@ -232,6 +233,14 @@ def test_study_is_deterministic(tmp_path):
                       "PC-SGS", "matrix_hash"]
     row = json.loads((tmp_path / "a" / "study.json").read_text())["rows"][0]
     assert all(row[k] > 0 for k in ("PM", "PC", "PM-SGS", "PC-SGS"))
+
+
+def test_study_solves_with_the_configured_method(tmp_path):
+    cfg = cli.RunConfig(nx=2, ny=2, levels=2, method="gmres")
+    assert cli.run_study(cfg, str(tmp_path)) == 0
+    reports = json.loads((tmp_path / "study.json").read_text())["reports"]
+    assert len(reports) == 2 * len(precond.KINDS)
+    assert all(rep["method"] == "gmres" for rep in reports)
 
 
 def test_verify_passes_on_small_ladder(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -156,6 +157,21 @@ def test_minres_ritz_extremes_known_spectrum():
     assert abs(hi - 10.0) < 1e-8
 
 
+@pytest.mark.parametrize("pencil", [False, True])
+def test_lanczos_ritz_extremes_of_a_diagonal_matrix(pencil):
+    """n steps of the recurrence on diag(d), or on the pencil
+    (diag(d m), diag(m)), find the ends of d."""
+    n = 30
+    rng = np.random.default_rng(17)
+    d = np.linspace(0.5, 4.0, n)
+    m = rng.uniform(0.5, 2.0, n) if pencil else np.ones(n)
+    steps = krylov.lanczos(lambda x: d * m * x, rng.standard_normal(n),
+                           (lambda r: r / m) if pencil else None)
+    alfa, beta = np.array(list(itertools.islice(steps, n))).T
+    lo, hi = krylov.ritz_extremes((alfa, beta))
+    assert abs(lo - 0.5) < 1e-12 and abs(hi - 4.0) < 1e-12
+
+
 def test_minres_maxiter_exhaustion():
     A = _spd(50, 6)
     b = np.ones(50)
@@ -190,6 +206,20 @@ def test_gmres_right_preconditioning_one_step():
     b = np.ones(30)
     rep = krylov.gmres(A, b, pc=lambda r: Ainv @ r, tol=1e-12, maxiter=50)
     assert rep.converged and rep.iterations <= 2
+
+
+def test_gmres_restart_beyond_dimension_is_full_gmres():
+    """A cycle holds at most n basis vectors, n the dimension: restart
+    and maxiter of 10^9 run as restart n, where a basis of 10^9 + 1
+    vectors would not be allocated."""
+    rng = np.random.default_rng(13)
+    A = np.eye(40) + 0.05 * rng.standard_normal((40, 40))
+    b = rng.standard_normal(40)
+    runs = [krylov.gmres(A, b, tol=1e-10, maxiter=10**9, restart=restart)
+            for restart in (40, 10**9)]
+    assert runs[1].converged
+    assert np.array_equal(runs[0].x, runs[1].x)
+    assert runs[0].residuals == runs[1].residuals
 
 
 def test_gmres_restart_cycles():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from hdgstokes import amg, assembly, condense, krylov, mesh, precond, spaces
@@ -297,6 +298,38 @@ def _stationary(mg, b, cycles):
     for _ in range(cycles - 1):
         x += _plain_cycle(mg, b - A @ x)
     return x
+
+
+def _pencil_lower_end(A, cycle, steps=12, seed=0):
+    """Smallest Ritz value of `steps` plain Lanczos steps on the pencil
+    (A, B^-1) for z = cycle(r) = B r, from a fixed-seed start vector:
+    the recurrence the multigrid alpha was first measured with."""
+    r = np.random.default_rng(seed).standard_normal(A.shape[0])
+    w = cycle(r)
+    beta = np.sqrt(w @ r)
+    a, b, p_old = [], [], 0.0
+    for _ in range(steps):
+        q, p = w / beta, r / beta
+        r = A @ q
+        r -= beta * p_old
+        a.append(q @ r)
+        r -= a[-1] * p
+        w = cycle(r)
+        beta = np.sqrt(max(w @ r, 0.0))
+        b.append(beta)
+        p_old = p
+    return sla.eigh_tridiagonal(a, b[:-1], eigvals_only=True,
+                                select="i", select_range=(0, 0))[0]
+
+
+@pytest.mark.parametrize("shape", ["triangle", "quadrilateral"])
+def test_multigrid_alpha_is_the_pencil_recurrence(shape):
+    """alpha, bit for bit: 0.95 times the smallest Ritz value of 12
+    Lanczos steps on the cycle, clamped to [1e-3, 0.999]."""
+    _, pc = _multigrid_setup(12, shape=shape)
+    mg = pc.rbar.amg
+    ref = _pencil_lower_end(mg.levels[0].A, lambda r: _plain_cycle(mg, r))
+    assert mg.alpha == min(max(0.95 * ref, 1e-3), 0.999)
 
 
 def test_multigrid_one_cycle_is_the_plain_cycle():
