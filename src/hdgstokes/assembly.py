@@ -52,29 +52,60 @@ def _kernel(a, w, b):
     return np.einsum("cqi,cq,cqj->cij", a, w, b, optimize=True)
 
 
+def _row_order(rows, cols, n_rows):
+    """The row order of a scatter, which depends on the indices alone.
+
+    rows (m, r), cols (m, c).  Returns (pos, indices, indptr): pos
+    (m r,), the place of each block row in the unsummed CSR buffer,
+    its rows stably sorted by row; the int32 column indices of that
+    buffer, (m r, c); and its row pointer."""
+    m, r = rows.shape
+    c = cols.shape[1]
+    order = np.argsort(rows.ravel(), kind="stable")
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows.ravel(), minlength=n_rows) * c,
+              out=indptr[1:])
+    indices = cols.astype(np.int32)[order // r]
+    pos = np.empty_like(order)
+    pos[order] = np.arange(m * r)
+    return pos, indices, indptr
+
+
 def _scatter(rows, cols, vals, shape):
     """Accumulate batched dense blocks into CSR; every scatter of
     element blocks goes through here, so no assembled matrix stores an
     exact zero.
 
-    rows (m, r), cols (m, c), vals (m, r, c); duplicate index pairs
-    are summed, then exact zeros dropped.  The m r block rows go
-    straight into CSR, stably sorted by row: the same unsorted rows,
-    in the same order, as a COO-to-CSR conversion of the expanded
-    triplets, so every sum is the same to the bit, with no expanded
-    row index array.  Column indices are int32.
+    rows (m, r), cols (m, c), vals (m, r, c), or an iterable of
+    consecutive pieces of it along m, each written to its place as it
+    comes, so that the stack is never held whole; duplicate index
+    pairs are summed, then exact zeros dropped.  The m r block rows go
+    straight into CSR, stably sorted by row (`_row_order`): the same
+    unsorted rows, in the same order, as a COO-to-CSR conversion of
+    the expanded triplets, so every sum is the same to the bit, with no
+    expanded row index array.  Column indices are int32.
     """
-    m, r = rows.shape
     c = cols.shape[1]
-    order = np.argsort(rows.ravel(), kind="stable")
-    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows.ravel(), minlength=shape[0]) * c,
-              out=indptr[1:])
-    out = sp.csr_matrix((vals.reshape(m * r, c)[order].ravel(),
-                         cols.astype(np.int32)[order // r].ravel(), indptr),
-                        shape=shape)
+    pos, indices, indptr = _row_order(rows, cols, shape[0])
+    data = np.empty((len(pos), c))
+    start = 0
+    for piece in [vals] if isinstance(vals, np.ndarray) else vals:
+        stop = start + piece.shape[0] * piece.shape[1]
+        data[pos[start:stop]] = piece.reshape(-1, c)
+        start = stop
+    out = sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=shape)
+    # no other reference to the unsummed buffers, so that the sums
+    # below free them as soon as they copy the summed entries out
+    del data, indices
     out.sum_duplicates()
     out.eliminate_zeros()
+    # The sums copy the entries out only when fewer than half of them
+    # are left; otherwise copy them here, the indices first: with the
+    # smaller buffer freed first, the peak is the data buffer and both
+    # summed arrays.
+    if out.indices.base is not None:
+        out.indices = out.indices.copy()
+        out.data = out.data.copy()
     return out
 
 
@@ -237,16 +268,17 @@ class BlockSystem:
         return (self.local_rows[:, stack_rows] - offset,
                 self.local_coupling[:, stack_rows])
 
-    def add_facet_blocks(self, V):
-        """Add each facet's block of A_tt to V, a per-cell stack of
-        (local_rows)^2 blocks, at the rows of the facet's side in the
-        stack of the facet's first cell; V is modified in place."""
+    def add_facet_blocks(self, V, start=0):
+        """Add each facet's block of A_tt to V, the stack of
+        (local_rows)^2 blocks of the cells start, start + 1, ..., at the
+        rows of the facet's side in the stack of the facet's first
+        cell; V is modified in place."""
         mesh = self.spaces.mesh
         stack_rows = self.layout["t"][0]
         m2 = self._t.shape[1]
-        cells = np.arange(mesh.num_cells)
+        cells = np.arange(start, start + len(V))
         for e in range(self.spaces.nsides):
-            fe = mesh.cell_facets[:, e]
+            fe = mesh.cell_facets[cells, e]
             own = mesh.facet_cells[fe, 0] == cells
             side = slice(stack_rows.start + e * m2,
                          stack_rows.start + (e + 1) * m2)

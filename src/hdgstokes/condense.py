@@ -21,9 +21,15 @@ is formed by forward substitution and applied as batched matrix
 products (`cell_schur`, which the spectral probes share, and
 `recover_velocity`).  The stack of -W^T W goes to CSR through
 `assembly._scatter`, A_tt folded into it; K comes out exactly
-symmetric.  The identity Bbar Abar^-1 Bbar^T - C = B A^-1 B^T holds
-as exact block algebra and is verified, not assumed, by the spectra
-module.
+symmetric.  `condense` works through the cells in chunks of `_CHUNK`:
+each chunk's stack is formed, its share of the right-hand side taken,
+and its block rows written straight to their places in K's unsummed
+buffer, so the stack of every cell is never held, let alone twice.
+Each entry of K sums the same contributions in the same order as a
+scatter of the whole stack would, so K, the right-hand side and the
+recovery data do not depend on the chunk size.  The identity
+Bbar Abar^-1 Bbar^T - C = B A^-1 B^T holds as exact block algebra and
+is verified, not assumed, by the spectra module.
 
 Constrained facet-velocity rows pass through condensation as identity
 rows because their coupling columns were cleared during elimination.
@@ -41,13 +47,24 @@ than 1e-12 of the largest entry.  A facet-velocity vector t is the
 K is held once.  Every other block is sliced from it by its reader,
 when it is needed, with `CondensedSystem.block`; its keys "t", "p" and
 "s" are those of `BlockSystem.layout`, whose offsets are also the
-ones `CondensedSystem.split` cuts vectors at.
+ones `CondensedSystem.split` cuts vectors at.  The one exception is
+-C_pp, which couples only the pressures of one cell (no other cell's
+stack and no A_tt block reaches its rows): its cell blocks are kept
+as they are formed (`pressure_blocks`), for the preconditioners and
+the spectral probes that solve with it cell by cell.
 """
 
 import numpy as np
 
 from . import spaces as _spaces
 from . import assembly as _assembly
+
+# Cells condensed at a time.  The process peak of `condense` on 64x64
+# triangles at k = 2 (8,192 cells): 251 MiB with chunks of 64 to 256
+# cells, 259 with 512, 269 with 1,024, 287 with one stack of every
+# cell.  On 32x32 (2,048 cells) it grows with the chunk from 112 MiB
+# (64) to 116 (256) and 124 (1,024), above the 121 of one stack.
+_CHUNK = 256
 
 
 class CondensedSystem:
@@ -63,6 +80,9 @@ class CondensedSystem:
         bdiag(Abar_scalar, Abar_scalar).
     rhs : full condensed right-hand side (t, p, s ordering).
     mass : (n_p + n_s,) checked pressure mass diagonal, `BlockSystem.mass`.
+    pressure_blocks : (nc, np_cell, np_cell), per cell its block of
+        -C_pp = B_pu A_uu^-1 B_pu^T, positive definite; -C_pp is
+        bdiag of them, entry for entry.
     alpha : penalty of the condensed velocity form, `BlockSystem.alpha`.
 
     Recovery data, read by `recover_velocity`:
@@ -74,7 +94,7 @@ class CondensedSystem:
     local_coupling : (nc, mk, 2 nb), per cell the coupling of those
         rows to both interior velocity components
         (`BlockSystem.local_coupling`).
-    L_u : (n_u,) interior-velocity load vector.
+    L_u : (n_u,) interior-velocity load vector, `BlockSystem.L_u`.
     """
 
     def __init__(self, spaces, layout, mass, alpha):
@@ -131,42 +151,48 @@ def cell_schur(A0, R):
 
 
 def condense(bs):
-    """Eliminate interior velocities from an assembled BlockSystem."""
+    """Eliminate interior velocities from an assembled BlockSystem,
+    `_CHUNK` cells at a time."""
     sp_ = bs.spaces
     nc, nb = sp_.mesh.num_cells, sp_.nb
     cs = CondensedSystem(sp_, bs.layout, bs.mass, bs.alpha)
-
-    V, Wt, Linv = cell_schur(bs.local_auu_scalar, bs.local_coupling)
-    V *= -1.0
-
-    # rhs: [L_t; 0; 0] - R A_uu^-1 L_u
-    wf = bs.L_u.reshape(nc, 2, nb) @ Linv.transpose(0, 2, 1)
-    corr = (Wt @ wf.reshape(nc, 2 * nb, 1))[..., 0]
-    del Wt
     rows = bs.local_rows
+    p_rows = bs.layout["p"][0]
     rhs = np.concatenate([bs.L_t, np.zeros(cs.n_p + cs.n_s)])
-    np.add.at(rhs, rows.ravel(), -corr.ravel())
-    cs.rhs = rhs
+    f = bs.L_u.reshape(nc, 2, nb)
+    Linv = np.empty((nc, nb, nb))
+    cs.pressure_blocks = np.empty((nc, sp_.np_cell, sp_.np_cell))
+
+    def stacks():
+        """The stack of -R_K A_uu^-1 R_K^T + A_tt of each chunk, once
+        its share of rhs, Linv and the pressure blocks is taken."""
+        for start in range(0, nc, _CHUNK):
+            c = slice(start, start + _CHUNK)
+            V, Wt, Linv[c] = cell_schur(bs.local_auu_scalar[c],
+                                        bs.local_coupling[c])
+            # rhs: [L_t; 0; 0] - R A_uu^-1 L_u
+            wf = f[c] @ Linv[c].transpose(0, 2, 1)
+            corr = (Wt @ wf.reshape(-1, 2 * nb, 1))[..., 0]
+            np.add.at(rhs, rows[c].ravel(), -corr.ravel())
+            cs.pressure_blocks[c] = V[:, p_rows, p_rows]
+            V *= -1.0
+            bs.add_facet_blocks(V, start)
+            yield V
 
     # Each facet's block of A_tt goes into the stack of the facet's
     # first cell, so an entry of K sums at most two cell contributions,
     # which floating-point addition does in either order alike: K is
     # exactly symmetric.  Exact zeros, such as the cross-component
     # facet-velocity entries, are not stored.
-    bs.add_facet_blocks(V)
-    cs.K = _assembly._scatter(rows, rows, V, (cs.size, cs.size))
-    del V
-    # the scatter leaves K's arrays as views of buffers of the unsummed
-    # stack size; copy them out, one at a time, and free the buffers
-    cs.K.data = cs.K.data.copy()
-    cs.K.indices = cs.K.indices.copy()
+    cs.K = _assembly._scatter(rows, rows, stacks(), (cs.size, cs.size))
+    cs.rhs = rhs
 
     cs.Abar_scalar = _component_block(cs.K, cs.n_t // 2)
 
     cs.chol_inv = Linv
     cs.local_rows = rows
     cs.local_coupling = bs.local_coupling
-    cs.L_u = bs.L_u.copy()
+    cs.L_u = bs.L_u
     return cs
 
 

@@ -22,12 +22,15 @@ neither do the iteration counts.  Rbar is applied to
 both components at once: the facet velocity is numbered one component
 after the other, so r.reshape(2, -1).T is the (n_t/2, 2) block of the
 two components, a Fortran-ordered view, the order SuperLU solves in;
-the same holds in both sweeps of the SGS kinds.  Every
+the same holds in both sweeps of the SGS kinds.  Every sparse
 factorization here is `amg.spd_lu` (symmetric minimum-degree ordering,
-diagonal pivots), since all factored blocks are SPD.  The modal bases
-are orthonormal, so the pressure masses of the PM kinds are diagonal:
-they are applied as r / d with d the slices of `cs.mass`, the diagonal
-that assembly checked once (`assembly.mass_diagonal`).
+diagonal pivots), since all factored blocks are SPD.  -C_pp couples
+only the pressures of one cell, so the PC kinds invert its cell
+blocks (`cs.pressure_blocks`) and apply it as one batched product.
+The modal bases are orthonormal, so the pressure masses of the PM
+kinds are diagonal: they are applied as r / d with d the slices of
+`cs.mass`, the diagonal that assembly checked once
+(`assembly.mass_diagonal`).
 
 The SGS kinds compose (P_L + P_D) P_D^-1 (P_D + P_L^T) with P_L the
 strictly lower block triangle of the condensed operator.  The sweep
@@ -38,11 +41,12 @@ requires.  The inverse application below never multiplies by Rbar
 itself, so the multigrid mode (where only the inverse action exists)
 works unchanged.
 
-Only the scalar velocity block is kept by `condense`; every other
-block is sliced from K here, once, when the preconditioner is built
-(`CondensedSystem.block`): -C_pp and -C_ss for the PC kinds to factor,
-and the six off-diagonal blocks the two sweeps multiply by for the
-SGS kinds.  The PM kind reads nothing beyond `Abar_scalar`.
+Only the scalar velocity block and the cell blocks of -C_pp are kept
+by `condense`; every other block is sliced from K here, once, when the
+preconditioner is built (`CondensedSystem.block`): -C_ss for the PC
+kinds to factor, and the six off-diagonal blocks the two sweeps
+multiply by for the SGS kinds.  The PM kind reads nothing beyond
+`Abar_scalar`.
 """
 
 import numpy as np
@@ -147,7 +151,10 @@ def build_preconditioner(cs, kind="PM", rbar_mode="exact", cycles=4):
         solve2 = lambda r: r / d_p
         solve3 = lambda r: r / d_s
     else:
-        solve2 = spd_lu(-cs.block("p", "p")).solve
+        # -C_pp is block diagonal by cell: one batched product with the
+        # inverses of its cell blocks
+        inv = np.linalg.inv(cs.pressure_blocks)
+        solve2 = lambda r: (inv @ r.reshape(*inv.shape[:2], 1)).ravel()
         solve3 = spd_lu(-cs.block("s", "s")).solve
     # The sweep diagonal takes the positive-definite block variants so
     # the composed operator (P_L + P_D) P_D^-1 (P_L^T + P_D) is SPD,

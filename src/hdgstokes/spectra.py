@@ -237,25 +237,20 @@ def element_block_spectrum(cs, deflate=False):
     by default nothing is deflated and the block-diagonal pencil
     reduces to the envelope of the two sub-pencils.  -C_pp couples
     only the pressures of one cell, so its pencil is solved cell by
-    cell, exactly; the facet one by Lanczos.  With deflate=True the
-    joint constant-pressure direction is removed first, matching the
-    protocol used for the full Schur pencil; that couples the blocks,
-    so the restricted pencil is solved as one problem."""
-    C_pp, C_ss = cs.block("p", "p"), cs.block("s", "s")
+    cell, exactly, on the cell blocks `cs.pressure_blocks`; the facet
+    one by Lanczos.  With deflate=True the joint constant-pressure
+    direction is removed first, matching the protocol used for the
+    full Schur pencil; that couples the blocks, so the restricted
+    pencil is solved as one problem."""
+    C_ss = cs.block("s", "s")
     if deflate:
-        C = sp.block_diag([-C_pp, -C_ss], format="csr")
+        C = sp.block_diag([-cs.block("p", "p"), -C_ss], format="csr")
         return _mass_pencil_extremes(C.__matmul__, cs.mass,
                                      _spaces.constant_pressure_vector(
                                          cs.spaces))
-    s = 1.0 / np.sqrt(cs.mass[:cs.n_p])
-    npc = cs.spaces.np_cell
-    C = C_pp.tocoo()
-    cell = C.row // npc
-    if np.any(C.col // npc != cell):
-        raise ValueError("C_pp couples the pressures of two cells")
-    G = np.zeros((cs.n_p // npc, npc, npc))
-    G[cell, C.row % npc, C.col % npc] = -C.data * s[C.row] * s[C.col]
-    wp = np.linalg.eigvalsh(G)
+    P = cs.pressure_blocks
+    s = 1.0 / np.sqrt(cs.mass[:cs.n_p]).reshape(P.shape[:2])
+    wp = np.linalg.eigvalsh(P * s[:, :, None] * s[:, None, :])
     lo, hi = _mass_pencil_extremes((-C_ss).__matmul__, cs.mass[cs.n_p:])
     return float(min(wp[:, 0].min(), lo)), float(max(wp[:, -1].max(), hi))
 

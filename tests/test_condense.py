@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -274,3 +276,67 @@ def test_unequal_cell_velocity_components_refused(tri_jitter, cavity):
     bs.local_coupling[cell, side, nb:] = bs.local_coupling[cell, side, :nb]
     with pytest.raises(ValueError, match="coupled"):
         condense.condense(bs)
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.2])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("shape", ["triangle", "quadrilateral"])
+def test_chunk_boundaries_are_invisible(shape, k, jitter, monkeypatch):
+    """Condensing one cell, seven cells or every cell at a time gives
+    the same arrays to the bit, and K is the scatter of the whole
+    stack at once."""
+    m = mesh.generate(5, 4, shape, jitter=jitter, seed=2)
+    sp_ = spaces.build_spaces(m, k)
+    bs = assembly.build_block_system(sp_, spaces.lid_driven_cavity(k, 108.0))
+    nc = m.num_cells
+    V = -condense.cell_schur(bs.local_auu_scalar, bs.local_coupling)[0]
+    bs.add_facet_blocks(V)
+    n = sum(layout[2] for layout in bs.layout.values())
+    whole = assembly._scatter(bs.local_rows, bs.local_rows, V, (n, n))
+    y = np.random.default_rng(4).standard_normal(n)
+    got = []
+    for chunk in (1, 7, nc):
+        monkeypatch.setattr(condense, "_CHUNK", chunk)
+        cs = condense.condense(bs)
+        got.append([cs.K.indptr, cs.K.indices, cs.K.data, cs.rhs,
+                    cs.chol_inv, cs.pressure_blocks,
+                    condense.recover_velocity(cs, *cs.split(y))])
+    for a, b in zip(got[0], [whole.indptr, whole.indices, whole.data]):
+        assert np.array_equal(a, b)
+    for other in got[1:]:
+        for a, b in zip(got[0], other):
+            assert np.array_equal(a, b)
+
+
+def test_chunked_condense_never_holds_the_whole_stack(monkeypatch):
+    """On 2,048 cells (eight chunks) the traced peak of `condense` is
+    at least half a stack of every cell below that of one chunk holding
+    every cell."""
+    m = mesh.generate(32, 32)
+    sp_ = spaces.build_spaces(m, 1)
+    bs = assembly.build_block_system(sp_, spaces.lid_driven_cavity(1))
+    nc, mk = bs.local_rows.shape
+    assert nc >= 8 * condense._CHUNK
+
+    def peak():
+        tracemalloc.start()
+        try:
+            condense.condense(bs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    chunked = peak()
+    monkeypatch.setattr(condense, "_CHUNK", nc)
+    whole = peak()
+    assert chunked <= whole - 0.5 * nc * mk * mk * 8
+
+
+def test_pressure_blocks_are_the_cell_blocks_of_C_pp(sys_jitter):
+    """-C_pp is bdiag of the kept cell blocks, entry for entry."""
+    sp_, _, cs = sys_jitter
+    npc = sp_.np_cell
+    cells = np.arange(sp_.mesh.num_cells)[:, None] * npc + np.arange(npc)
+    P = assembly._scatter(cells, cells, cs.pressure_blocks,
+                          (cs.n_p, cs.n_p))
+    assert np.array_equal(P.toarray(), -cs.block("p", "p").toarray())

@@ -93,6 +93,23 @@ def test_pc_pressure_blocks_are_element_schur(small):
     assert np.allclose(-cs.K[nt + np_:, nt + np_:] @ z3, r3, atol=1e-10)
 
 
+@pytest.mark.parametrize("shape", ["triangle", "quadrilateral"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_pc_cell_pressure_solve_matches_sparse_lu(shape, k):
+    """The PC kinds apply (-C_pp)^-1 cell by cell, with the inverses of
+    `cs.pressure_blocks`; it is the sparse solve with -C_pp."""
+    m = mesh.generate(3, 3, shape, jitter=0.2, seed=5)
+    sp_ = spaces.build_spaces(m, k)
+    bs = assembly.build_block_system(sp_, spaces.lid_driven_cavity(k, 108.0))
+    cs = condense.condense(bs)
+    pc = precond.build_preconditioner(cs, "PC")
+    r = np.random.default_rng(7).standard_normal(cs.size)
+    _, r2, _ = cs.split(r)
+    _, z2, _ = cs.split(pc.apply(r))
+    want = amg.spd_lu(-cs.block("p", "p")).solve(r2)
+    assert np.abs(z2 - want).max() <= 1e-13 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("kind", ["PM-SGS", "PC-SGS"])
 def test_sgs_sweep_matches_composition(small, kind):
     bs, cs = small
