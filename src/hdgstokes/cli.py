@@ -232,12 +232,13 @@ def krylov_solve(cfg, cs, kind, method, tol):
     return krylov.gmres(cs.K, cs.rhs, pc.apply, restart=cfg.restart, **opts)
 
 
-def solve_once(cfg, level, pc_kind=None, method=None, tol=None):
-    """The solve stage and the velocity recovery on a discretized
-    level (m, spaces, bs, cs), a mesh and what `discretize` made of it.
+def solve_once(cfg, cs, pc_kind=None, method=None, tol=None):
+    """The solve stage and the velocity recovery on a condensed system
+    `cs`, what `discretize` made of a mesh.
 
     Returns (result dict, fields, solver report)."""
-    m, sp_, bs, cs = level
+    sp_ = cs.spaces
+    m = sp_.mesh
     rep = krylov_solve(cfg, cs, pc_kind or cfg.pc, method or cfg.method,
                        cfg.tol if tol is None else tol)
 
@@ -246,9 +247,8 @@ def solve_once(cfg, level, pc_kind=None, method=None, tol=None):
 
     # report pressures with mass-weighted zero mean
     c = spaces.constant_pressure_vector(sp_)
-    M = bs.pressure_mass()
     pp = np.concatenate([p, pbar])
-    shift = (c @ (M @ pp)) / (c @ (M @ c))
+    shift = (c @ (cs.mass * pp)) / (c @ (cs.mass * c))
     pp = pp - shift * c
     p, pbar = pp[:sp_.n_p], pp[sp_.n_p:]
 
@@ -271,7 +271,7 @@ def solve_once(cfg, level, pc_kind=None, method=None, tol=None):
 def run_solve(cfg, outdir, save_solution=False):
     os.makedirs(outdir, exist_ok=True)
     (m,) = _mesh_ladder(cfg, cfg.nx, cfg.ny, 1)
-    result, fields, rep = solve_once(cfg, (m, *discretize(cfg, m)))
+    result, fields, rep = solve_once(cfg, discretize(cfg, m)[2])
     with open(os.path.join(outdir, "report.json"), "w") as fh:
         json.dump(result, fh, indent=2)
     if save_solution:
@@ -388,8 +388,8 @@ def run_verify(cfg, outdir):
     # one converged solve: conservation and kernel hygiene; the
     # pointwise bounds hold only on triangles (`spectra.field_checks`),
     # so on quadrilaterals they are recorded, not gated
-    result, _, rep = solve_once(cfg, base, pc_kind="PM", method="minres",
-                                tol=1e-10)
+    result, _, rep = solve_once(cfg, base[3], pc_kind="PM",
+                                method="minres", tol=1e-10)
     fc = result["field_checks"]
     scale = max(fc["velocity_scale"], 1e-300)
     ok = rep.converged and rep.nullspace_residual <= 1e-10

@@ -12,6 +12,12 @@ import numpy as np
 # cell convex
 MAX_JITTER = 0.25
 
+# `nested_dissection` splits no part of at most this many cells.  The
+# LU of the velocity block has the same fill with leaves of one cell,
+# 1.5-2.2% more with leaves of 4 and 10-16% more with leaves of 8
+# (16 x 16 and 32 x 32 triangles and quadrilaterals, k = 1 to 3).
+_ND_LEAF = 2
+
 
 class Mesh:
     """Conforming mesh of triangles or quadrilaterals.
@@ -177,6 +183,72 @@ def generate(nx, ny, cell_type="triangle", domain=(-1.0, -1.0, 1.0, 1.0),
     else:
         raise ValueError("cell_type must be 'triangle' or 'quadrilateral'")
     return Mesh(verts, np.array(cells), cell_type)
+
+
+def nested_dissection(mesh):
+    """The facets in a nested-dissection order of the cells.
+
+    Starting from all cells, every part of more than `_ND_LEAF` cells
+    is split at the median of its cell centroids along the longer
+    extent of their bounding box; all parts of one level are split at
+    once.  Parts are numbered as a heap: part p splits into 2p (the
+    lower half) and 2p + 1.  A facet whose two cells fall in the two
+    halves of a part is that part's separator: its part is the lowest
+    common ancestor of the leaves of its cells.  Boundary facets, and
+    facets inside a leaf, go with their leaf.  The facets come in
+    post-order of their parts, both halves of a part before its
+    separator, so the separators of the coarsest splits are eliminated
+    last (George, SIAM J. Numer. Anal. 10, 1973).  Ties are broken by
+    stable sorts, by cell and by facet index, so the order does not
+    depend on anything but the mesh."""
+    nc = mesh.num_cells
+    x = mesh.cell_centroids
+    # each cell's place along each axis, ties by cell index: sorting a
+    # part by it is one integer sort, with no ties left
+    rank = np.empty((nc, 2), dtype=np.int64)
+    for axis in (0, 1):
+        rank[np.argsort(x[:, axis], kind="stable"), axis] = np.arange(nc)
+    # the cells grouped by part: the parts `part` (heap numbers) hold
+    # `size` consecutive cells each
+    cells = np.arange(nc)
+    part = np.ones(1, dtype=np.int64)
+    size = np.array([nc])
+    while (size > _ND_LEAF).any():
+        start = np.cumsum(size) - size
+        xs = x[cells]
+        extent = (np.maximum.reduceat(xs, start)
+                  - np.minimum.reduceat(xs, start))
+        group = np.repeat(np.arange(len(size)), size)
+        key = rank[cells, np.argmax(extent, axis=1)[group]]
+        cells = cells[np.argsort(group * nc + key)]
+        split = size > _ND_LEAF
+        lower = np.where(split, size // 2, size)
+        size = np.column_stack([lower, size - lower]).ravel()
+        part = np.column_stack([np.where(split, 2 * part, part),
+                                2 * part + 1]).ravel()
+        part, size = part[size > 0], size[size > 0]
+    leaf = np.empty(nc, dtype=np.int64)
+    leaf[cells] = np.repeat(part, size)
+
+    def bits(p):
+        """Bit length of heap numbers: the depth of a part, plus one."""
+        return np.frexp(p)[1]
+
+    first, second = mesh.facet_cells.T
+    a = leaf[first]
+    b = np.where(second < 0, a, leaf[second])
+    # the lowest common ancestor of the two leaves: both brought to the
+    # depth of the shallower, then up past the highest differing bit
+    la, lb = bits(a), bits(b)
+    a >>= np.maximum(la - lb, 0)
+    b >>= np.maximum(lb - la, 0)
+    node = a >> bits(a ^ b)
+    # post-order rank: pad each part's heap path to the deepest level
+    # with ones, so both halves of a part sort no later than the part
+    # itself, and the deeper of two equal keys first
+    d = bits(node)
+    pad = bits(part).max() - d
+    return np.lexsort((-d, ((node + 1) << pad) - 1))
 
 
 def write_mesh(mesh, path):

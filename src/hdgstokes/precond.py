@@ -23,10 +23,13 @@ both components at once: the facet velocity is numbered one component
 after the other, so r.reshape(2, -1).T is the (n_t/2, 2) block of the
 two components, a Fortran-ordered view, the order SuperLU solves in;
 the same holds in both sweeps of the SGS kinds.  Every sparse
-factorization here is `amg.spd_lu` (symmetric minimum-degree ordering,
-diagonal pivots), since all factored blocks are SPD.  -C_pp couples
-only the pressures of one cell, so the PC kinds invert its cell
-blocks (`cs.pressure_blocks`) and apply it as one batched product.
+factorization here is `amg.spd_lu` (diagonal pivots), since all
+factored blocks are SPD: the exact scalar velocity block in the
+nested-dissection order of the mesh (`spaces.facet_velocity_order`),
+-C_ss in the symmetric minimum-degree order, which keeps its fill
+lower.  -C_pp couples only the pressures of one cell, so the PC kinds
+invert its cell blocks (`cs.pressure_blocks`) and apply it as one
+batched product.
 The modal bases are orthonormal, so the pressure masses of the PM
 kinds are diagonal: they are applied as r / d with d the slices of
 `cs.mass`, the diagonal that assembly checked once
@@ -62,16 +65,17 @@ SmoothedAggregation = AuxiliarySpace
 
 
 class OperatorApprox:
-    """Approximate inverse of the scalar trace block `cs.Abar_scalar`:
-    'exact' (`spd_lu`) or 'multigrid' (`cycles` auxiliary-space cycles
-    per apply as a Chebyshev polynomial, `amg.AuxiliarySpace`, with the
-    continuous P1 coarse space of `spaces.vertex_trace_prolongator`
-    and Chebyshev facet-block Jacobi smoothing).  Tiny problems, and meshes
-    without an interior vertex, silently degrade multigrid to the
-    exact mode; `degraded` records that.  `apply` takes an (n,) or
-    (n, m) right-hand side."""
+    """Approximate inverse of the scalar trace block `cs.Abar_scalar`
+    on `spaces`: 'exact' (`spd_lu` in the nested-dissection order of
+    `spaces.facet_velocity_order`) or 'multigrid' (`cycles`
+    auxiliary-space cycles per apply as a Chebyshev polynomial,
+    `amg.AuxiliarySpace`, with the continuous P1 coarse space of
+    `spaces.vertex_trace_prolongator` and Chebyshev facet-block Jacobi
+    smoothing).  Tiny problems, and meshes without an interior
+    vertex, silently degrade multigrid to the exact mode; `degraded`
+    records that.  `apply` takes an (n,) or (n, m) right-hand side."""
 
-    def __init__(self, A, mode="exact", cycles=4, spaces=None):
+    def __init__(self, A, spaces, mode="exact", cycles=4):
         if mode not in ("exact", "multigrid"):
             raise ValueError("mode must be 'exact' or 'multigrid'")
         self.shape = A.shape
@@ -85,7 +89,7 @@ class OperatorApprox:
                 self.degraded = True
         self.mode = mode
         if mode == "exact":
-            self.lu = spd_lu(A)
+            self.lu = spd_lu(A, _spaces.facet_velocity_order(spaces)[0])
             self.amg = None
         else:
             self.amg = SmoothedAggregation(A, P, spaces.nbf)
@@ -143,8 +147,8 @@ def build_preconditioner(cs, kind="PM", rbar_mode="exact", cycles=4):
     if kind not in KINDS:
         raise ValueError("unknown preconditioner kind %r; expected one of %s"
                          % (kind, ", ".join(KINDS)))
-    rbar = OperatorApprox(cs.Abar_scalar, mode=rbar_mode, cycles=cycles,
-                          spaces=cs.spaces)
+    rbar = OperatorApprox(cs.Abar_scalar, cs.spaces, mode=rbar_mode,
+                          cycles=cycles)
 
     if kind.startswith("PM"):
         d_p, d_s = cs.mass[:cs.n_p], cs.mass[cs.n_p:]

@@ -170,7 +170,7 @@ def test_08_divergence_free_and_normal_continuity():
     continuous normal components across interior facets."""
     cfg = cli.RunConfig(nx=16, ny=16, tol=1e-10, pc="PM")
     m = mesh.generate(16, 16)
-    result, _, rep = cli.solve_once(cfg, (m, *cli.discretize(cfg, m)))
+    result, _, rep = cli.solve_once(cfg, cli.discretize(cfg, m)[2])
     assert rep.converged
     fc = result["field_checks"]
     scale = fc["velocity_scale"]

@@ -124,6 +124,54 @@ def test_facets_match_reference_loop(shape, shuffled):
         assert np.array_equal(got, want), name
 
 
+def _reference_bisections(m):
+    """The (lower, upper) cell halves of every split of the nested
+    dissection, found recursively, one part at a time: split at the
+    median centroid along the longer extent, ties by cell index."""
+    x = m.cell_centroids
+    splits = []
+
+    def split(cells):
+        if len(cells) <= mesh._ND_LEAF:
+            return
+        axis = np.argmax(np.ptp(x[cells], axis=0))
+        s = cells[np.argsort(x[cells, axis], kind="stable")]
+        lower, upper = np.sort(s[:len(s) // 2]), np.sort(s[len(s) // 2:])
+        splits.append((lower, upper))
+        split(lower)
+        split(upper)
+    split(np.arange(m.num_cells))
+    return splits
+
+
+@pytest.mark.parametrize("args", [
+    (8, 8, "triangle", 0.0), (5, 7, "triangle", 0.2),
+    (6, 5, "quadrilateral", 0.0), (7, 7, "quadrilateral", 0.2),
+    (1, 1, "triangle", 0.0), (2, 1, "triangle", 0.0),
+    (1, 1, "quadrilateral", 0.0), (2, 1, "quadrilateral", 0.0)])
+def test_nested_dissection_is_a_post_order_permutation(args):
+    nx, ny, shape, jitter = args
+    m = mesh.generate(nx, ny, shape, jitter=jitter, seed=2)
+    order = mesh.nested_dissection(m)
+    nf = m.num_facets
+    assert np.array_equal(np.sort(order), np.arange(nf))
+    assert np.array_equal(order, mesh.nested_dissection(m))
+    pos = np.empty(nf, dtype=np.int64)
+    pos[order] = np.arange(nf)
+    first, second = m.facet_cells.T
+    splits = _reference_bisections(m)
+    for lower, upper in splits:
+        side = np.full(m.num_cells, -1)
+        side[lower], side[upper] = 0, 1
+        a = side[first]
+        b = np.where(second < 0, a, side[second])
+        separator = (a >= 0) & (b >= 0) & (a != b)
+        halves = (a >= 0) & (a == b)
+        # every facet of the two halves before the part's separator
+        if separator.any():
+            assert pos[halves].max(initial=-1) < pos[separator].min()
+
+
 def test_facet_shared_by_three_cells_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0],
                       [0.5, 2.0]])

@@ -155,13 +155,14 @@ def test_cell_pressure_schur_is_cell_block_diagonal(small):
 
 def test_operator_approx_exact_and_degraded(small):
     bs, cs = small
-    exact = precond.OperatorApprox(cs.Abar, mode="exact")
+    A = cs.Abar_scalar
+    exact = precond.OperatorApprox(A, cs.spaces, mode="exact")
     rng = np.random.default_rng(4)
-    r = rng.standard_normal(cs.n_t)
-    assert np.allclose(cs.Abar @ exact.apply(r), r, atol=1e-9)
+    r = rng.standard_normal(A.shape[0])
+    assert np.allclose(A @ exact.apply(r), r, atol=1e-9)
     assert not exact.degraded
     # mesh too small for a meaningful hierarchy: falls back to exact
-    mg = precond.OperatorApprox(cs.Abar, mode="multigrid")
+    mg = precond.OperatorApprox(A, cs.spaces, mode="multigrid")
     assert mg.degraded
     assert np.allclose(mg.apply(r), exact.apply(r))
 
@@ -178,12 +179,50 @@ def test_multigrid_without_interior_vertex_degraded(cavity):
 
 
 def test_exact_velocity_block_fill(cavity):
-    # symmetric minimum-degree ordering; COLAMD gives a ratio of 4.65
+    # nested dissection: 3.52; symmetric minimum degree 3.58, COLAMD 4.65
     m = mesh.generate(16, 16)
     sp_ = spaces.build_spaces(m, cavity.degree)
     cs = condense.condense(assembly.build_block_system(sp_, cavity))
-    exact = precond.OperatorApprox(cs.Abar, mode="exact")
-    assert exact.lu.nnz / cs.Abar.nnz <= 4.0
+    exact = precond.OperatorApprox(cs.Abar_scalar, sp_, mode="exact")
+    assert exact.lu.nnz / cs.Abar_scalar.nnz <= 4.0
+
+
+@pytest.mark.parametrize("shape", ["triangle", "quadrilateral"])
+def test_ordered_lu_solves_like_minimum_degree(shape):
+    """spd_lu in the nested-dissection order solves (n,) and both
+    memory orders of (n, 2) right-hand sides like the minimum-degree
+    factorization, on the scalar block and on the two-component one."""
+    m = mesh.generate(6, 5, shape, jitter=0.2, seed=4)
+    sp_ = spaces.build_spaces(m, 2)
+    bs = assembly.build_block_system(sp_, spaces.lid_driven_cavity(2, 108.0))
+    cs = condense.condense(bs)
+    order = spaces.facet_velocity_order(sp_)
+    rng = np.random.default_rng(6)
+    for A, o in ((cs.Abar_scalar, order[0]), (cs.Abar, order.ravel())):
+        lu, ref = amg.spd_lu(A, o), amg.spd_lu(A)
+        assert isinstance(lu.nnz, int) and lu.nnz >= A.nnz
+        B = rng.standard_normal((A.shape[0], 2))
+        for b in (B[:, 0].copy(), np.asfortranarray(B),
+                  np.ascontiguousarray(B)):
+            want, got = ref.solve(b), lu.solve(b)
+            assert got.shape == b.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("shape", ["triangle", "quadrilateral"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("jitter", [0.0, 0.2])
+def test_nested_dissection_fill_at_most_minimum_degree(shape, k, jitter):
+    """LU fill of the scalar velocity block on 32 x 32 meshes: nested
+    dissection 9% (triangles) and 17% (quadrilaterals) below minimum
+    degree when this was written."""
+    m = mesh.generate(32, 32, shape, jitter=jitter, seed=1)
+    sp_ = spaces.build_spaces(m, k)
+    alpha = 108.0 if shape == "triangle" and jitter else None
+    bs = assembly.build_block_system(sp_, spaces.lid_driven_cavity(k, alpha))
+    A = condense.condense(bs).Abar_scalar
+    nd = amg.spd_lu(A, spaces.facet_velocity_order(sp_)[0]).nnz
+    assert nd <= amg.spd_lu(A).nnz
 
 
 @pytest.mark.parametrize("shape", ["triangle", "quadrilateral"])
