@@ -70,24 +70,23 @@ triangles at k = 2, and 6.8 ms against 8.8 ms on the 148,224 rows of
 one velocity component and applies it to both components.
 
 `spd_lu` is the sparse factorization of every SPD matrix the solver
-factors, with the pivots taken from the diagonal.  Given an order of
-the rows it factors A[order][:, order] as it stands, and its solve
-permutes right-hand sides in and out (`_OrderedLU`); the condensed
-velocity block is factored in the nested-dissection order of the mesh
-(`spaces.facet_velocity_order`), whose separators are the facets
-between the two halves of each bisected part of the cells.  Otherwise
-it orders A by symmetric minimum degree on A^T + A, which halves the
-fill of the column ordering SuperLU uses by default: the coarse
-matrix here, -C_ss in `precond`, and the other matrices the spectral
-probes factor.  On the scalar velocity block nested dissection leaves
-fewer LU entries than minimum degree from 16 x 16 on, and the gap
-grows with the mesh: 15% fewer on 64 x 64 triangles at k = 2
-(2,922,624 against 3,432,186), 19% on 128 x 128, where it factors in
-0.77 s against 1.44 s (2 vCPU), and 27% on 96 x 96 jittered
-quadrilaterals at k = 3.  -C_ss keeps minimum degree: on unjittered
-meshes it is much sparser than the velocity block, and the
-nested-dissection order raised its fill by 93-95% on triangles and
-40-43% on quadrilaterals (32 x 32, k = 1 to 3).
+factors, with the pivots taken from the diagonal.  The condensed
+velocity block is factored in natural order: its facets are numbered
+in the nested-dissection order of the mesh (`mesh.nested_dissection`),
+whose separators are the facets between the two halves of each
+bisected part of the cells.  Every other matrix is ordered by
+symmetric minimum degree on A^T + A, which halves the fill of the
+column ordering SuperLU uses by default: the coarse matrix here, -C_ss
+in `precond`, and the other matrices the spectral probes factor.  On
+the scalar velocity block nested dissection left fewer LU entries
+than minimum degree on the earlier first-appearance numbering of the
+facets from 16 x 16 on, and the gap grew with the mesh: 15% fewer on
+64 x 64 triangles at k = 2 (2,922,624 against 3,432,186), 19% on
+128 x 128, where it factored in 0.77 s against 1.44 s (2 vCPU), and
+27% on 96 x 96 jittered quadrilaterals at k = 3.  -C_ss keeps minimum
+degree: on unjittered meshes it is much sparser than the velocity
+block, and the nested-dissection order raised its fill by 93-95% on
+triangles and 40-43% on quadrilaterals (32 x 32, k = 1 to 3).
 """
 
 import functools
@@ -100,40 +99,15 @@ import scipy.sparse.linalg as spla
 from . import krylov
 
 
-def spd_lu(A, order=None):
+def spd_lu(A, natural=False):
     """SuperLU factorization of a symmetric positive definite matrix,
     with no off-diagonal pivoting: in the symmetric minimum-degree
-    ordering, or in the symmetric permutation `order` of the rows when
-    given (`_OrderedLU`)."""
-    opts = dict(diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-    if order is None:
-        return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", **opts)
-    lu = spla.splu(A.tocsr()[order][:, order].tocsc(),
-                   permc_spec="NATURAL", **opts)
-    return _OrderedLU(lu, order)
-
-
-class _OrderedLU:
-    """A factorization of A[order][:, order]; `solve` takes an (n,) or
-    (n, m) right-hand side of A in either memory order and returns the
-    solution in the memory order SuperLU returns.
-
-    Both permutations are `np.take` along the last axis of the
-    transpose: on the Fortran-ordered blocks that `precond` passes and
-    SuperLU returns, that gathers contiguous rows, and on the 148,224
-    rows of 128 x 128 triangles at k = 2 it takes 0.4 and 0.6 ms for
-    two columns, where fancy indexing of the rows takes 2.1 and 2.7."""
-
-    def __init__(self, lu, order):
-        self.lu = lu
-        self.order = order
-        self.inverse = np.empty_like(order)
-        self.inverse[order] = np.arange(len(order))
-        self.nnz = lu.nnz
-
-    def solve(self, b):
-        y = self.lu.solve(np.take(b.T, self.order, axis=-1).T)
-        return np.take(y.T, self.inverse, axis=-1).T
+    ordering, or in the order of the rows as they stand when
+    `natural` (the facet-velocity blocks)."""
+    return spla.splu(A.tocsc(),
+                     permc_spec="NATURAL" if natural else "MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True))
 
 
 def _block_jacobi(A, block):

@@ -3,7 +3,10 @@
 Cells are triangles or quadrilaterals with counter-clockwise vertex
 ordering.  Every facet (edge) is stored once; a facet knows its one or
 two adjacent cells and carries the unit normal that points out of the
-first of them.  The second cell sees the negated normal.
+first of them.  The second cell sees the negated normal.  Facets are
+numbered in a nested-dissection order of the cells
+(`nested_dissection`), so a sparse factorization of a facet block in
+natural order eliminates the separators of the coarsest splits last.
 """
 
 import numpy as np
@@ -46,14 +49,17 @@ class Mesh:
         self.nodes_per_cell = 3 if cell_type == "triangle" else 4
         if self.cells.shape[1] != self.nodes_per_cell:
             raise ValueError("cell array width does not match cell_type")
+        self.cell_centroids = self.vertices[self.cells].mean(axis=1)
         self._build_facets()
         self._build_geometry()
 
     # -- topology ----------------------------------------------------
 
     def _build_facets(self):
-        """Facets numbered by first appearance in cell-major edge order;
-        each keeps the orientation of its first cell."""
+        """Facets numbered in the nested-dissection order of the cells
+        (`nested_dissection`), ties in order of first appearance in
+        cell-major edge order; each keeps the orientation of the first
+        cell that has it."""
         nc, npc = self.cells.shape
         a = self.cells.ravel()
         b = np.roll(self.cells, -1, axis=1).ravel()
@@ -67,11 +73,15 @@ class Mesh:
         edge_facet = rank[inverse]
         owner = first[inverse] == np.arange(nc * npc)
         head = np.sort(first)
-        self.facets = np.column_stack([a[head], b[head]])
         self.facet_cells = np.full((len(head), 2), -1, dtype=np.int64)
         self.facet_cells[:, 0] = head // npc
         self.facet_cells[edge_facet[~owner], 1] = np.flatnonzero(~owner) // npc
-        self.cell_facets = edge_facet.reshape(nc, npc)
+        # renumber in nested-dissection order, the one facet numbering
+        order = nested_dissection(self)
+        head = head[order]
+        self.facets = np.column_stack([a[head], b[head]])
+        self.facet_cells = self.facet_cells[order]
+        self.cell_facets = np.argsort(order)[edge_facet].reshape(nc, npc)
         self.cell_facet_sign = np.where(owner, 1, -1).reshape(nc, npc)
         self.boundary_mask = self.facet_cells[:, 1] < 0
 
@@ -101,7 +111,6 @@ class Mesh:
         self.facet_midpoints = 0.5 * (a + b)
         tn = t / self.facet_lengths[:, None]
         self.facet_normals = np.column_stack([tn[:, 1], -tn[:, 0]])
-        self.cell_centroids = xc.mean(axis=1)
 
     # -- queries -----------------------------------------------------
 
@@ -200,7 +209,8 @@ def nested_dissection(mesh):
     separator, so the separators of the coarsest splits are eliminated
     last (George, SIAM J. Numer. Anal. 10, 1973).  Ties are broken by
     stable sorts, by cell and by facet index, so the order does not
-    depend on anything but the mesh."""
+    depend on anything but the mesh.  `Mesh` numbers its facets in
+    this order, so on a built mesh it is the identity."""
     nc = mesh.num_cells
     x = mesh.cell_centroids
     # each cell's place along each axis, ties by cell index: sorting a

@@ -38,7 +38,6 @@ from its (nf, 2, nbf) view.
 import numpy as np
 import scipy.sparse as sp
 
-from . import mesh as _mesh
 from . import quadrature
 
 
@@ -308,17 +307,6 @@ def constant_pressure_vector(spaces):
     one = lambda x, y: np.ones_like(x)
     return np.concatenate([project_pressure(spaces, one),
                            project_facet_pressure(spaces, one)])
-
-
-def facet_velocity_order(spaces):
-    """The facet-velocity dofs as a (2, n_ubar/2) array: per component,
-    the dofs of the facets in the nested-dissection order of the mesh
-    (`mesh.nested_dissection`).  Row 0 orders the scalar block of one
-    component; the whole array, raveled, orders the two-component
-    block."""
-    dofs = spaces.facet_velocity_coeffs(np.arange(spaces.n_ubar))
-    order = _mesh.nested_dissection(spaces.mesh)
-    return dofs[order].swapaxes(0, 1).reshape(2, -1)
 
 
 def vertex_trace_prolongator(spaces):

@@ -113,15 +113,27 @@ def _loop_facets(cells):
 @pytest.mark.parametrize("shuffled", [False, True])
 @pytest.mark.parametrize("shape", ["triangle", "quadrilateral"])
 def test_facets_match_reference_loop(shape, shuffled):
+    """The same facets as the reference loop, numbered in
+    nested-dissection order: matched by their vertex pairs, every
+    facet array agrees through that map."""
     m = mesh.generate(7, 5, shape, jitter=0.2, seed=11)
     if shuffled:
         # a cell numbering that is not lexicographic
         order = np.random.default_rng(5).permutation(m.num_cells)
         m = mesh.Mesh(m.vertices, m.cells[order], shape)
-    for name, want in _loop_facets(m.cells).items():
+    want = _loop_facets(m.cells)
+    lookup = {tuple(sorted(ab)): f for f, ab in enumerate(want["facets"])}
+    # ref[f]: the reference number of facet f
+    ref = np.array([lookup[tuple(sorted(ab))] for ab in m.facets])
+    assert np.array_equal(np.sort(ref), np.arange(m.num_facets))
+    for name in ("facets", "facet_cells", "boundary_mask"):
         got = getattr(m, name)
-        assert got.dtype == want.dtype, name
-        assert np.array_equal(got, want), name
+        assert got.dtype == want[name].dtype, name
+        assert np.array_equal(got, want[name][ref]), name
+    assert m.cell_facets.dtype == want["cell_facets"].dtype
+    assert np.array_equal(ref[m.cell_facets], want["cell_facets"])
+    assert m.cell_facet_sign.dtype == want["cell_facet_sign"].dtype
+    assert np.array_equal(m.cell_facet_sign, want["cell_facet_sign"])
 
 
 def _reference_bisections(m):
@@ -145,22 +157,25 @@ def _reference_bisections(m):
 
 
 @pytest.mark.parametrize("args", [
-    (8, 8, "triangle", 0.0), (5, 7, "triangle", 0.2),
-    (6, 5, "quadrilateral", 0.0), (7, 7, "quadrilateral", 0.2),
-    (1, 1, "triangle", 0.0), (2, 1, "triangle", 0.0),
-    (1, 1, "quadrilateral", 0.0), (2, 1, "quadrilateral", 0.0)])
+    (8, 8, "triangle", 0.0, False), (5, 7, "triangle", 0.2, False),
+    (6, 5, "quadrilateral", 0.0, False), (7, 7, "quadrilateral", 0.2, False),
+    (1, 1, "triangle", 0.0, False), (2, 1, "triangle", 0.0, False),
+    (1, 1, "quadrilateral", 0.0, False), (2, 1, "quadrilateral", 0.0, False),
+    (16, 16, "triangle", 0.25, False), (24, 3, "quadrilateral", 0.0, False),
+    (3, 11, "triangle", 0.1, False), (9, 6, "triangle", 0.2, True),
+    (10, 4, "quadrilateral", 0.2, True), (6, 6, "quadrilateral", 0.0, True)])
 def test_nested_dissection_is_a_post_order_permutation(args):
-    nx, ny, shape, jitter = args
+    """The mesh numbers its facets in nested-dissection order, so the
+    order of a built mesh is the identity, for shuffled cells too, and
+    both halves of every split come before its separator."""
+    nx, ny, shape, jitter, shuffled = args
     m = mesh.generate(nx, ny, shape, jitter=jitter, seed=2)
-    order = mesh.nested_dissection(m)
-    nf = m.num_facets
-    assert np.array_equal(np.sort(order), np.arange(nf))
-    assert np.array_equal(order, mesh.nested_dissection(m))
-    pos = np.empty(nf, dtype=np.int64)
-    pos[order] = np.arange(nf)
+    if shuffled:
+        cells = m.cells[np.random.default_rng(3).permutation(m.num_cells)]
+        m = mesh.Mesh(m.vertices, cells, shape)
+    assert np.array_equal(mesh.nested_dissection(m), np.arange(m.num_facets))
     first, second = m.facet_cells.T
-    splits = _reference_bisections(m)
-    for lower, upper in splits:
+    for lower, upper in _reference_bisections(m):
         side = np.full(m.num_cells, -1)
         side[lower], side[upper] = 0, 1
         a = side[first]
@@ -169,7 +184,8 @@ def test_nested_dissection_is_a_post_order_permutation(args):
         halves = (a >= 0) & (a == b)
         # every facet of the two halves before the part's separator
         if separator.any():
-            assert pos[halves].max(initial=-1) < pos[separator].min()
+            assert (np.flatnonzero(halves).max(initial=-1)
+                    < np.flatnonzero(separator).min())
 
 
 def test_facet_shared_by_three_cells_rejected():

@@ -189,17 +189,16 @@ def test_exact_velocity_block_fill(cavity):
 
 @pytest.mark.parametrize("shape", ["triangle", "quadrilateral"])
 def test_ordered_lu_solves_like_minimum_degree(shape):
-    """spd_lu in the nested-dissection order solves (n,) and both
-    memory orders of (n, 2) right-hand sides like the minimum-degree
-    factorization, on the scalar block and on the two-component one."""
+    """spd_lu in natural order solves (n,) and both memory orders of
+    (n, 2) right-hand sides like the minimum-degree factorization, on
+    the scalar block and on the two-component one."""
     m = mesh.generate(6, 5, shape, jitter=0.2, seed=4)
     sp_ = spaces.build_spaces(m, 2)
     bs = assembly.build_block_system(sp_, spaces.lid_driven_cavity(2, 108.0))
     cs = condense.condense(bs)
-    order = spaces.facet_velocity_order(sp_)
     rng = np.random.default_rng(6)
-    for A, o in ((cs.Abar_scalar, order[0]), (cs.Abar, order.ravel())):
-        lu, ref = amg.spd_lu(A, o), amg.spd_lu(A)
+    for A in (cs.Abar_scalar, cs.Abar):
+        lu, ref = amg.spd_lu(A, natural=True), amg.spd_lu(A)
         assert isinstance(lu.nnz, int) and lu.nnz >= A.nnz
         B = rng.standard_normal((A.shape[0], 2))
         for b in (B[:, 0].copy(), np.asfortranarray(B),
@@ -209,20 +208,53 @@ def test_ordered_lu_solves_like_minimum_degree(shape):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+# LU entries of the scalar velocity block (seed 1, alpha 108 on jittered
+# triangles), by (shape, k, n): in natural order of the mesh's
+# nested-dissection numbering, and in minimum degree on the
+# first-appearance numbering the mesh used before.  Jitter 0 and 0.2
+# give the same counts.
+_VELOCITY_LU_NNZ = {
+    ("triangle", 1, 32): (264576, 289704),
+    ("triangle", 2, 32): (590400, 646938),
+    ("triangle", 3, 32): (1045248, 1145760),
+    ("quadrilateral", 1, 32): (226688, 273808),
+    ("quadrilateral", 2, 32): (506688, 612708),
+    ("quadrilateral", 3, 32): (897792, 1086272),
+    ("triangle", 1, 64): (1307392, 1533864),
+    ("triangle", 2, 64): (2922624, 3432186),
+    ("quadrilateral", 1, 64): (1153792, 1529728),
+    ("quadrilateral", 2, 64): (2583168, 3429024),
+}
+
+
+def _velocity_lu_nnz(n, shape, k, jitter):
+    m = mesh.generate(n, n, shape, jitter=jitter, seed=1)
+    sp_ = spaces.build_spaces(m, k)
+    alpha = 108.0 if shape == "triangle" and jitter else None
+    bs = assembly.build_block_system(sp_, spaces.lid_driven_cavity(k, alpha))
+    return amg.spd_lu(condense.condense(bs).Abar_scalar, natural=True).nnz
+
+
 @pytest.mark.parametrize("shape", ["triangle", "quadrilateral"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("jitter", [0.0, 0.2])
 def test_nested_dissection_fill_at_most_minimum_degree(shape, k, jitter):
-    """LU fill of the scalar velocity block on 32 x 32 meshes: nested
-    dissection 9% (triangles) and 17% (quadrilaterals) below minimum
-    degree when this was written."""
-    m = mesh.generate(32, 32, shape, jitter=jitter, seed=1)
-    sp_ = spaces.build_spaces(m, k)
-    alpha = 108.0 if shape == "triangle" and jitter else None
-    bs = assembly.build_block_system(sp_, spaces.lid_driven_cavity(k, alpha))
-    A = condense.condense(bs).Abar_scalar
-    nd = amg.spd_lu(A, spaces.facet_velocity_order(sp_)[0]).nnz
-    assert nd <= amg.spd_lu(A).nnz
+    """LU fill of the scalar velocity block on 32 x 32 meshes, pinned:
+    9% (triangles) and 17% (quadrilaterals) below minimum degree on the
+    first-appearance numbering."""
+    nd, md = _VELOCITY_LU_NNZ[shape, k, 32]
+    assert _velocity_lu_nnz(32, shape, k, jitter) == nd <= md
+
+
+@pytest.mark.parametrize("case", [("triangle", 0.0), ("quadrilateral", 0.2)])
+@pytest.mark.parametrize("k", [1, 2])
+def test_velocity_lu_fill_on_64x64(case, k):
+    """The same pin on 64 x 64 meshes: 15% (triangles) and 25%
+    (jittered quadrilaterals) below minimum degree on the
+    first-appearance numbering."""
+    shape, jitter = case
+    nd, md = _VELOCITY_LU_NNZ[shape, k, 64]
+    assert _velocity_lu_nnz(64, shape, k, jitter) == nd <= md
 
 
 @pytest.mark.parametrize("shape", ["triangle", "quadrilateral"])
@@ -247,7 +279,7 @@ def test_scalar_block_halves_fill(cavity):
     cs = condense.condense(bs)
     pc = precond.build_preconditioner(cs, "PM")
     assert cs.Abar_scalar.shape[0] * 2 == cs.n_t
-    assert 2 * pc.rbar.lu.nnz <= amg.spd_lu(cs.Abar).nnz
+    assert 2 * pc.rbar.lu.nnz <= amg.spd_lu(cs.Abar, natural=True).nnz
 
 
 def test_multigrid_two_column_apply_matches_columns(cavity):
