@@ -77,16 +77,14 @@ whose separators are the facets between the two halves of each
 bisected part of the cells.  Every other matrix is ordered by
 symmetric minimum degree on A^T + A, which halves the fill of the
 column ordering SuperLU uses by default: the coarse matrix here, -C_ss
-in `precond`, and the other matrices the spectral probes factor.  On
-the scalar velocity block nested dissection left fewer LU entries
-than minimum degree on the earlier first-appearance numbering of the
-facets from 16 x 16 on, and the gap grew with the mesh: 15% fewer on
-64 x 64 triangles at k = 2 (2,922,624 against 3,432,186), 19% on
-128 x 128, where it factored in 0.77 s against 1.44 s (2 vCPU), and
-27% on 96 x 96 jittered quadrilaterals at k = 3.  -C_ss keeps minimum
-degree: on unjittered meshes it is much sparser than the velocity
-block, and the nested-dissection order raised its fill by 93-95% on
-triangles and 40-43% on quadrilaterals (32 x 32, k = 1 to 3).
+in `precond`, and the other matrices the spectral probes factor.  The
+velocity block takes the mesh's order because nested dissection left
+it fewer LU entries than minimum degree from 16 x 16 on, a gap that
+grew with the mesh, and factored it faster at 128 x 128; -C_ss keeps
+minimum degree because on unjittered meshes, where it is much sparser
+than the velocity block, the nested-dissection order raised its fill.
+`BENCH_25.json` holds the measurements (`fill_scalar_block`,
+`factor_only`, `minus_C_ss_fill_32x32`).
 """
 
 import functools

@@ -106,6 +106,9 @@ def _domain(value):
     x0, y0, x1, y1 = domain
     if not (x1 > x0 and y1 > y0):
         raise ConfigError("domain needs x0 < x1 and y0 < y1")
+    if not np.isfinite([x1 - x0, y1 - y0]).all():
+        raise ConfigError("[mesh] domain is too large: its width and "
+                          "height must be finite floats")
     return domain
 
 
@@ -184,20 +187,31 @@ def csr_hash(A):
     return h.hexdigest()
 
 
+def _generate(cfg, nx, ny):
+    """The configured mesh at nx x ny; ConfigError when the domain is
+    too small or too large for the cells to have finite, positive
+    floating-point geometry."""
+    try:
+        return _mesh.generate(nx, ny, cfg.shape, cfg.domain,
+                              jitter=cfg.jitter, seed=cfg.seed)
+    except ValueError as exc:
+        raise ConfigError("[mesh] domain = %g %g %g %g cannot be meshed "
+                          "with %d x %d cells: %s"
+                          % (*cfg.domain, nx, ny, exc)) from None
+
+
 def _mesh_ladder(cfg, nx, ny, levels):
     """Doubling sequence of meshes of the same structured family.
 
     Regenerating at doubled resolution keeps every level in one cell
     family; uniform refinement of a structured triangulation would mix
     in rotated cells at the first step and perturb the level-0 spectra."""
-    return [_mesh.generate(nx << lvl, ny << lvl, cfg.shape, cfg.domain,
-                           jitter=cfg.jitter, seed=cfg.seed)
-            for lvl in range(levels)]
+    return [_generate(cfg, nx << lvl, ny << lvl) for lvl in range(levels)]
 
 
 def _problem(cfg):
     if cfg.problem == "cavity":
-        return spaces.lid_driven_cavity(cfg.degree, cfg.alpha)
+        return spaces.lid_driven_cavity(cfg.degree, cfg.alpha, cfg.domain)
     return spaces.ProblemSpec(degree=cfg.degree, alpha=cfg.alpha)
 
 
@@ -330,7 +344,7 @@ def run_verify(cfg, outdir):
         raise ConfigError("[verify] nx = %d gives a base mesh with no "
                           "interior facet; use a larger [verify] nx"
                           % cfg.verify_nx)
-    two_cell = discretize(cfg, _mesh.generate(1, 1, cfg.shape, cfg.domain))
+    two_cell = discretize(cfg, _generate(cfg, 1, 1))
     probes = [(m, *discretize(cfg, m)) for m in ladder]
     base = probes[0]
 

@@ -13,9 +13,11 @@ tridiagonal of the preconditioned operator that the recurrence builds
 is kept too, as `SolverReport.lanczos`; `ritz_extremes` reads the
 extreme eigenvalue estimates off it.
 
-`lanczos` is the package's one plain Lanczos recurrence, with no
-stored basis: the probes of `spectra` and the multigrid alpha of `amg`
-read their extreme eigenvalues off its tridiagonal.
+`lanczos` is a plain Lanczos recurrence on an operator or an SPD
+pencil, with no stored basis: the probes of `spectra` and the
+multigrid alpha of `amg` read their extreme eigenvalues off its
+tridiagonal.  minres does not call it: it runs its own preconditioned
+Lanczos recurrence inline, in different arithmetic.
 
 gmres is restarted GMRES with the preconditioner applied on the right,
 so its recurrence estimate *is* the true residual norm; it tolerates
@@ -29,7 +31,8 @@ Each restart cycle forms the true residual b - A x once, at its end;
 it is both the convergence test and the start vector of the next
 cycle, so a solve costs one matvec per iteration plus one per cycle.
 
-Both solvers optionally project against a one-dimensional kernel (the
+Both solvers start from `_start` and end in one `SolverReport`.  They
+optionally project against a one-dimensional kernel (the
 constant-pressure representation): the operator is symmetric, so its
 range is the Euclidean orthogonal complement of the kernel, and
 projecting the residual and every preconditioned vector keeps all
@@ -41,20 +44,31 @@ from scipy.linalg import eigh_tridiagonal
 
 
 class SolverReport:
-    """Iteration record of one Krylov solve."""
+    """Iteration record of one Krylov solve.
 
-    def __init__(self, method, preconditioner, iterations, converged,
+    Besides the fields `to_dict` serializes it carries the final
+    iterate `x`, projected off the kernel, and, for MINRES, `lanczos`:
+    the recurrence's (alfa, beta), the diagonal of the Lanczos
+    tridiagonal and, shifted by one, its off-diagonal (None for
+    GMRES).  `nullspace_residual` is |n . x| / |x| for the unit kernel
+    vector n, 0 without a kernel or for x = 0."""
+
+    def __init__(self, method, preconditioner, x, iterations, converged,
                  residuals, pc_residuals=None, breakdown=None, tol=0.0,
-                 nullspace_residual=0.0):
+                 kernel=None, lanczos=None):
         self.method = method
         self.preconditioner = preconditioner
+        self.x = x
         self.iterations = iterations
         self.converged = converged
         self.residuals = residuals
         self.pc_residuals = pc_residuals or []
         self.breakdown = breakdown
         self.tol = tol
-        self.nullspace_residual = nullspace_residual
+        self.lanczos = lanczos
+        self.nullspace_residual = 0.0
+        if kernel is not None and np.linalg.norm(x) > 0:
+            self.nullspace_residual = abs(kernel @ x) / np.linalg.norm(x)
 
     def to_dict(self):
         return {
@@ -108,17 +122,6 @@ def lanczos(op, r, solve=None):
         p_old = p
 
 
-def _as_matvec(A):
-    return A if callable(A) else lambda x: A @ x
-
-
-def _projector(nullspace):
-    if nullspace is None:
-        return lambda v: v
-    n = nullspace / np.linalg.norm(nullspace)
-    return lambda v: v - n * (n @ v)
-
-
 def orthogonalize(Q, w):
     """Orthogonalize w in place against the orthonormal rows of Q.
 
@@ -133,18 +136,20 @@ def orthogonalize(Q, w):
     return h
 
 
-def _report(method, label, x, nullspace, iterations, converged, residuals,
-            pc_residuals, breakdown, tol):
-    """SolverReport carrying the final iterate as `x`; its
-    nullspace_residual is |n . x| / |x| for the unit kernel vector n."""
-    nres = 0.0
-    if nullspace is not None and np.linalg.norm(x) > 0:
-        n = nullspace / np.linalg.norm(nullspace)
-        nres = abs(n @ x) / np.linalg.norm(x)
-    rep = SolverReport(method, label, iterations, converged, residuals,
-                       pc_residuals, breakdown, tol, nres)
-    rep.x = x
-    return rep
+def _start(A, b, pc, nullspace):
+    """What both solvers start from: the operator as a function, the
+    preconditioner (a copy when pc is None), the unit kernel vector n
+    (None without a kernel), the projector v - n (n . v) off it, and
+    b projected, with its norm."""
+    matvec = A if callable(A) else lambda x: A @ x
+    apply_pc = pc if pc is not None else (lambda x: x.copy())
+    kernel = None
+    proj = lambda v: v
+    if nullspace is not None:
+        kernel = nullspace / np.linalg.norm(nullspace)
+        proj = lambda v: v - kernel * (kernel @ v)
+    b = proj(np.asarray(b, dtype=float))
+    return matvec, apply_pc, kernel, proj, b, np.linalg.norm(b)
 
 
 def minres(A, b, pc=None, tol=1e-8, maxiter=1000, nullspace=None,
@@ -157,24 +162,16 @@ def minres(A, b, pc=None, tol=1e-8, maxiter=1000, nullspace=None,
     never silently ignored.  `residuals` holds the relative residual of
     every iteration: the updated one, or the true one where it was
     recomputed (always the last entry of a converged solve).
-    `lanczos` holds the recurrence's (alfa, beta): the diagonal of the
-    Lanczos tridiagonal and, shifted by one, its off-diagonal.
     """
-    matvec = _as_matvec(A)
-    apply_pc = pc if pc is not None else (lambda x: x.copy())
-    proj = _projector(nullspace)
-
-    b = proj(np.asarray(b, dtype=float))
-    bnorm = np.linalg.norm(b)
+    matvec, apply_pc, kernel, proj, b, bnorm = _start(A, b, pc, nullspace)
     x = np.zeros_like(b)
     residuals, pc_residuals = [], []
     alfas, betas = [], []
 
     def report(itn, conv, breakdown=None):
-        rep = _report("minres", label, x, nullspace, itn, conv, residuals,
-                      pc_residuals, breakdown, tol)
-        rep.lanczos = (np.array(alfas), np.array(betas))
-        return rep
+        return SolverReport("minres", label, x, itn, conv, residuals,
+                            pc_residuals, breakdown, tol, kernel,
+                            (np.array(alfas), np.array(betas)))
 
     if bnorm == 0.0:
         return report(0, True)
@@ -271,25 +268,15 @@ def gmres(A, b, pc=None, tol=1e-8, maxiter=1000, restart=50,
     cycle.  A Hessenberg column that the earlier rotations leave zero
     (pc annihilates the basis vector) is a breakdown: the cycle ends
     before it, and so does the solve."""
-    matvec = _as_matvec(A)
-    apply_pc = pc if pc is not None else (lambda x: x.copy())
-    proj = _projector(nullspace)
-
-    b = proj(np.asarray(b, dtype=float))
-    bnorm = np.linalg.norm(b)
+    matvec, apply_pc, kernel, proj, b, bnorm = _start(A, b, pc, nullspace)
     n = len(b)
     x = np.zeros(n)
     residuals = []
     total = 0
-    converged = False
-
-    if bnorm == 0.0:
-        return _report("gmres", label, x, nullspace, 0, True, residuals, [],
-                       None, tol)
-
+    converged = bnorm == 0.0    # b = 0: x = 0, no iteration
     r = b
     breakdown = None
-    while total < maxiter and breakdown is None:
+    while not converged and total < maxiter and breakdown is None:
         m = min(restart, maxiter - total, n)
         V = np.zeros((m + 1, n))
         H = np.zeros((m + 1, m))
@@ -330,8 +317,6 @@ def gmres(A, b, pc=None, tol=1e-8, maxiter=1000, restart=50,
         if relres <= tol:
             converged, breakdown = True, None
             residuals[-1] = relres
-            break
 
-    x = proj(x)
-    return _report("gmres", label, x, nullspace, total, converged, residuals,
-                   [], breakdown, tol)
+    return SolverReport("gmres", label, proj(x), total, converged,
+                        residuals, [], breakdown, tol, kernel)

@@ -94,12 +94,14 @@ class Mesh:
         self.areas = 0.5 * np.sum(x * ys - xs * y, axis=1)
         # every corner turns counter-clockwise: the cell is convex with
         # positive area, and the bilinear map of a quadrilateral is
-        # invertible
+        # invertible; a turn that under- or overflows (or a NaN vertex)
+        # fails the test
         e = np.roll(xc, -1, axis=1) - xc        # edge i: vertex i to i+1
         en = np.roll(e, -1, axis=1)
-        if np.any(e[..., 0] * en[..., 1] - e[..., 1] * en[..., 0] <= 0):
-            raise ValueError("degenerate, clockwise or non-convex cell "
-                             "(check jitter)")
+        turn = e[..., 0] * en[..., 1] - e[..., 1] * en[..., 0]
+        if not np.all((turn > 0) & (turn < np.inf)):
+            raise ValueError("degenerate, clockwise, non-convex or "
+                             "non-finite cell (check jitter and domain)")
         # diameter = max pairwise vertex distance
         d = xc[:, :, None, :] - xc[:, None, :, :]
         self.h = np.sqrt((d ** 2).sum(-1)).max(axis=(1, 2))

@@ -381,14 +381,20 @@ class ProblemSpec:
         self.boundary_velocity = boundary_velocity or zero
 
 
-def lid_driven_cavity(degree=2, alpha=None):
-    """Cavity on [-1,1]^2: lid velocity (1 - x^4, 0), walls at rest.
+def lid_driven_cavity(degree=2, alpha=None, domain=(-1.0, -1.0, 1.0, 1.0)):
+    """Cavity on the rectangle domain = (x0, y0, x1, y1): lid velocity
+    (1 - xi^4, 0) on the top wall y = y1, xi = (2x - x0 - x1) / (x1 - x0)
+    running from -1 to 1 along it, the other walls at rest.
 
     The lid profile vanishes at the corners, so the datum is continuous
-    and has zero normal component on every wall.
+    and has zero normal component on every wall.  On [-1, 1]^2, xi = x
+    to the bit.
     """
+    x0, y0, x1, y1 = domain
+
     def g(x, y):
-        lid = y >= 1.0 - 1e-12
-        return np.where(lid, 1.0 - x ** 4, 0.0), np.zeros_like(x)
+        lid = y >= y1 - 1e-12 * (y1 - y0)
+        xi = (2.0 * x - (x0 + x1)) / (x1 - x0)
+        return np.where(lid, 1.0 - xi ** 4, 0.0), np.zeros_like(x)
 
     return ProblemSpec(degree=degree, alpha=alpha, boundary_velocity=g)

@@ -148,6 +148,24 @@ def test_05_mesh_independent_minres_iterations(cavity_ladder):
     assert elapsed < 600.0, f"ladder took {elapsed:.0f}s"
 
 
+@pytest.mark.parametrize("rbar", ["exact", "multigrid"])
+@pytest.mark.parametrize("degree", [1, 3])
+@pytest.mark.parametrize("shape", ["triangle", "quadrilateral"])
+def test_05_flat_minres_iterations_beyond_k2_triangles(shape, degree, rbar):
+    """PM MINRES counts stay flat (max/min <= 1.35, test_05's bound)
+    over 8x8, 16x16, 32x32 at k = 1 and 3 on unjittered triangles and
+    quadrilaterals, with the exact velocity block and with one
+    multigrid cycle."""
+    cfg = cli.RunConfig(shape=shape, degree=degree, rbar=rbar, cycles=1)
+    seq = []
+    for n in (8, 16, 32):
+        _, _, cs = cli.discretize(cfg, mesh.generate(n, n, shape))
+        rep = cli.krylov_solve(cfg, cs, "PM", "minres", 1e-8)
+        assert rep.converged, f"stalled on the {n}x{n} level"
+        seq.append(rep.iterations)
+    assert max(seq) / min(seq) <= 1.35, f"counts {seq}"
+
+
 def test_06_sgs_beats_block_diagonal_mass(cavity_ladder):
     """The symmetric Gauss-Seidel variant of the mass preconditioner
     needs strictly fewer iterations than block-diagonal on every level."""

@@ -405,6 +405,48 @@ def _head(path, n=200):
         return fh.read(n)
 
 
+# the domain's width overflows, and its cells' corner turns underflow:
+# each ended in a traceback (exit 1)
+@pytest.mark.parametrize("domain", ["-1e308 -1e308 1e308 1e308",
+                                    "0 0 1e-300 1e-300"])
+@pytest.mark.parametrize("command",
+                         ["solve", "study", "verify", "export-matrices"])
+def test_main_refuses_unrepresentable_domain(tmp_path, capsys, domain,
+                                             command):
+    path = _ini(tmp_path, "[mesh]\nnx = 4\nny = 4\ndomain = %s\n" % domain)
+    assert cli.main([command, "--config", path,
+                     "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: [mesh] domain" in err
+
+
+# the lid spans the top wall of any domain; at [-1, 1]^2 it was fixed,
+# and these solved the zero problem or were refused for normal flux
+@pytest.mark.parametrize("domain, nx, ny", [
+    ((0.0, 0.0, 1e-3, 1e-3), 4, 4), ((0.0, 0.0, 1.0, 8.0), 2, 16),
+    ((0.0, 0.0, 1e3, 1e3), 4, 4), ((0.0, 0.0, 8.0, 1.0), 16, 2)])
+def test_cavity_lid_spans_the_top_wall_of_the_domain(tmp_path, domain, nx,
+                                                     ny):
+    cfg = cli.RunConfig(nx=nx, ny=ny, domain=domain)
+    x0, y0, x1, y1 = domain
+    s = np.linspace(0.0, 1.0, 101)
+    along_x, along_y = x0 + s * (x1 - x0), y0 + s * (y1 - y0)
+    g = cli._problem(cfg).boundary_velocity
+    top, _ = g(along_x, np.full_like(s, y1))
+    assert top.max() == 1.0 and top[50] == 1.0
+    assert top.min() == 0.0 and top[0] == top[-1] == 0.0
+    for x, y in ((along_x, np.full_like(s, y0)),
+                 (np.full_like(s, x0), along_y),
+                 (np.full_like(s, x1), along_y)):
+        gx, gy = g(x, y)
+        assert not gx.any() and not gy.any()
+
+    assert cli.run_solve(cfg, str(tmp_path)) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["solver"]["converged"] is True
+    assert report["solver"]["iterations"] > 0
+
+
 # files that configparser cannot parse, and one that is not text
 @pytest.mark.parametrize("content", [
     b"nx = 3\n", b"[mesh]\nnx = 3\nnx = 4\n", b"[mesh]\nnx = 3\n[mesh]\n",

@@ -226,6 +226,19 @@ def test_dart_quad_rejected():
     assert mesh.Mesh(verts, cells, "quadrilateral").areas[0] == 2.5
 
 
+def test_non_finite_or_underflowing_cells_rejected():
+    # a corner turn that underflows to 0, one that overflows to inf
+    # (its overflow warning aside), and a NaN vertex, which compares
+    # false with everything
+    with pytest.raises(ValueError, match="non-finite"):
+        mesh.generate(4, 4, domain=(0.0, 0.0, 1e-300, 1e-300))
+    for far in (1e200, np.nan):
+        verts = np.array([[0.0, 0.0], [far, 0.0], [0.0, 1e200]])
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="non-finite"):
+            mesh.Mesh(verts, np.array([[0, 1, 2]]), "triangle")
+
+
 def test_write_mesh(tmp_path, tri2):
     path = tmp_path / "m.txt"
     mesh.write_mesh(tri2, path)
