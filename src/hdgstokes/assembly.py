@@ -16,6 +16,10 @@ pressure), s (facet pressure):
 
     A = [[A_uu, A_tu^T], [A_tu, A_tt]],   B = [[B_pu, 0], [B_su, 0]]
 
+The form of each cell vanishes on the constant pair v = vbar = 1;
+the coercivity guard of `velocity_blocks`, like
+`spectra.coercivity_bounds`, removes it by dropping a constant mode.
+
 Everything coupled to the cell velocity is stored per cell, as static
 condensation consumes it; A_uu, A_tu, B_pu and B_su are scattered from
 those blocks on access (probes, export, tests).  The element kernels
@@ -344,16 +348,17 @@ class BlockSystem:
 
 
 def local_velocity_form(sp_, alpha, consistency=True):
-    """(L, c): the unconstrained velocity form of every cell, on one
-    component, and the coefficients of the constant pair it annihilates.
+    """(nc, m, m) unconstrained velocity form L of every cell, on one
+    component.
 
-    L (nc, m, m) is [[A_0, T^T], [T, P]], the cell basis first and then
-    the facet basis of each side: A_0 is the cell block, T and P the
+    L is [[A_0, T^T], [T, P]], the cell basis first and then the facet
+    basis of each side: A_0 is the cell block, T and P the
     `Side.facet_cell` and `Side.facet_facet` kernels.  Without the
     consistency terms it is the velocity pair norm.  L is affine in
-    alpha, L_0 + alpha L_pen.  c (nc, m) holds the coefficients of
-    v = vbar = 1 (both bases are orthonormal).  This is the one sum of
-    the `Side` kernels into the velocity form."""
+    alpha, L_0 + alpha L_pen, and annihilates the constant pair
+    v = vbar = 1, whose coefficient on the first (constant) cell basis
+    function is sqrt|K|, never zero.  This is the one sum of the `Side`
+    kernels into the velocity form."""
     nb, nbf = sp_.nb, sp_.nbf
     m = nb + sp_.nsides * nbf
     L = np.zeros((sp_.mesh.num_cells, m, m))
@@ -369,11 +374,7 @@ def local_velocity_form(sp_, alpha, consistency=True):
         L[:, s, s] = side.facet_facet()
     L[:, :nb, :nb] = auu
     L[:, :nb, nb:] = L[:, nb:, :nb].transpose(0, 2, 1)
-    c = np.concatenate(
-        [np.einsum("cq,cqi->ci", sp_.cell_qw, sp_.phi, optimize=True),
-         facet_integrals(sp_)[sp_.mesh.cell_facets]
-         .reshape(sp_.mesh.num_cells, -1)], axis=1)
-    return L, c
+    return L
 
 
 def velocity_blocks(sp_, alpha, consistency=True):
@@ -381,28 +382,21 @@ def velocity_blocks(sp_, alpha, consistency=True):
     `local_velocity_form`: local_auu_scalar, the facet-velocity rows of
     the per-cell stack, and facet_att (without the consistency terms,
     the velocity pair norm).  The forms are not kept: bs.coercive
-    records whether each is positive definite off its constant pair c,
-    by a batched Cholesky of L + sigma c c^T with c of unit length and
-    sigma the largest diagonal entry of L.  That suffices for
+    records whether each is positive definite off its constant pair,
+    by a batched Cholesky of L with the cell's constant mode (its
+    first row and column) dropped.  L vanishes on the pair, whose
+    coefficient there is never zero, so that reduced block is positive
+    definite if and only if L is off the pair.  That suffices for
     coercivity: the cell-wise sum is then positive off the constant
     fields, so the condensed velocity block is SPD, and so is every
     cell block that `condense` factors."""
     nb, nbf = sp_.nb, sp_.nbf
     dt = _dof_maps(sp_)["t"]
     bs = BlockSystem(sp_, alpha)
-    L, const = local_velocity_form(sp_, alpha, consistency)
-    const /= np.linalg.norm(const, axis=1)[:, None]
-    sigma = np.einsum("cii->ci", L).max(axis=1)
+    L = local_velocity_form(sp_, alpha, consistency)
     bs.coercive = True
     try:
-        # 512 cells at a time, each a shifted copy: one factor of all
-        # 8,192 cells of 64x64 triangles (k = 2), though freed at once,
-        # raised the later process peak inside `condense` from 347 to
-        # 354 MiB
-        for i in range(0, len(L), 512):
-            s = slice(i, i + 512)
-            np.linalg.cholesky(L[s] + sigma[s, None, None]
-                               * const[s, :, None] * const[s, None, :])
+        np.linalg.cholesky(L[:, 1:, 1:])
     except np.linalg.LinAlgError:
         bs.coercive = False
     bs.local_auu_scalar = L[:, :nb, :nb].copy()

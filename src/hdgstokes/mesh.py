@@ -88,17 +88,19 @@ class Mesh:
     def _build_geometry(self):
         v = self.vertices
         xc = v[self.cells]                      # (nc, npc, 2)
-        # shoelace area; positive iff counter-clockwise
         x, y = xc[..., 0], xc[..., 1]
         xs, ys = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
-        self.areas = 0.5 * np.sum(x * ys - xs * y, axis=1)
-        # every corner turns counter-clockwise: the cell is convex with
-        # positive area, and the bilinear map of a quadrilateral is
-        # invertible; a turn that under- or overflows (or a NaN vertex)
-        # fails the test
         e = np.roll(xc, -1, axis=1) - xc        # edge i: vertex i to i+1
         en = np.roll(e, -1, axis=1)
-        turn = e[..., 0] * en[..., 1] - e[..., 1] * en[..., 0]
+        # a product that overflows, or a NaN vertex, fails the turn test
+        # below, so neither needs a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            # shoelace area; positive iff counter-clockwise
+            self.areas = 0.5 * np.sum(x * ys - xs * y, axis=1)
+            turn = e[..., 0] * en[..., 1] - e[..., 1] * en[..., 0]
+        # every corner turns counter-clockwise: the cell is convex with
+        # positive area, and the bilinear map of a quadrilateral is
+        # invertible; a turn that under- or overflows fails the test
         if not np.all((turn > 0) & (turn < np.inf)):
             raise ValueError("degenerate, clockwise, non-convex or "
                              "non-finite cell (check jitter and domain)")

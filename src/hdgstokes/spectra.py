@@ -48,9 +48,11 @@ The constant pressure is deflated from a Lanczos pencil with one
 Householder reflector that maps the scaled constant onto the first
 coordinate, which is then dropped (`_restricted`), so that the
 iteration runs in the complement and the constant cannot come back
-through roundoff.  The coercivity pencil drops one dof instead: both
-of its forms vanish on the constant field, so any complement gives
-the same eigenvalues.  Per-cell Schur pieces share the elimination of
+through roundoff.  The coercivity pencil drops one dof instead, the
+constant mode of cell 0, by the rule of the coercivity guard in
+`assembly.velocity_blocks`: both of its forms vanish on the constant
+field, which is nonzero there, so any complement gives the same
+eigenvalues.  Per-cell Schur pieces share the elimination of
 `condense.cell_schur`.
 """
 
@@ -71,7 +73,7 @@ def _dg_schur(sp_, alpha, R):
     """Per-cell R N^-1 R^T for a stack R of rows acting on the cell
     velocity, with N the cell DG norm |grad v|^2_K + alpha/h |v|^2_dK,
     the cell block of the velocity pair norm."""
-    L, _ = _assembly.local_velocity_form(sp_, alpha, consistency=False)
+    L = _assembly.local_velocity_form(sp_, alpha, consistency=False)
     return _condense.cell_schur(L[:, :sp_.nb, :sp_.nb], R)[0]
 
 
@@ -290,10 +292,10 @@ def coercivity_bounds(sp_, alpha):
     condition enters: both matrices are scattered from the per-cell
     forms of `assembly.local_velocity_form` (the pair norm is the form
     without its consistency terms), cell dof c nb + i, then facet dof
-    nc nb + f nbf + j, and so is the constant field.  Both forms vanish
-    on that field, so every complement of it gives the same
-    eigenvalues: the one taken drops the dof where the field is
-    largest, which leaves the norm positive definite.  The pencil,
+    nc nb + f nbf + j.  Both forms vanish on the constant field, so
+    every complement of it gives the same eigenvalues: the one taken
+    drops dof 0, the constant mode of cell 0, where the field is never
+    zero, which leaves the norm positive definite.  The pencil,
     indefinite for a weak penalty, is solved by Lanczos with one
     `spd_lu` factorization of the reduced norm.  Returns
     (c_lower, c_upper); a nonpositive lower value flags a coercivity
@@ -305,16 +307,11 @@ def coercivity_bounds(sp_, alpha):
         [np.arange(nc * nb).reshape(nc, nb),
          (nc * nb + mesh.cell_facets[:, :, None] * nbf
           + np.arange(nbf)).reshape(nc, -1)], axis=1)
-
-    def scattered(consistency):
-        L, c = _assembly.local_velocity_form(sp_, alpha, consistency)
-        return _assembly._scatter(dofs, dofs, L, (n, n)), c
-    (A, c), (N, _) = scattered(True), scattered(False)
-    const = np.zeros(n)
-    const[dofs] = c
-    keep = np.delete(np.arange(n), np.argmax(np.abs(const)))
-    lo, hi = _lanczos_extremes(A[keep][:, keep].__matmul__, n - 1,
-                               solve=_amg.spd_lu(N[keep][:, keep]).solve)
+    A, N = (_assembly._scatter(
+        dofs, dofs, _assembly.local_velocity_form(sp_, alpha, consistency),
+        (n, n))[1:, 1:] for consistency in (True, False))
+    lo, hi = _lanczos_extremes(A.__matmul__, n - 1,
+                               solve=_amg.spd_lu(N).solve)
     return float(lo), float(hi)
 
 

@@ -406,9 +406,10 @@ def _head(path, n=200):
 
 
 # the domain's width overflows, and its cells' corner turns underflow:
-# each ended in a traceback (exit 1)
+# each ended in a traceback (exit 1); the corner turns of the last one
+# overflow, which numpy warned about before the refusal
 @pytest.mark.parametrize("domain", ["-1e308 -1e308 1e308 1e308",
-                                    "0 0 1e-300 1e-300"])
+                                    "0 0 1e-300 1e-300", "0 0 1e200 1e200"])
 @pytest.mark.parametrize("command",
                          ["solve", "study", "verify", "export-matrices"])
 def test_main_refuses_unrepresentable_domain(tmp_path, capsys, domain,
@@ -445,6 +446,17 @@ def test_cavity_lid_spans_the_top_wall_of_the_domain(tmp_path, domain, nx,
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["solver"]["converged"] is True
     assert report["solver"]["iterations"] > 0
+
+
+# the velocity form is invariant under scaling of the domain; the
+# coercivity guard shifted by the largest diagonal entry refused these
+@pytest.mark.parametrize("domain", ["0 0 1e-14 1e-14", "0 0 1e50 1e50"])
+def test_main_solves_cavity_on_scaled_domain(tmp_path, domain):
+    path = _ini(tmp_path, "[mesh]\nnx = 4\nny = 4\ndomain = %s\n" % domain)
+    assert cli.main(["solve", "--config", path,
+                     "--out", str(tmp_path / "x")]) == 0
+    report = json.loads((tmp_path / "x" / "report.json").read_text())
+    assert report["solver"]["converged"] is True
 
 
 # files that configparser cannot parse, and one that is not text
