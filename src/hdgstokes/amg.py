@@ -184,8 +184,9 @@ class AuxiliarySpace:
         r = np.random.default_rng(0).standard_normal(A.shape[0])
         steps = krylov.lanczos(A.__matmul__, r,
                                lambda x: self._cycle(x, False)[0])
-        tri = np.array(list(itertools.islice(steps, 12)))
-        lo, _ = krylov.ritz_extremes(tri.T)
+        tri = [(alfa, max(beta, 0.0))
+               for alfa, beta, _, _ in itertools.islice(steps, 12)]
+        lo, _ = krylov.ritz_extremes(np.array(tri).T)
         return min(max(_ALPHA_MARGIN * lo, 1e-3), 0.999)
 
     def _cycle(self, r, residual):

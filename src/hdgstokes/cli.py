@@ -228,9 +228,14 @@ def discretize(cfg, m):
         raise ConfigError("boundary datum has nonzero normal flux; "
                           "elimination would break mass conservation")
     if not bs.coercive:
+        # a larger alpha is coercive in exact arithmetic: past 1 / eps
+        # the penalty swamps the rest of the form in double precision
+        reason = ("alpha is too large for double precision"
+                  if bs.alpha * np.finfo(float).eps >= 1.0 else
+                  "raise alpha or use less distorted cells")
         raise ConfigError("the local velocity form is not positive "
-                          "definite for alpha = %g on these cells; raise "
-                          "alpha or use less distorted cells" % bs.alpha)
+                          "definite for alpha = %g on these cells; %s"
+                          % (bs.alpha, reason))
     return sp_, bs, condense.condense(bs)
 
 

@@ -1,23 +1,24 @@
 """Preconditioned Krylov solvers for the condensed saddle-point system.
 
-minres is the Paige-Saunders recurrence with a symmetric (positive or
-indefinite) preconditioner applied on the left.  It costs one matvec
-per iteration: the unpreconditioned residual b - A x is updated by
-recurrence, with A w carried alongside each search direction w and
-built from the A v the Lanczos step already computed.  Convergence is
-judged on the true residual: it is recomputed once the updated one
-reaches tol, and if it is still above tol the recurrence restarts from
-it and the iteration goes on.  The preconditioner-norm estimate is
-monotone and kept in the report for diagnostics.  The Lanczos
-tridiagonal of the preconditioned operator that the recurrence builds
-is kept too, as `SolverReport.lanczos`; `ritz_extremes` reads the
-extreme eigenvalue estimates off it.
+minres is the Paige-Saunders method with a symmetric (positive or
+indefinite) preconditioner applied on the left: the QR update, by
+Givens rotations, of the tridiagonal that `lanczos` builds on the
+pencil (A, pc^-1), one step per iteration.  It costs one matvec and
+one preconditioner apply per iteration: the unpreconditioned residual
+b - A x is updated by recurrence, with A w carried alongside each
+search direction w and built from the A q each Lanczos step yields.
+Convergence is judged on the true residual: it is recomputed once the
+updated one reaches tol, and if it is still above tol the residual
+recurrence (not the Lanczos recurrence) restarts from it and the
+iteration goes on.  The preconditioner-norm estimate is monotone and
+kept in the report for diagnostics.  The Lanczos tridiagonal is kept
+too, as `SolverReport.lanczos`; `ritz_extremes` reads the extreme
+eigenvalue estimates off it.
 
-`lanczos` is a plain Lanczos recurrence on an operator or an SPD
-pencil, with no stored basis: the probes of `spectra` and the
-multigrid alpha of `amg` read their extreme eigenvalues off its
-tridiagonal.  minres does not call it: it runs its own preconditioned
-Lanczos recurrence inline, in different arithmetic.
+`lanczos` is the package's one Lanczos recurrence, on an operator or
+a pencil, with no stored basis: besides minres, the probes of
+`spectra` and the multigrid alpha of `amg` read their extreme
+eigenvalues off its tridiagonal.
 
 gmres is restarted GMRES with the preconditioner applied on the right,
 so its recurrence estimate *is* the true residual norm; it tolerates
@@ -87,7 +88,8 @@ class SolverReport:
 def ritz_extremes(lanczos):
     """Smallest and largest eigenvalue, each selected by index, of the
     Lanczos tridiagonal (alfa, beta) that `minres` records as
-    `SolverReport.lanczos` or `lanczos` yields: extreme Ritz values."""
+    `SolverReport.lanczos`, or of the steps of `lanczos`: extreme Ritz
+    values."""
     alfa, beta = lanczos
     j = len(alfa) - 1
     lo, hi = (eigh_tridiagonal(alfa, beta[:j], eigvals_only=True,
@@ -96,30 +98,38 @@ def ritz_extremes(lanczos):
     return float(lo), float(hi)
 
 
-def lanczos(op, r, solve=None):
-    """Yield each step's (alfa, beta), the diagonal entry and the next
-    off-diagonal entry of the Lanczos tridiagonal of a symmetric op,
-    or of the pencil (op, N) when `solve` applies N^-1 for an SPD N,
-    from the start vector r (N^-1 r for a pencil).  Only the last two
-    vectors are kept: without reorthogonalization the extreme Ritz
-    values still converge, and lost orthogonality only repeats
-    converged values (Paige, 1980).  A pencil runs in the N inner
-    product and carries p = N q beside each vector q: one product and
-    one solve per step.  The caller stops at beta = 0."""
-    w = r if solve is None else solve(r)
-    beta = np.sqrt(w @ r)
-    p_old = 0.0
+def lanczos(op, r, solve=None, z=None):
+    """Yield each step's (alfa, beta, q, op(q)): the diagonal entry and
+    the next off-diagonal entry of the Lanczos tridiagonal of a
+    symmetric op, or of the pencil (op, N) when `solve` applies N^-1,
+    with the step's Lanczos vector q.  r is the start vector, and z is
+    solve(r) when the caller has it already (minres checks it first).
+
+    The arithmetic is Paige and Saunders' MINRES: the residuals
+    r = beta N q_next stay unnormalized, q = N^-1 r / beta, and the
+    next residual is op(q) - (beta / beta_old) r_old - (alfa / beta) r,
+    so a step is one product and one solve, with no N q beside q.
+    Only the last two residuals are kept: without reorthogonalization
+    the extreme Ritz values still converge, and lost orthogonality only
+    repeats converged values (Paige, 1980).  beta is sqrt|(r, N^-1 r)|
+    with the sign of that product, so that a negative one (N
+    indefinite) stays visible; the caller stops at beta <= 0."""
+    if z is None:
+        z = r if solve is None else solve(r)
+    beta = np.sqrt(r @ z)
+    r1, r2, oldb = 0.0, r, beta
     while True:
-        q = w / beta
-        p = q if solve is None else r / beta
-        r = op(q)
-        r -= beta * p_old
-        alfa = q @ r
-        r -= alfa * p
-        w = r if solve is None else solve(r)
-        beta = np.sqrt(max(w @ r, 0.0))
-        yield alfa, beta
-        p_old = p
+        q = z / beta
+        Aq = op(q)
+        # out of place: Aq is yielded (minres builds A w from it)
+        y = Aq - (beta / oldb) * r1
+        alfa = q @ y
+        y -= (alfa / beta) * r2
+        r1, r2 = r2, y
+        z = y if solve is None else solve(y)
+        oldb, s = beta, y @ z
+        beta = np.copysign(np.sqrt(abs(s)), s)
+        yield alfa, beta, q, Aq
 
 
 def orthogonalize(Q, w):
@@ -154,10 +164,11 @@ def _start(A, b, pc, nullspace):
 
 def minres(A, b, pc=None, tol=1e-8, maxiter=1000, nullspace=None,
            label=""):
-    """Left-preconditioned MINRES.
+    """Left-preconditioned MINRES over the steps of `lanczos`.
 
-    pc applies the inverse of the preconditioner.  Breakdown of the
-    Lanczos inner product - (r, pc r) < 0, or = 0 for the first
+    pc applies the inverse of the preconditioner.  (b, pc b) is checked
+    before the first step, and pc b starts the recurrence.  Breakdown
+    of the Lanczos inner product - (r, pc r) < 0, or = 0 for the first
     residual, possible when pc is indefinite or singular - is reported,
     never silently ignored.  `residuals` holds the relative residual of
     every iteration: the updated one, or the true one where it was
@@ -176,48 +187,29 @@ def minres(A, b, pc=None, tol=1e-8, maxiter=1000, nullspace=None,
     if bnorm == 0.0:
         return report(0, True)
 
-    r1 = b.copy()
-    y = proj(apply_pc(r1))
-    beta1 = r1 @ y
+    y = proj(apply_pc(b))
+    beta1 = b @ y
     if beta1 < 0.0:
         return report(0, False, "indefinite preconditioner: (r, z) < 0")
     if beta1 == 0.0:
         return report(0, False, "singular preconditioner: (r, z) = 0")
-    beta1 = np.sqrt(beta1)
+    steps = lanczos(lambda v: proj(matvec(v)), b,
+                    lambda r: proj(apply_pc(r)), y)
 
-    oldb, beta = 0.0, beta1
     dbar = epsln = sn = 0.0
     cs = -1.0
-    phibar = beta1
-    w = np.zeros_like(b)
-    w2 = np.zeros_like(b)
-    Aw = np.zeros_like(b)
-    Aw2 = np.zeros_like(b)
-    r2 = r1
-    res = b.copy()
+    phibar = np.sqrt(beta1)
+    w = w2 = Aw = Aw2 = np.zeros_like(b)
+    res = b
 
     itn = 0
     converged = False
     breakdown = None
-    while itn < maxiter:
-        itn += 1
-        v = y / beta
-        # Av is kept for the A w recurrence, so y is updated out of
-        # place (proj returns its argument when there is no nullspace)
-        Av = proj(matvec(v))
-        y = Av if itn == 1 else Av - (beta / oldb) * r1
-        alfa = v @ y
+    for itn, (alfa, beta, v, Av) in zip(range(1, maxiter + 1), steps):
         alfas.append(alfa)
-        y = y - (alfa / beta) * r2
-        r1 = r2
-        r2 = y
-        y = proj(apply_pc(r2))
-        oldb = beta
-        beta = r2 @ y
         if beta < 0.0:
             breakdown = "indefinite preconditioner: (r, z) < 0 at iteration %d" % itn
             break
-        beta = np.sqrt(beta)
         betas.append(beta)
 
         oldeps = epsln

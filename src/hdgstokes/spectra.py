@@ -58,7 +58,6 @@ eigenvalues.  Per-cell Schur pieces share the elimination of
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from . import amg as _amg
 from . import assembly as _assembly
@@ -143,13 +142,15 @@ def _lanczos_extremes(op, n, ends=(0, -1), solve=None):
     value theta_i is accepted when b_j |S_ji| <= _LANCZOS_TOL max |theta|;
     the scale is not |theta_i|, so that an eigenvalue 0 converges too.
     The test runs every _LANCZOS_CHECK steps, at step n, at the cap and
-    when the residual vanishes; the cap is _LANCZOS_MAX_STEPS whatever
-    n is, since the recurrence may need more than n steps.
+    when the residual vanishes (beta <= 0, which counts as 0); the cap
+    is _LANCZOS_MAX_STEPS whatever n is, since the recurrence may need
+    more than n steps.
     RuntimeError after _LANCZOS_MAX_STEPS steps."""
     r = np.random.default_rng(0).standard_normal(n)
     a, b = [], []
     steps = _krylov.lanczos(op, r, solve)
-    for j, (alfa, beta) in zip(range(_LANCZOS_MAX_STEPS), steps):
+    for j, (alfa, beta, _, _) in zip(range(_LANCZOS_MAX_STEPS), steps):
+        beta = max(beta, 0.0)
         a.append(alfa)
         b.append(beta)
         if ((j + 1) % _LANCZOS_CHECK == 0 or j + 1 in (n, _LANCZOS_MAX_STEPS)
@@ -209,7 +210,7 @@ def _pressure_rows(cs):
 
 # -- probes -----------------------------------------------------------
 
-def schur_spectrum(cs, deflate=True):
+def schur_spectrum(cs):
     """Extreme generalized eigenvalues of the pressure Schur complement
     against the pressure mass (diagonal `cs.mass`), with the constant
     pressure deflated; returns (lmin, lmax).
@@ -227,31 +228,22 @@ def schur_spectrum(cs, deflate=True):
     def apply(x):
         y = solve((BbarT @ x).reshape(2, -1).T).T.ravel()
         return Bbar @ y - C @ x
-    c = _spaces.constant_pressure_vector(cs.spaces) if deflate else None
-    return _mass_pencil_extremes(apply, cs.mass, c)
+    return _mass_pencil_extremes(apply, cs.mass,
+                                 _spaces.constant_pressure_vector(cs.spaces))
 
 
-def element_block_spectrum(cs, deflate=False):
+def element_block_spectrum(cs):
     """Extreme generalized eigenvalues of (bdiag(-C_pp, -C_ss), M).
 
     The element-matrix preconditioner blocks are the cell and facet
     pressure Schur pieces B_pu A_uu^-1 B_pu^T and B_su A_uu^-1 B_su^T;
     both are positive definite (divergence maps onto the cell pressure
     space and the facet normal-flux coupling has trivial kernel), so
-    by default nothing is deflated and the block-diagonal pencil
-    reduces to the envelope of the two sub-pencils.  -C_pp couples
-    only the pressures of one cell, so its pencil is solved cell by
-    cell, exactly, on the cell blocks `cs.pressure_blocks`; the facet
-    one by Lanczos.  With deflate=True the joint constant-pressure
-    direction is removed first, matching the protocol used for the
-    full Schur pencil; that couples the blocks, so the restricted
-    pencil is solved as one problem."""
+    nothing is deflated and the block-diagonal pencil reduces to the
+    envelope of the two sub-pencils.  -C_pp couples only the pressures
+    of one cell, so its pencil is solved cell by cell, exactly, on the
+    cell blocks `cs.pressure_blocks`; the facet one by Lanczos."""
     C_ss = cs.block("s", "s")
-    if deflate:
-        C = sp.block_diag([-cs.block("p", "p"), -C_ss], format="csr")
-        return _mass_pencil_extremes(C.__matmul__, cs.mass,
-                                     _spaces.constant_pressure_vector(
-                                         cs.spaces))
     P = cs.pressure_blocks
     s = 1.0 / np.sqrt(cs.mass[:cs.n_p]).reshape(P.shape[:2])
     wp = np.linalg.eigvalsh(P * s[:, :, None] * s[:, None, :])

@@ -513,6 +513,20 @@ def test_main_exit_codes(tmp_path, capsys):
         assert rc == 2, bad_text
         err = capsys.readouterr().err
         assert "configuration error" in err and "not positive definite" in err
+        assert "raise alpha" in err
+
+    # past alpha = 1 / eps the guard refuses every mesh, and raising
+    # alpha, which the refusal used to advise, cannot help
+    for alpha in ("1e16", "1e300"):
+        bad = _ini(tmp_path, "[mesh]\nnx = 3\nny = 3\n[discretization]\n"
+                             "alpha = %s\n" % alpha, name="bad.ini")
+        rc = cli.main(["solve", "--config", bad,
+                       "--out", str(tmp_path / "x")])
+        assert rc == 2, alpha
+        err = capsys.readouterr().err
+        assert "not positive definite" in err
+        assert "too large for double precision" in err
+        assert "raise alpha" not in err
 
     # cells 1/8 x 1/80: the per-cell velocity block is not positive
     # definite at the default alpha, whichever subcommand meets it

@@ -134,16 +134,22 @@ def test_minres_one_matvec_per_iteration(nullspace):
     else:
         A, nv = _spd(n, 14), None
         b = np.ones(n)
-    calls = []
+    calls, pc_calls = [], []
 
     def counted(x):
         calls.append(1)
         return A @ x
 
-    rep = krylov.minres(counted, b, tol=1e-10, maxiter=500, nullspace=nv)
+    def counted_pc(r):
+        pc_calls.append(1)
+        return r.copy()
+
+    rep = krylov.minres(counted, b, counted_pc, tol=1e-10, maxiter=500,
+                        nullspace=nv)
     assert rep.converged
     assert np.linalg.norm(b - A @ rep.x) <= 1e-10 * np.linalg.norm(b)
     assert len(calls) <= rep.iterations + 2
+    assert len(pc_calls) <= rep.iterations + 1
 
 
 def test_minres_ritz_extremes_known_spectrum():
@@ -167,7 +173,7 @@ def test_lanczos_ritz_extremes_of_a_diagonal_matrix(pencil):
     m = rng.uniform(0.5, 2.0, n) if pencil else np.ones(n)
     steps = krylov.lanczos(lambda x: d * m * x, rng.standard_normal(n),
                            (lambda r: r / m) if pencil else None)
-    alfa, beta = np.array(list(itertools.islice(steps, n))).T
+    alfa, beta = np.array([step[:2] for step in itertools.islice(steps, n)]).T
     lo, hi = krylov.ritz_extremes((alfa, beta))
     assert abs(lo - 0.5) < 1e-12 and abs(hi - 4.0) < 1e-12
 

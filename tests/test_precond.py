@@ -390,22 +390,22 @@ def _stationary(mg, b, cycles):
 
 def _pencil_lower_end(A, cycle, steps=12, seed=0):
     """Smallest Ritz value of `steps` plain Lanczos steps on the pencil
-    (A, B^-1) for z = cycle(r) = B r, from a fixed-seed start vector:
-    the recurrence the multigrid alpha was first measured with."""
+    (A, B^-1) for z = cycle(r) = B r, from a fixed-seed start vector,
+    in the arithmetic of MINRES: unnormalized residuals r, combined
+    with the ratios beta / beta_old and alfa / beta."""
     r = np.random.default_rng(seed).standard_normal(A.shape[0])
-    w = cycle(r)
-    beta = np.sqrt(w @ r)
-    a, b, p_old = [], [], 0.0
+    z = cycle(r)
+    beta = np.sqrt(r @ z)
+    a, b, r_old, beta_old = [], [], 0.0, beta
     for _ in range(steps):
-        q, p = w / beta, r / beta
-        r = A @ q
-        r -= beta * p_old
-        a.append(q @ r)
-        r -= a[-1] * p
-        w = cycle(r)
-        beta = np.sqrt(max(w @ r, 0.0))
+        q = z / beta
+        y = A @ q - (beta / beta_old) * r_old
+        a.append(q @ y)
+        y -= (a[-1] / beta) * r
+        r_old, r = r, y
+        z = cycle(r)
+        beta_old, beta = beta, np.sqrt(max(r @ z, 0.0))
         b.append(beta)
-        p_old = p
     return sla.eigh_tridiagonal(a, b[:-1], eigvals_only=True,
                                 select="i", select_range=(0, 0))[0]
 
@@ -418,6 +418,22 @@ def test_multigrid_alpha_is_the_pencil_recurrence(shape):
     mg = pc.rbar.amg
     ref = _pencil_lower_end(mg.levels[0].A, lambda r: _plain_cycle(mg, r))
     assert mg.alpha == min(max(0.95 * ref, 1e-3), 0.999)
+
+
+@pytest.mark.parametrize("shape", ["triangle", "quadrilateral"])
+def test_multigrid_alpha_is_read_off_minres(shape):
+    """MINRES steps through the recurrence alpha is measured with: 12
+    iterations on (A, cycle) from alpha's start vector record the
+    tridiagonal whose smallest Ritz value gives alpha, bit for bit."""
+    _, pc = _multigrid_setup(12, shape=shape)
+    mg = pc.rbar.amg
+    A = mg.levels[0].A
+    r = np.random.default_rng(0).standard_normal(A.shape[0])
+    rep = krylov.minres(A, r, lambda x: _plain_cycle(mg, x), tol=0.0,
+                        maxiter=12)
+    assert rep.iterations == 12
+    lo, _ = krylov.ritz_extremes(rep.lanczos)
+    assert mg.alpha == min(max(0.95 * lo, 1e-3), 0.999)
 
 
 def test_multigrid_one_cycle_is_the_plain_cycle():
