@@ -24,6 +24,10 @@ Everything coupled to the cell velocity is stored per cell, as static
 condensation consumes it; A_uu, A_tu, B_pu and B_su are scattered from
 those blocks on access (probes, export, tests).  The element kernels
 are defined here once, for the norms of the spectra module as well.
+Each reads the basis tables of one `spaces.CellChunk`, a slice of
+cells, and every function here that covers the mesh walks the cells
+chunk by chunk, so no table of every cell is formed; no block depends
+on the chunk size.
 
 Pressure masses: M_p is the plain cell mass (identity in the modal
 basis); M_s carries the facet weight h_K+ + h_K- (interior) or h_K
@@ -125,32 +129,36 @@ def _dof_maps(sp_):
 
 
 # -- batched element kernels (scalar, shared by both components) ------
+#
+# Each kernel takes a `spaces.CellChunk` and returns the blocks of its
+# cells, (n, rows, cols); the functions below that cover the mesh walk
+# the cells chunk by chunk.
 
-def scalar_stiffness(sp_):
-    """(nc, nb, nb) cell gradient products."""
-    return _sym(_kernel(sp_.gx, sp_.cell_qw, sp_.gx)
-                + _kernel(sp_.gy, sp_.cell_qw, sp_.gy))
+def scalar_stiffness(ch):
+    """(n, nb, nb) cell gradient products."""
+    return _sym(_kernel(ch.gx, ch.qw, ch.gx) + _kernel(ch.gy, ch.qw, ch.gy))
 
 
-def _side_weights(sp_, e):
-    return sp_.facet_qw[sp_.mesh.cell_facets[:, e]]
+def _side_weights(sp_, cells, e):
+    return sp_.facet_qw[sp_.mesh.cell_facets[cells, e]]
 
 
 class Side:
-    """Side e of every cell: quadrature data and the per-side kernels,
-    each an (nc, rows, cols) batch.  w are the side's quadrature
-    weights, wpen = alpha/h_K w, phi the cell basis and dn its outward
-    normal derivative (views of `SpaceSet.phi_f` and `dn_f`), psibar
-    the facet basis."""
+    """Side e of every cell of a chunk: quadrature data and the
+    per-side kernels, each an (n, rows, cols) batch.  w are the side's
+    quadrature weights, wpen = alpha/h_K w, phi the cell basis and dn
+    its outward normal derivative (views of the chunk's `phi_f` and
+    `dn_f`), psibar the facet basis."""
 
-    def __init__(self, sp_, e, alpha):
-        self.facets = sp_.mesh.cell_facets[:, e]
-        self.normal = sp_.normal[:, e]
-        self.w = _side_weights(sp_, e)
-        self.wpen = self.w * (alpha / sp_.mesh.h)[:, None]
-        self.phi = sp_.phi_f[:, e]
+    def __init__(self, ch, e, alpha):
+        sp_, cells = ch.spaces, ch.cells
+        self.facets = sp_.mesh.cell_facets[cells, e]
+        self.normal = sp_.normal[cells, e]
+        self.w = _side_weights(sp_, cells, e)
+        self.wpen = self.w * (alpha / sp_.mesh.h[cells])[:, None]
+        self.phi = ch.phi_f[:, e]
         self.psibar = sp_.psibar[self.facets]
-        self.dn = sp_.dn_f[:, e]
+        self.dn = ch.dn_f[:, e]
 
     def penalty(self):
         """alpha/h <phi, phi>, before symmetrization."""
@@ -173,22 +181,22 @@ class Side:
         return _sym(_kernel(self.psibar, self.wpen, self.psibar))
 
     def normal_flux(self):
-        """(nc, nbf, 2 nb) facet-pressure rows <v.n, sbar>."""
+        """(n, nbf, 2 nb) facet-pressure rows <v.n, sbar>."""
         return np.concatenate(
             [np.einsum("cqi,cq,cqj,c->cij", self.psibar, self.w, self.phi,
                        self.normal[:, d], optimize=True) for d in (0, 1)],
             axis=2)
 
 
-def local_divergence(sp_):
-    """(nc, np_cell, 2*nb) blocks of -(q, div v)_K."""
-    return -np.concatenate([_kernel(sp_.psi, sp_.cell_qw, sp_.gx),
-                            _kernel(sp_.psi, sp_.cell_qw, sp_.gy)], axis=2)
+def local_divergence(ch):
+    """(n, np_cell, 2*nb) blocks of -(q, div v)_K."""
+    return -np.concatenate([_kernel(ch.psi, ch.qw, ch.gx),
+                            _kernel(ch.psi, ch.qw, ch.gy)], axis=2)
 
 
-def cell_pressure_mass(sp_):
-    """(nc, np_cell, np_cell) cell masses (q, q)_K."""
-    return _sym(_kernel(sp_.psi, sp_.cell_qw, sp_.psi))
+def cell_pressure_mass(ch):
+    """(n, np_cell, np_cell) cell masses (q, q)_K."""
+    return _sym(_kernel(ch.psi, ch.qw, ch.psi))
 
 
 def facet_mass(sp_, weights):
@@ -264,6 +272,10 @@ class BlockSystem:
             "s": (slice(npc, mk), sp_.n_ubar + sp_.n_p, sp_.n_pbar)}
         self.local_coupling = np.zeros((nc, mk, 2 * sp_.nb))
         self.local_rows = np.empty((nc, mk), dtype=np.int64)
+        self.local_auu_scalar = np.empty((nc, sp_.nb, sp_.nb))
+        self.facet_att = np.zeros((sp_.mesh.num_facets, 2 * sp_.nbf,
+                                   2 * sp_.nbf))
+        self.coercive = True
 
     def local_block(self, key):
         """(rows, values) of block 't', 'p' or 's' of the per-cell
@@ -347,24 +359,16 @@ class BlockSystem:
         return np.concatenate([self.L_u, self.L_t, np.zeros(np_tot)])
 
 
-def local_velocity_form(sp_, alpha, consistency=True):
-    """(nc, m, m) unconstrained velocity form L of every cell, on one
-    component.
-
-    L is [[A_0, T^T], [T, P]], the cell basis first and then the facet
-    basis of each side: A_0 is the cell block, T and P the
-    `Side.facet_cell` and `Side.facet_facet` kernels.  Without the
-    consistency terms it is the velocity pair norm.  L is affine in
-    alpha, L_0 + alpha L_pen, and annihilates the constant pair
-    v = vbar = 1, whose coefficient on the first (constant) cell basis
-    function is sqrt|K|, never zero.  This is the one sum of the `Side`
-    kernels into the velocity form."""
+def _velocity_form(ch, alpha, consistency=True):
+    """The unconstrained velocity form of the cells of chunk ch,
+    (n, m, m); see `local_velocity_form`."""
+    sp_ = ch.spaces
     nb, nbf = sp_.nb, sp_.nbf
     m = nb + sp_.nsides * nbf
-    L = np.zeros((sp_.mesh.num_cells, m, m))
-    auu = scalar_stiffness(sp_)
+    L = np.zeros((ch.qw.shape[0], m, m))
+    auu = scalar_stiffness(ch)
     for e in range(sp_.nsides):
-        side = Side(sp_, e, alpha)
+        side = Side(ch, e, alpha)
         auu += _sym(side.penalty())
         if consistency:
             X = side.consistency()
@@ -377,74 +381,107 @@ def local_velocity_form(sp_, alpha, consistency=True):
     return L
 
 
-def velocity_blocks(sp_, alpha, consistency=True):
-    """BlockSystem holding the velocity form only, laid out from
-    `local_velocity_form`: local_auu_scalar, the facet-velocity rows of
-    the per-cell stack, and facet_att (without the consistency terms,
-    the velocity pair norm).  The forms are not kept: bs.coercive
-    records whether each is positive definite off its constant pair,
-    by a batched Cholesky of L with the cell's constant mode (its
-    first row and column) dropped.  L vanishes on the pair, whose
-    coefficient there is never zero, so that reduced block is positive
-    definite if and only if L is off the pair.  That suffices for
-    coercivity: the cell-wise sum is then positive off the constant
-    fields, so the condensed velocity block is SPD, and so is every
-    cell block that `condense` factors."""
+def local_velocity_form(sp_, alpha, consistency=True):
+    """(nc, m, m) unconstrained velocity form L of every cell, on one
+    component, evaluated chunk by chunk.
+
+    L is [[A_0, T^T], [T, P]], the cell basis first and then the facet
+    basis of each side: A_0 is the cell block, T and P the
+    `Side.facet_cell` and `Side.facet_facet` kernels.  Without the
+    consistency terms it is the velocity pair norm.  L is affine in
+    alpha, L_0 + alpha L_pen, and annihilates the constant pair
+    v = vbar = 1, whose coefficient on the first (constant) cell basis
+    function is sqrt|K|, never zero.  This is the one sum of the `Side`
+    kernels into the velocity form."""
+    m = sp_.nb + sp_.nsides * sp_.nbf
+    L = np.empty((sp_.mesh.num_cells, m, m))
+    for ch in sp_.chunks():
+        L[ch.cells] = _velocity_form(ch, alpha, consistency)
+    return L
+
+
+def _add_velocity_form(bs, ch, consistency=True):
+    """Lay out the velocity form of the cells of chunk ch in bs:
+    local_auu_scalar, the facet-velocity rows of the per-cell stack,
+    their sums into facet_att, and the coercivity guard."""
+    sp_, c = bs.spaces, ch.cells
     nb, nbf = sp_.nb, sp_.nbf
-    dt = _dof_maps(sp_)["t"]
-    bs = BlockSystem(sp_, alpha)
-    L = local_velocity_form(sp_, alpha, consistency)
-    bs.coercive = True
+    dt = bs._t.reshape(sp_.mesh.num_facets, 2, nbf)
+    L = _velocity_form(ch, bs.alpha, consistency)
     try:
         np.linalg.cholesky(L[:, 1:, 1:])
     except np.linalg.LinAlgError:
         bs.coercive = False
-    bs.local_auu_scalar = L[:, :nb, :nb].copy()
-    bs.facet_att = np.zeros((sp_.mesh.num_facets, 2 * nbf, 2 * nbf))
+    bs.local_auu_scalar[c] = L[:, :nb, :nb]
     for e in range(sp_.nsides):
-        facets = sp_.mesh.cell_facets[:, e]
+        facets = sp_.mesh.cell_facets[c, e]
         s = slice(nb + e * nbf, nb + (e + 1) * nbf)
         for comp in range(2):
             r = slice((2 * e + comp) * nbf, (2 * e + comp + 1) * nbf)
-            bs.local_coupling[:, r, comp * nb:(comp + 1) * nb] = L[:, s, :nb]
-            bs.local_rows[:, r] = dt[facets, comp]
-            c = slice(comp * nbf, (comp + 1) * nbf)
-            np.add.at(bs.facet_att[:, c, c], facets, L[:, s, s])
+            bs.local_coupling[c, r, comp * nb:(comp + 1) * nb] = L[:, s, :nb]
+            bs.local_rows[c, r] = dt[facets, comp]
+            cc = slice(comp * nbf, (comp + 1) * nbf)
+            np.add.at(bs.facet_att[:, cc, cc], facets, L[:, s, s])
+
+
+def velocity_blocks(sp_, alpha, consistency=True):
+    """BlockSystem holding the velocity form only, laid out from
+    `local_velocity_form` chunk by chunk: local_auu_scalar, the
+    facet-velocity rows of the per-cell stack, and facet_att (without
+    the consistency terms, the velocity pair norm).  The forms are not
+    kept: bs.coercive records whether each is positive definite off its
+    constant pair, by a batched Cholesky of L with the cell's constant
+    mode (its first row and column) dropped.  L vanishes on the pair,
+    whose coefficient there is never zero, so that reduced block is
+    positive definite if and only if L is off the pair.  That suffices
+    for coercivity: the cell-wise sum is then positive off the constant
+    fields, so the condensed velocity block is SPD, and so is every
+    cell block that `condense` factors."""
+    bs = BlockSystem(sp_, alpha)
+    for ch in sp_.chunks():
+        _add_velocity_form(bs, ch, consistency)
     return bs
 
 
 def build_block_system(sp_, problem, bcs=True):
     """Assemble the per-cell and per-facet blocks, the pressure masses
-    and the right-hand sides; with bcs=True the boundary velocity datum
-    is projected and eliminated symmetrically."""
-    bs = velocity_blocks(sp_, problem.alpha)
+    and the right-hand sides, one chunk of cells at a time, each
+    chunk's tables evaluated once for all of its blocks; with bcs=True
+    the boundary velocity datum is projected and eliminated
+    symmetrically."""
+    bs = BlockSystem(sp_, problem.alpha)
     dm = _dof_maps(sp_)
-    nbf = sp_.nbf
+    nc, nbf = sp_.mesh.num_cells, sp_.nbf
     s_rows, s_offset, _ = bs.layout["s"]
-    for e in range(sp_.nsides):
-        side = Side(sp_, e, problem.alpha)
-        r = slice(s_rows.start + e * nbf, s_rows.start + (e + 1) * nbf)
-        bs.local_coupling[:, r] = side.normal_flux()
-        bs.local_rows[:, r] = s_offset + dm["s"][side.facets]
     p_rows, p_offset, _ = bs.layout["p"]
-    bs.local_coupling[:, p_rows] = local_divergence(sp_)
-    bs.local_rows[:, p_rows] = p_offset + dm["p"]
+    mass_p = np.empty((nc, sp_.np_cell, sp_.np_cell))
+    L_u = np.empty((nc, 2, sp_.nb))
+    for ch in sp_.chunks():
+        c = ch.cells
+        _add_velocity_form(bs, ch)
+        for e in range(sp_.nsides):
+            side = Side(ch, e, problem.alpha)
+            r = slice(s_rows.start + e * nbf, s_rows.start + (e + 1) * nbf)
+            bs.local_coupling[c, r] = side.normal_flux()
+            bs.local_rows[c, r] = s_offset + dm["s"][side.facets]
+        bs.local_coupling[c, p_rows] = local_divergence(ch)
+        bs.local_rows[c, p_rows] = p_offset + dm["p"][c]
+        mass_p[c] = cell_pressure_mass(ch)
+        # body force
+        F = _spaces._eval_vector(problem.body_force, sp_.cell_qp[c])
+        L_u[c] = np.einsum("cq,cqd,cqi->cdi", ch.qw, F, ch.phi,
+                           optimize=True)
+    bs.L_u = L_u.ravel()
+    bs.L_t = np.zeros(sp_.n_ubar)
 
     # pressure masses (identity / weighted identity in the modal basis,
     # but assembled honestly)
-    bs.M_p = _scatter(dm["p"], dm["p"], cell_pressure_mass(sp_),
-                      (sp_.n_p, sp_.n_p))
+    bs.M_p = _scatter(dm["p"], dm["p"], mass_p, (sp_.n_p, sp_.n_p))
     bs.M_s = _scatter(dm["s"], dm["s"],
                       facet_mass(sp_, facet_mass_weights(sp_.mesh)),
                       (sp_.n_pbar, sp_.n_pbar))
     bs.mass = np.concatenate([mass_diagonal(bs.M_p, "cell pressure mass"),
                               mass_diagonal(bs.M_s, "facet pressure mass")])
-
-    # body force
-    F = _spaces._eval_vector(problem.body_force, sp_.cell_qp)
-    bs.L_u = np.einsum("cq,cqd,cqi->cdi", sp_.cell_qw, F, sp_.phi,
-                       optimize=True).ravel()
-    bs.L_t = np.zeros(sp_.n_ubar)
 
     if bcs:
         g = _spaces.interpolate_boundary(sp_, problem.boundary_velocity)
@@ -499,29 +536,43 @@ def a_form_value(sp_, alpha, u1, t1, u2, t2):
     """a((w, wbar), (v, vbar)) evaluated term by term by quadrature.
     Each argument is one vector or a stack of them along leading axes
     (`SpaceSet.velocity_coeffs`); the value carries those axes.  When
-    both pairs are the same arrays, their kernels are evaluated once."""
+    both pairs are the same arrays, their kernels are evaluated once.
+    The fields are evaluated chunk by chunk into arrays over every
+    cell, which each sum then reads whole, so the value does not depend
+    on the chunk size."""
+    mesh = sp_.mesh
+    nc, ns = mesh.num_cells, sp_.nsides
+    nq, nqf = sp_.cell_qw.shape[1], sp_.facet_qw.shape[1]
+
     def kernels(u, t):
         """Cell gradients, and per side the jump w - wbar and the
         normal derivative of w."""
+        lead = u.shape[:-1]
         c, uc = sp_.facet_velocity_coeffs(t), sp_.velocity_coeffs(u)
-        sides = []
-        for e in range(sp_.nsides):
-            f = sp_.mesh.cell_facets[:, e]
-            wb = np.einsum("cqi,...cdi->...cqd", sp_.psibar[f],
-                           c[..., f, :, :], optimize=True)
-            dn = np.einsum("cqi,...cdi->...cqd", sp_.dn_f[:, e], uc,
-                           optimize=True)
-            sides.append((sp_.velocity_trace_at_facet_qp(u, e) - wb, dn))
-        return sp_.velocity_grad_at_cell_qp(u), sides
+        grad = np.empty(lead + (nc, nq, 2, 2))
+        jump = np.empty((ns,) + lead + (nc, nqf, 2))
+        dn = np.empty_like(jump)
+        for ch in sp_.chunks():
+            cells = ch.cells
+            grad[..., cells, :, :, :] = ch.velocity_grad(u)
+            for e in range(ns):
+                f = mesh.cell_facets[cells, e]
+                wb = np.einsum("cqi,...cdi->...cqd", sp_.psibar[f],
+                               c[..., f, :, :], optimize=True)
+                jump[e][..., cells, :, :] = ch.velocity_trace(u, e) - wb
+                dn[e][..., cells, :, :] = np.einsum(
+                    "cqi,...cdi->...cqd", ch.dn_f[:, e],
+                    uc[..., cells, :, :], optimize=True)
+        return grad, list(zip(jump, dn))
 
     g1, sides1 = kernels(u1, t1)
     g2, sides2 = ((g1, sides1) if u2 is u1 and t2 is t1
                   else kernels(u2, t2))
     val = np.einsum("cq,...cqdj,...cqdj->...", sp_.cell_qw, g1, g2,
                     optimize=True)
-    pen = alpha / sp_.mesh.h
+    pen = alpha / mesh.h
     for e, ((j1, dn1), (j2, dn2)) in enumerate(zip(sides1, sides2)):
-        w = _side_weights(sp_, e)
+        w = _side_weights(sp_, slice(None), e)
         val += np.einsum("c,cq,...cqd,...cqd->...", pen, w, j1, j2,
                          optimize=True)
         val -= np.einsum("cq,...cqd,...cqd->...", w, j1, dn2, optimize=True)
@@ -530,19 +581,30 @@ def a_form_value(sp_, alpha, u1, t1, u2, t2):
 
 
 def b_form_value(sp_, p, s, u):
-    """b((q, qbar), v) by quadrature."""
-    g = sp_.velocity_grad_at_cell_qp(u)
-    div = g[..., 0, 0] + g[..., 1, 1]
-    pv = np.einsum("cqi,ci->cq", sp_.psi,
-                   p.reshape(sp_.mesh.num_cells, -1), optimize=True)
+    """b((q, qbar), v) by quadrature; the fields are evaluated chunk by
+    chunk, as in `a_form_value`."""
+    mesh = sp_.mesh
+    nc, ns = mesh.num_cells, sp_.nsides
+    pc = p.reshape(nc, -1)
+    sv = s.reshape(mesh.num_facets, -1)
+    div, pv = np.empty((2,) + sp_.cell_qw.shape)
+    vn, qb = np.empty((2, ns, nc, sp_.facet_qw.shape[1]))
+    for ch in sp_.chunks():
+        cells = ch.cells
+        g = ch.velocity_grad(u)
+        div[cells] = g[..., 0, 0] + g[..., 1, 1]
+        pv[cells] = np.einsum("cqi,ci->cq", ch.psi, pc[cells],
+                              optimize=True)
+        for e in range(ns):
+            f = mesh.cell_facets[cells, e]
+            n = sp_.normal[cells, e]
+            tr = ch.velocity_trace(u, e)
+            vn[e, cells] = (tr[..., 0] * n[:, None, 0]
+                            + tr[..., 1] * n[:, None, 1])
+            qb[e, cells] = np.einsum("cqi,ci->cq", sp_.psibar[f], sv[f],
+                                     optimize=True)
     val = -np.einsum("cq,cq,cq->", sp_.cell_qw, pv, div, optimize=True)
-    sv = s.reshape(sp_.mesh.num_facets, -1)
-    for e in range(sp_.nsides):
-        f = sp_.mesh.cell_facets[:, e]
-        w = _side_weights(sp_, e)
-        n = sp_.normal[:, e]
-        tr = sp_.velocity_trace_at_facet_qp(u, e)
-        vn = tr[..., 0] * n[:, None, 0] + tr[..., 1] * n[:, None, 1]
-        qb = np.einsum("cqi,ci->cq", sp_.psibar[f], sv[f], optimize=True)
-        val += np.einsum("cq,cq,cq->", w, vn, qb, optimize=True)
+    for e in range(ns):
+        w = _side_weights(sp_, slice(None), e)
+        val += np.einsum("cq,cq,cq->", w, vn[e], qb[e], optimize=True)
     return val

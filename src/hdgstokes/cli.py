@@ -265,7 +265,7 @@ def solve_once(cfg, cs, pc_kind=None, method=None, tol=None):
     u = condense.recover_velocity(cs, ubar, p, pbar)
 
     # report pressures with mass-weighted zero mean
-    c = spaces.constant_pressure_vector(sp_)
+    c = sp_.constant_pressure
     pp = np.concatenate([p, pbar])
     shift = (c @ (cs.mass * pp)) / (c @ (cs.mass * c))
     pp = pp - shift * c

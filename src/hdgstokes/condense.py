@@ -21,10 +21,11 @@ is formed by forward substitution and applied as batched matrix
 products (`cell_schur`, which the spectral probes share, and
 `recover_velocity`).  The stack of -W^T W goes to CSR through
 `assembly._scatter`, A_tt folded into it; K comes out exactly
-symmetric.  `condense` works through the cells in chunks of `_CHUNK`:
-each chunk's stack is formed, its share of the right-hand side taken,
-and its block rows written straight to their places in K's unsummed
-buffer, so the stack of every cell is never held, let alone twice.
+symmetric.  `condense` works through the cells in the chunks of
+`spaces.cell_chunks`, of at most `spaces._CHUNK` cells: each chunk's
+stack is formed, its share of the right-hand side taken, and its block
+rows written straight to their places in K's unsummed buffer, so the
+stack of every cell is never held, let alone twice.
 Each entry of K sums the same contributions in the same order as a
 scatter of the whole stack would, so K, the right-hand side and the
 recovery data do not depend on the chunk size.  The identity
@@ -58,14 +59,6 @@ import numpy as np
 
 from . import spaces as _spaces
 from . import assembly as _assembly
-
-# Cells condensed at a time.  The process peak of `condense` on 64x64
-# triangles at k = 2 (8,192 cells): 251 MiB with chunks of 64 to 256
-# cells, 259 with 512, 269 with 1,024, 287 with one stack of every
-# cell.  On 32x32 (2,048 cells) it grows with the chunk from 112 MiB
-# (64) to 116 (256) and 124 (1,024), above the 121 of one stack.
-_CHUNK = 256
-
 
 class CondensedSystem:
     """Condensed operator, right-hand side and recovery data.
@@ -123,9 +116,10 @@ class CondensedSystem:
         return self.block("t", "t")
 
     def nullspace_vector(self):
-        """Representation of the constant pressure; kernel of K."""
+        """Representation of the constant pressure
+        (`SpaceSet.constant_pressure`); kernel of K."""
         return np.concatenate([np.zeros(self.n_t),
-                               _spaces.constant_pressure_vector(self.spaces)])
+                               self.spaces.constant_pressure])
 
 
 def cell_schur(A0, R):
@@ -151,8 +145,8 @@ def cell_schur(A0, R):
 
 
 def condense(bs):
-    """Eliminate interior velocities from an assembled BlockSystem,
-    `_CHUNK` cells at a time."""
+    """Eliminate interior velocities from an assembled BlockSystem, one
+    chunk of `spaces.cell_chunks` at a time."""
     sp_ = bs.spaces
     nc, nb = sp_.mesh.num_cells, sp_.nb
     cs = CondensedSystem(sp_, bs.layout, bs.mass, bs.alpha)
@@ -166,8 +160,7 @@ def condense(bs):
     def stacks():
         """The stack of -R_K A_uu^-1 R_K^T + A_tt of each chunk, once
         its share of rhs, Linv and the pressure blocks is taken."""
-        for start in range(0, nc, _CHUNK):
-            c = slice(start, start + _CHUNK)
+        for c in _spaces.cell_chunks(nc):
             V, Wt, Linv[c] = cell_schur(bs.local_auu_scalar[c],
                                         bs.local_coupling[c])
             # rhs: [L_t; 0; 0] - R A_uu^-1 L_u
@@ -176,7 +169,7 @@ def condense(bs):
             np.add.at(rhs, rows[c].ravel(), -corr.ravel())
             cs.pressure_blocks[c] = V[:, p_rows, p_rows]
             V *= -1.0
-            bs.add_facet_blocks(V, start)
+            bs.add_facet_blocks(V, c.start)
             yield V
 
     # Each facet's block of A_tt goes into the stack of the facet's

@@ -17,9 +17,18 @@ vector.
 The monomials at a set of points are gathered from two power tables,
 x^0..x^k and y^0..y^k of the local coordinates, built once per point
 set and shared by the velocity and pressure bases and the gradients.
-Each power is the same `**` as one evaluated per monomial, and the
-gathered arrays are C-ordered, so the bases are the same bytes as with
-per-monomial powers.
+Each power is the same value as one evaluated per monomial by `**`,
+and the gathered arrays are C-ordered, so the bases are the same bytes
+as with per-monomial powers.
+
+The per-cell evaluation tables (bases and gradients at the cell
+quadrature points, traces and normal derivatives at the facet points
+of each side) are never formed for every cell at once.  `CellChunk`
+evaluates them for a slice of at most `_CHUNK` consecutive cells, and
+every reader, here, in `assembly`, `condense` and `spectra`, walks the
+cells in those slices (`cell_chunks`).  Each table entry is computed
+by the same operations whatever the slice, so no number depends on the
+chunk size.
 
 Degree-of-freedom layout:
   cell velocity   dof(c, comp, i) = c*2*nb + comp*nb + i
@@ -35,10 +44,29 @@ statement of the layout in code: every per-facet index map is derived
 from its (nf, 2, nbf) view.
 """
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 
 from . import quadrature
+
+# Cells evaluated, assembled and condensed at a time.  The process peak
+# of `condense` on 64x64 triangles at k = 2 (8,192 cells), measured
+# while the basis tables of every cell were still held: 251 MiB with
+# chunks of 64 to 256 cells, 259 with 512, 269 with 1,024, 287 with one
+# stack of every cell.  On 32x32 (2,048 cells) it grows with the chunk
+# from 112 MiB (64) to 116 (256) and 124 (1,024), above the 121 of one
+# stack.  A chunk's tables take at most a few MiB (1.5 MiB each at
+# k = 3 on quadrilaterals).
+_CHUNK = 256
+
+
+def cell_chunks(num_cells):
+    """Slices of at most `_CHUNK` consecutive cells, in order, covering
+    range(num_cells)."""
+    return [slice(start, min(start + _CHUNK, num_cells))
+            for start in range(0, num_cells, _CHUNK)]
 
 
 def _cell_exponents(cell_type, k):
@@ -54,9 +82,17 @@ def _cell_exponents(cell_type, k):
 
 def _power_tables(xl, k):
     """Tables x^0..x^k and y^0..y^k of local coordinates xl (..., 2),
-    along a new last axis."""
-    e = np.arange(k + 1)
-    return xl[..., 0, None] ** e, xl[..., 1, None] ** e
+    along a new last axis.  The power 0 is written as 1, the value `**`
+    returns for it; the others are taken by `**` with the exponents as
+    an array along the last axis, as one `**` over all k + 1 would:
+    numpy may round a power differently when the exponent is a
+    broadcast scalar."""
+    def powers(x):
+        out = np.empty(x.shape + (k + 1,))
+        out[..., 0] = 1.0
+        out[..., 1:] = x[..., None] ** np.arange(1, k + 1)
+        return out
+    return powers(xl[..., 0]), powers(xl[..., 1])
 
 
 def _gather(table, ex):
@@ -94,20 +130,21 @@ def _orthonormalize(vals, weights):
 class SpaceSet:
     """Bases, quadrature and DOF bookkeeping for one mesh and degree.
 
-    Most attributes are precomputed evaluation tables used by the
-    assembly kernels:
+    Only what is small or per facet is kept; the per-cell evaluation
+    tables are evaluated a slice of cells at a time by `CellChunk`
+    (`chunks`).
 
-    phi, gx, gy : (nc, nq, nb) cell velocity basis / gradients at
-        cell quadrature points; psi likewise for the pressure.
-    phi_f : (nc, nsides, nqf, nb) trace of the cell basis at the
-        quadrature points of each side's facet, in facet point order
-        (both adjacent cells see identical points).
-    dn_f : (nc, nsides, nqf, nb) outward normal derivative of the cell
-        basis at the same points, gx n_x + gy n_y; the one statement of
-        it, read by the side kernels of `assembly`.
+    coeff_v, coeff_p : (nc, m, m) per-cell coefficients of the
+        orthonormal velocity and pressure bases in the local monomials;
+        coeff_f likewise per facet.
+    cell_qp, cell_qw : (nc, nq, 2), (nc, nq) the cell quadrature rule;
+        facet_qp, facet_qw : (nf, nqf, 2), (nf, nqf) the facet rule.
     psibar : (nf, nqf, nbf) scalar facet basis at facet points;
         shared by facet velocity components and facet pressure.
     normal : (nc, nsides, 2) outward unit normal per cell side.
+    constant_pressure : (n_p + n_pbar,) read-only, the L2 projection
+        of the constant pressure 1 in the (p, pbar) slots; it spans the
+        kernel of the saddle-point operator.
     """
 
     def __init__(self, mesh, degree):
@@ -139,35 +176,33 @@ class SpaceSet:
         self.cell_qp, self.cell_qw = quadrature.cell_rule(mesh, cell_deg)
         self.facet_qp, self.facet_qw = quadrature.facet_rule(mesh, nqf)
 
-        # cell bases, orthonormalized against the exact Gram matrix
-        P = self._powers(self.cell_qp)
-        self.coeff_v = _orthonormalize(_mono(*P, self.ex_v, self.ey_v),
-                                       self.cell_qw)
-        self.coeff_p = _orthonormalize(_mono(*P, self.ex_p, self.ey_p),
-                                       self.cell_qw)
+        # cell bases, orthonormalized against the exact Gram matrix, and
+        # the cell part of the constant pressure, from the same powers
+        self.coeff_v = np.empty((nc, self.nb, self.nb))
+        self.coeff_p = np.empty((nc, self.np_cell, self.np_cell))
+        const = np.empty((nc, self.np_cell))
+        for c in cell_chunks(nc):
+            P = self._powers(self.cell_qp[c], c)
+            self.coeff_v[c] = _orthonormalize(
+                _mono(*P, self.ex_v, self.ey_v), self.cell_qw[c])
+            self.coeff_p[c] = _orthonormalize(
+                _mono(*P, self.ex_p, self.ey_p), self.cell_qw[c])
+            const[c] = _cell_projection(_one, self.cell_qp[c],
+                                        self.cell_qw[c],
+                                        self._pressure_basis(P, c))
 
         # facet basis in the arc-length coordinate
         xi = self._facet_coords(self.facet_qp, np.arange(nf))
         Vf = xi[..., None] ** np.arange(self.nbf)
         self.coeff_f = _orthonormalize(Vf, self.facet_qw)
 
-        # evaluation tables at cell points
-        self.phi, self.gx, self.gy = self._cell_basis(P)
-        self.psi = self._pressure_basis(P)
-
-        # traces at facet points, per cell side
-        self.phi_f = np.empty((nc, self.nsides, nqf, self.nb))
-        self.dn_f = np.empty_like(self.phi_f)
-        self.normal = np.empty((nc, self.nsides, 2))
-        for e in range(self.nsides):
-            f = mesh.cell_facets[:, e]
-            self.normal[:, e] = n = (mesh.facet_normals[f]
-                                     * mesh.cell_facet_sign[:, e, None])
-            self.phi_f[:, e], gx, gy = self.cell_basis_at(self.facet_qp[f])
-            self.dn_f[:, e] = (gx * n[:, None, 0, None]
-                               + gy * n[:, None, 1, None])
+        self.normal = (mesh.facet_normals[mesh.cell_facets]
+                       * mesh.cell_facet_sign[..., None])
         self.psibar = np.einsum("fqm,fmi->fqi",
                                 Vf, self.coeff_f, optimize=True)
+        self.constant_pressure = np.concatenate(
+            [const.ravel(), project_facet_pressure(self, _one)])
+        self.constant_pressure.flags.writeable = False
 
         dofs = self.facet_velocity_coeffs(np.arange(self.n_ubar))
         self.constrained_facet_velocity_dofs = np.sort(
@@ -175,10 +210,10 @@ class SpaceSet:
 
     # -- basis evaluation ---------------------------------------------
 
-    def _local_coords(self, pts):
+    def _local_coords(self, pts, cells=slice(None)):
         m = self.mesh
-        return ((pts - m.cell_centroids[:, None, :])
-                / m.h[:, None, None])
+        return ((pts - m.cell_centroids[cells, None, :])
+                / m.h[cells, None, None])
 
     def _facet_coords(self, pts, facets):
         m = self.mesh
@@ -189,29 +224,32 @@ class SpaceSet:
         rel = pts - 0.5 * (a + b)[:, None, :]
         return np.einsum("fqd,fd->fq", rel, that) / L[:, None]
 
-    def _powers(self, pts):
-        """Power tables of the local coordinates of pts (nc, m, 2), up
-        to degree k; shared by the velocity and pressure bases and the
-        gradients."""
-        return _power_tables(self._local_coords(pts), self.degree)
+    def _powers(self, pts, cells=slice(None)):
+        """Power tables of the local coordinates of pts (n, m, 2) on
+        the cells `cells`, up to degree k; shared by the velocity and
+        pressure bases and the gradients."""
+        return _power_tables(self._local_coords(pts, cells), self.degree)
 
-    def _cell_basis(self, P):
-        V = _mono(*P, self.ex_v, self.ey_v)
+    def _cell_values(self, P, cells):
+        return _mono(*P, self.ex_v, self.ey_v) @ self.coeff_v[cells]
+
+    def _cell_gradients(self, P, cells):
         Dx, Dy = _mono_grad(*P, self.ex_v, self.ey_v)
-        h = self.mesh.h[:, None, None]
-        phi = V @ self.coeff_v
-        return phi, (Dx @ self.coeff_v) / h, (Dy @ self.coeff_v) / h
+        h = self.mesh.h[cells, None, None]
+        coeff = self.coeff_v[cells]
+        return (Dx @ coeff) / h, (Dy @ coeff) / h
 
-    def _pressure_basis(self, P):
-        return _mono(*P, self.ex_p, self.ey_p) @ self.coeff_p
+    def _pressure_basis(self, P, cells):
+        return _mono(*P, self.ex_p, self.ey_p) @ self.coeff_p[cells]
 
     def cell_basis_at(self, pts):
         """Velocity scalar basis and physical gradients at physical
         points, batched per cell: pts (nc, m, 2)."""
-        return self._cell_basis(self._powers(pts))
+        P, cells = self._powers(pts), slice(None)
+        return (self._cell_values(P, cells), *self._cell_gradients(P, cells))
 
     def pressure_basis_at(self, pts):
-        return self._pressure_basis(self._powers(pts))
+        return self._pressure_basis(self._powers(pts), slice(None))
 
     def facet_basis_at(self, pts, facets):
         """Scalar facet basis at physical points on the given facets;
@@ -221,11 +259,18 @@ class SpaceSet:
         return np.einsum("fqm,fmi->fqi", V, self.coeff_f[facets],
                          optimize=True)
 
+    def chunk(self, cells=slice(None)):
+        """The evaluation tables of the cells `cells`, a slice."""
+        return CellChunk(self, cells)
+
+    def chunks(self):
+        """`CellChunk`s of the slices of `cell_chunks`, in order."""
+        return (CellChunk(self, c) for c in cell_chunks(self.mesh.num_cells))
+
     # -- views of coefficient vectors ----------------------------------
 
-    # The vector views and evaluations below take one vector or a stack
-    # of them along leading axes, (..., n); the results carry the same
-    # leading axes.
+    # The vector views take one vector or a stack of them along leading
+    # axes, (..., n); the results carry the same leading axes.
 
     def velocity_coeffs(self, u):
         """(..., nc, 2, nb) view of a cell-velocity vector."""
@@ -237,25 +282,105 @@ class SpaceSet:
         return ubar.reshape(*ubar.shape[:-1], 2, self.mesh.num_facets,
                             self.nbf).swapaxes(-3, -2)
 
-    def velocity_at_cell_qp(self, u):
-        c = self.velocity_coeffs(u)
-        return np.einsum("cqi,...cdi->...cqd", self.phi, c, optimize=True)
 
-    def velocity_grad_at_cell_qp(self, u):
-        """(..., nc, nq, 2, 2) array of d u_d / d x_j."""
-        c = self.velocity_coeffs(u)
+class CellChunk:
+    """Evaluation tables of the cells `cells`, a slice of consecutive
+    cells, each evaluated when it is first read and dropped with the
+    chunk.  n is the number of cells of the slice.
+
+    phi, gx, gy : (n, nq, nb) cell velocity basis and its physical
+        gradients at the cell quadrature points; psi likewise for the
+        pressure.
+    phi_f : (n, nsides, nqf, nb) trace of the cell basis at the
+        quadrature points of each side's facet, in facet point order
+        (both adjacent cells see identical points).
+    dn_f : (n, nsides, nqf, nb) outward normal derivative of the cell
+        basis at the same points, gx n_x + gy n_y; the one statement of
+        it, read by the side kernels of `assembly`.
+    qw : (n, nq) the cell quadrature weights of the slice.
+
+    The evaluations below take one vector or a stack of them along
+    leading axes, (..., n_u), and return the values on the slice's
+    cells, with the same leading axes.
+    """
+
+    def __init__(self, spaces, cells):
+        self.spaces = spaces
+        self.cells = cells
+        self.qw = spaces.cell_qw[cells]
+
+    @cached_property
+    def _powers(self):
+        sp_ = self.spaces
+        return sp_._powers(sp_.cell_qp[self.cells], self.cells)
+
+    @cached_property
+    def phi(self):
+        return self.spaces._cell_values(self._powers, self.cells)
+
+    @cached_property
+    def _gradients(self):
+        return self.spaces._cell_gradients(self._powers, self.cells)
+
+    gx = property(lambda self: self._gradients[0])
+    gy = property(lambda self: self._gradients[1])
+
+    @cached_property
+    def psi(self):
+        return self.spaces._pressure_basis(self._powers, self.cells)
+
+    @cached_property
+    def _side_powers(self):
+        sp_, c = self.spaces, self.cells
+        return [sp_._powers(sp_.facet_qp[f], c)
+                for f in sp_.mesh.cell_facets[c].T]
+
+    def _side_table(self):
+        sp_ = self.spaces
+        return np.empty((len(self.qw), sp_.nsides, sp_.facet_qp.shape[1],
+                         sp_.nb))
+
+    @cached_property
+    def phi_f(self):
+        sp_, c = self.spaces, self.cells
+        out = self._side_table()
+        for e, P in enumerate(self._side_powers):
+            out[:, e] = sp_._cell_values(P, c)
+        return out
+
+    @cached_property
+    def dn_f(self):
+        sp_, c = self.spaces, self.cells
+        out = self._side_table()
+        for e, P in enumerate(self._side_powers):
+            gx, gy = sp_._cell_gradients(P, c)
+            n = sp_.normal[c, e]
+            out[:, e] = gx * n[:, None, 0, None] + gy * n[:, None, 1, None]
+        return out
+
+    def _coeffs(self, u):
+        return self.spaces.velocity_coeffs(u)[..., self.cells, :, :]
+
+    def velocity(self, u):
+        """(..., n, nq, 2) velocity at the cell quadrature points."""
+        return np.einsum("cqi,...cdi->...cqd", self.phi, self._coeffs(u),
+                         optimize=True)
+
+    def velocity_grad(self, u):
+        """(..., n, nq, 2, 2) array of d u_d / d x_j."""
+        c = self._coeffs(u)
         gxx = np.einsum("cqi,...cdi->...cqd", self.gx, c, optimize=True)
         gyy = np.einsum("cqi,...cdi->...cqd", self.gy, c, optimize=True)
         return np.stack([gxx, gyy], axis=-1)
 
-    def velocity_trace_at_facet_qp(self, u, side):
-        c = self.velocity_coeffs(u)
-        return np.einsum("cqi,...cdi->...cqd", self.phi_f[:, side], c,
-                         optimize=True)
+    def velocity_trace(self, u, side):
+        """(..., n, nqf, 2) velocity at the facet points of `side`."""
+        return np.einsum("cqi,...cdi->...cqd", self.phi_f[:, side],
+                         self._coeffs(u), optimize=True)
 
 
 def build_spaces(mesh, degree):
-    """Build the discrete spaces and all evaluation tables."""
+    """Build the discrete spaces: bases, quadrature and DOF maps."""
     return SpaceSet(mesh, degree)
 
 
@@ -272,17 +397,31 @@ def _eval_vector(fn, pts):
 def project_velocity(spaces, fn):
     """Cellwise L2 projection of a vector field; fn(x, y) -> (fx, fy)
     with array arguments."""
-    F = _eval_vector(fn, spaces.cell_qp)
-    c = np.einsum("cq,cqd,cqi->cdi", spaces.cell_qw, F, spaces.phi,
-                  optimize=True)
+    c = np.empty((spaces.mesh.num_cells, 2, spaces.nb))
+    for ch in spaces.chunks():
+        F = _eval_vector(fn, spaces.cell_qp[ch.cells])
+        c[ch.cells] = np.einsum("cq,cqd,cqi->cdi", ch.qw, F, ch.phi,
+                                optimize=True)
     return c.ravel()
 
 
+def _one(x, y):
+    return np.ones_like(x)
+
+
+def _cell_projection(fn, qp, qw, basis):
+    """Moments of the scalar fn(x, y) against an orthonormal cell
+    basis at the points qp with weights qw of a slice of cells: the
+    coefficients of its L2 projection."""
+    F = np.broadcast_to(fn(qp[..., 0], qp[..., 1]), qw.shape)
+    return np.einsum("cq,cq,cqi->ci", qw, F, basis, optimize=True)
+
+
 def project_pressure(spaces, fn):
-    F = fn(spaces.cell_qp[..., 0], spaces.cell_qp[..., 1])
-    F = np.broadcast_to(F, spaces.cell_qw.shape)
-    c = np.einsum("cq,cq,cqi->ci", spaces.cell_qw, F, spaces.psi,
-                  optimize=True)
+    c = np.empty((spaces.mesh.num_cells, spaces.np_cell))
+    for ch in spaces.chunks():
+        c[ch.cells] = _cell_projection(fn, spaces.cell_qp[ch.cells], ch.qw,
+                                       ch.psi)
     return c.ravel()
 
 
@@ -299,14 +438,6 @@ def project_facet_pressure(spaces, fn):
     c = np.einsum("fq,fq,fqi->fi", spaces.facet_qw, F, spaces.psibar,
                   optimize=True)
     return c.ravel()
-
-
-def constant_pressure_vector(spaces):
-    """Representation of the constant pressure 1 in (p, pbar) slots;
-    spans the kernel of the saddle-point operator."""
-    one = lambda x, y: np.ones_like(x)
-    return np.concatenate([project_pressure(spaces, one),
-                           project_facet_pressure(spaces, one)])
 
 
 def vertex_trace_prolongator(spaces):

@@ -16,7 +16,8 @@ the element kernels of the assembly module.  The probes compute:
 * Rayleigh ratios of the condensed velocity form against a trace
   seminorm, over random facet fields lifted as stacks;
 * pointwise divergence and interelement normal-flux checks of a
-  computed velocity (exactly zero, up to roundoff, on triangles).
+  computed velocity (exactly zero, up to roundoff, on triangles),
+  with the basis tables evaluated a chunk of cells at a time.
 
 The pressure masses are diagonal (orthonormal modal bases, checked once
 by assembly), and the probes read only that diagonal D (`cs.mass`,
@@ -63,7 +64,6 @@ from . import amg as _amg
 from . import assembly as _assembly
 from . import condense as _condense
 from . import krylov as _krylov
-from . import spaces as _spaces
 
 
 # -- norm matrices ----------------------------------------------------
@@ -229,7 +229,7 @@ def schur_spectrum(cs):
         y = solve((BbarT @ x).reshape(2, -1).T).T.ravel()
         return Bbar @ y - C @ x
     return _mass_pencil_extremes(apply, cs.mass,
-                                 _spaces.constant_pressure_vector(cs.spaces))
+                                 cs.spaces.constant_pressure)
 
 
 def element_block_spectrum(cs):
@@ -370,24 +370,28 @@ def field_checks(sp_, u):
     normal trace jump in the facet pressure space.  On physical
     quadrilaterals neither containment holds, so only smallness, not
     exactness, can be expected, and the divergence maximum depends on
-    where the cell rule puts its points."""
-    g = sp_.velocity_grad_at_cell_qp(u)
-    div = g[..., 0, 0] + g[..., 1, 1]
-    vals = sp_.velocity_at_cell_qp(u)
-    scale = float(np.sqrt((vals ** 2).sum(-1)).max())
-
+    where the cell rule puts its points.  The tables are evaluated a
+    chunk of cells at a time (`SpaceSet.chunks`); the maxima (NaN
+    whenever a value is) do not depend on the order they are taken in."""
     mesh = sp_.mesh
+    div = scale = 0.0
     jump = np.zeros((mesh.num_facets, sp_.facet_qp.shape[1]))
-    for e in range(sp_.nsides):
-        f = mesh.cell_facets[:, e]
-        tr = sp_.velocity_trace_at_facet_qp(u, e)
-        vn = np.einsum("cqd,cd->cq", tr, mesh.facet_normals[f],
-                       optimize=True)
-        np.add.at(jump, f, mesh.cell_facet_sign[:, e, None] * vn)
+    for ch in sp_.chunks():
+        g = ch.velocity_grad(u)
+        div = np.maximum(div, np.abs(g[..., 0, 0] + g[..., 1, 1]).max())
+        vals = ch.velocity(u)
+        scale = np.maximum(scale, np.sqrt((vals ** 2).sum(-1)).max())
+        # each facet sums at most two cell contributions, in either
+        # order alike, so the jump does not depend on the chunks
+        for e in range(sp_.nsides):
+            f = mesh.cell_facets[ch.cells, e]
+            vn = np.einsum("cqd,cd->cq", ch.velocity_trace(u, e),
+                           mesh.facet_normals[f], optimize=True)
+            np.add.at(jump, f, mesh.cell_facet_sign[ch.cells, e, None] * vn)
     interior = ~mesh.boundary_mask
     return {
-        "max_divergence": float(np.abs(div).max()),
+        "max_divergence": float(div),
         "max_normal_jump": float(np.abs(jump[interior]).max())
         if interior.any() else 0.0,
-        "velocity_scale": scale,
+        "velocity_scale": float(scale),
     }

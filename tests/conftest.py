@@ -19,7 +19,8 @@ def dg_penalty(sp_, alpha):
     """(nc, nb, nb) sum over sides of alpha/h <phi, phi>, summed here
     from the `Side` kernels, apart from `assembly.local_velocity_form`,
     for the dense oracles."""
-    out = sum(assembly.Side(sp_, e, alpha).penalty()
+    ch = sp_.chunk()
+    out = sum(assembly.Side(ch, e, alpha).penalty()
               for e in range(sp_.nsides))
     return 0.5 * (out + out.transpose(0, 2, 1))
 

@@ -139,6 +139,31 @@ def test_04_element_block_mass_spectral_equivalence(schur_ladder):
     assert elapsed < 300.0
 
 
+@pytest.mark.parametrize("shape, degree", [("triangle", 1),
+                                           ("triangle", 3),
+                                           ("quadrilateral", 1),
+                                           ("quadrilateral", 2),
+                                           ("quadrilateral", 3)])
+def test_04_bracket_drift_beyond_k2_triangles(shape, degree):
+    """The protocol of test_03 and test_04, for both pencils, on the
+    other degrees of unjittered triangles and on unjittered
+    quadrilaterals at the default penalty, over 4x4, 8x8 and 16x16."""
+    cfg = cli.RunConfig(shape=shape, degree=degree)
+    full, elem = [], []
+    for n in (4, 8, 16):
+        _, _, cs = cli.discretize(cfg, mesh.generate(n, n, shape))
+        full.append(spectra.schur_spectrum(cs))
+        elem.append(spectra.element_block_spectrum(cs))
+    for name, seq in (("Schur", full), ("element block", elem)):
+        lows = [lo for lo, _ in seq]
+        highs = [hi for _, hi in seq]
+        assert min(lows) > 0, f"{name} lambda_min {min(lows):.3e}"
+        assert _drift(lows) < 0.2, \
+            f"{name} lambda_min drift {_drift(lows):.3f} {lows}"
+        assert _drift(highs) < 0.2, \
+            f"{name} lambda_max drift {_drift(highs):.3f} {highs}"
+
+
 def test_05_mesh_independent_minres_iterations(cavity_ladder):
     """Per-preconditioner iteration counts stay flat (max/min <= 1.35)
     over four cavity refinement levels."""

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import constant_facet_velocity_fields, dg_penalty
-from hdgstokes import assembly, condense, mesh, spaces, spectra
+from hdgstokes import assembly, cli, condense, mesh, spaces, spectra
 
 SQ = np.sqrt(2.0)
 
@@ -223,7 +223,7 @@ def test_eliminated_datum_satisfies_no_penetration(sys4x4, cavity):
 def test_local_kernels_positive_semidefinite(raw_jitter):
     sp_, _ = raw_jitter
     for batch in (dg_penalty(sp_, 24.0),
-                  assembly.scalar_stiffness(sp_)):
+                  assembly.scalar_stiffness(sp_.chunk())):
         w = np.linalg.eigvalsh(batch)
         assert w.min() > -1e-11 * w.max()
 
@@ -237,7 +237,7 @@ def test_local_velocity_form_affine_in_alpha(request, mesh_name, k):
     sp_ = spaces.build_spaces(request.getfixturevalue(mesh_name), k)
     nc = sp_.mesh.num_cells
     c = np.concatenate(
-        [np.einsum("cq,cqi->ci", sp_.cell_qw, sp_.phi),
+        [np.einsum("cq,cqi->ci", sp_.cell_qw, sp_.chunk().phi),
          assembly.facet_integrals(sp_)[sp_.mesh.cell_facets].reshape(nc, -1)],
         axis=1)
     L0 = assembly.local_velocity_form(sp_, 0.0)
@@ -302,3 +302,85 @@ def test_assembled_matrices_store_no_exact_zero(shape, k, jitter):
                     ("K", cs.K),
                     ("trace seminorm", spectra.trace_seminorm_matrix(sp_))):
         assert A.nnz > 0 and np.all(A.data != 0.0), name
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("shape, nx, ny", [("triangle", 5, 4),
+                                           ("triangle", 2, 1),
+                                           ("quadrilateral", 5, 4),
+                                           ("quadrilateral", 2, 2)])
+def test_chunk_size_does_not_change_the_numbers(shape, nx, ny, k,
+                                                monkeypatch):
+    """Chunks of 7 cells give the same numbers to the bit as one chunk
+    of every cell: on 40 and 20 cells the last chunk is partial, on 4
+    cells the only one is."""
+    m = mesh.generate(nx, ny, shape, jitter=0.2, seed=3)
+    alpha = 108.0
+    sp_ = spaces.build_spaces(m, k)
+    rng = np.random.default_rng(k)
+    u = rng.standard_normal((2, sp_.n_u))
+    t = rng.standard_normal((2, sp_.n_ubar))
+
+    def numbers():
+        sp_ = spaces.build_spaces(m, k)
+        bs = assembly.build_block_system(
+            sp_, spaces.lid_driven_cavity(k, alpha))
+        cs = condense.condense(bs)
+        return {"K": cli.csr_hash(cs.K), "rhs": cs.rhs,
+                "coeff_v": sp_.coeff_v, "coeff_p": sp_.coeff_p,
+                "local_coupling": bs.local_coupling,
+                "local_auu_scalar": bs.local_auu_scalar,
+                "facet_att": bs.facet_att, "coercive": bs.coercive,
+                "constant_pressure": sp_.constant_pressure,
+                "field_checks": spectra.field_checks(sp_, u[0]),
+                "a_form": assembly.a_form_value(sp_, alpha, u, t,
+                                                u[::-1], t[::-1])}
+
+    monkeypatch.setattr(spaces, "_CHUNK", m.num_cells)
+    whole = numbers()
+    monkeypatch.setattr(spaces, "_CHUNK", 7)
+    assert len(spaces.cell_chunks(m.num_cells)) == -(-m.num_cells // 7)
+    chunked = numbers()
+    for name, value in whole.items():
+        same = (np.array_equal(chunked[name], value)
+                if isinstance(value, np.ndarray) else chunked[name] == value)
+        assert same, name
+
+
+def _reachable_arrays(obj, seen=None):
+    """Every numpy array reachable from obj through attributes,
+    containers and the bases of views."""
+    seen = set() if seen is None else seen
+    if obj is None or id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        yield from _reachable_arrays(obj.base, seen)
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _reachable_arrays(value, seen)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _reachable_arrays(value, seen)
+    elif hasattr(obj, "__dict__"):
+        yield from _reachable_arrays(vars(obj), seen)
+
+
+def test_discretize_keeps_no_table_of_every_cell():
+    """After `cli.discretize`, the cell quadrature rule is the only
+    array of every cell and cell quadrature point (or side quadrature
+    point) that the spaces, the block system or the condensed system
+    reach: the basis tables are evaluated chunk by chunk and dropped."""
+    cfg = cli.RunConfig(shape="quadrilateral", nx=16, ny=16, degree=3)
+    m = mesh.generate(16, 16, "quadrilateral")
+    sp_, bs, cs = cli.discretize(cfg, m)
+    nc, nq = sp_.cell_qw.shape
+    side_points = (nc, sp_.nsides, sp_.facet_qw.shape[1])
+    rule = {id(sp_.cell_qp), id(sp_.cell_qw)}
+    arrays = list(_reachable_arrays((sp_, bs, cs)))
+    assert any(a is bs.local_coupling for a in arrays)
+    for a in arrays:
+        if id(a) not in rule:
+            assert a.shape[:2] != (nc, nq), a.shape
+            assert a.shape[:3] != side_points, a.shape

@@ -296,7 +296,7 @@ def test_chunk_boundaries_are_invisible(shape, k, jitter, monkeypatch):
     y = np.random.default_rng(4).standard_normal(n)
     got = []
     for chunk in (1, 7, nc):
-        monkeypatch.setattr(condense, "_CHUNK", chunk)
+        monkeypatch.setattr(spaces, "_CHUNK", chunk)
         cs = condense.condense(bs)
         got.append([cs.K.indptr, cs.K.indices, cs.K.data, cs.rhs,
                     cs.chol_inv, cs.pressure_blocks,
@@ -316,7 +316,7 @@ def test_chunked_condense_never_holds_the_whole_stack(monkeypatch):
     sp_ = spaces.build_spaces(m, 1)
     bs = assembly.build_block_system(sp_, spaces.lid_driven_cavity(1))
     nc, mk = bs.local_rows.shape
-    assert nc >= 8 * condense._CHUNK
+    assert nc >= 8 * spaces._CHUNK
 
     def peak():
         tracemalloc.start()
@@ -327,7 +327,7 @@ def test_chunked_condense_never_holds_the_whole_stack(monkeypatch):
             tracemalloc.stop()
 
     chunked = peak()
-    monkeypatch.setattr(condense, "_CHUNK", nc)
+    monkeypatch.setattr(spaces, "_CHUNK", nc)
     whole = peak()
     assert chunked <= whole - 0.5 * nc * mk * mk * 8
 

@@ -54,6 +54,9 @@ def test_constant_representation(tri2):
     # first basis function is the normalized constant
     assert np.allclose(coeffs[:, 0], np.sqrt(s.mesh.areas))
     assert np.abs(coeffs[:, 1:]).max() < 1e-14
+    # the stored constant pressure is that projection, to the bit
+    pbar = spaces.project_facet_pressure(s, lambda x, y: np.ones_like(x))
+    assert np.array_equal(s.constant_pressure, np.concatenate([p, pbar]))
 
 
 def test_velocity_projection_reproduces_polynomials(tri_jitter):
@@ -64,10 +67,10 @@ def test_velocity_projection_reproduces_polynomials(tri_jitter):
 
     u = spaces.project_velocity(s, w)
     x, y = s.cell_qp[..., 0], s.cell_qp[..., 1]
-    vals = s.velocity_at_cell_qp(u)
+    vals = s.chunk().velocity(u)
     assert np.abs(vals[..., 0] - (x ** 2 - y ** 2)).max() < 1e-12
     assert np.abs(vals[..., 1] - x * y).max() < 1e-12
-    grads = s.velocity_grad_at_cell_qp(u)   # (nc, nq, comp, deriv)
+    grads = s.chunk().velocity_grad(u)   # (nc, nq, comp, deriv)
     assert np.abs(grads[..., 0, 0] - 2 * x).max() < 1e-11
     assert np.abs(grads[..., 0, 1] + 2 * y).max() < 1e-11
     assert np.abs(grads[..., 1, 0] - y).max() < 1e-11
@@ -79,7 +82,7 @@ def test_quad_space_reproduces_tensor_monomials(quad_jitter):
     u = spaces.project_velocity(
         s, lambda x, y: (x ** 2 * y ** 2, x * y ** 2))
     x, y = s.cell_qp[..., 0], s.cell_qp[..., 1]
-    vals = s.velocity_at_cell_qp(u)
+    vals = s.chunk().velocity(u)
     assert np.abs(vals[..., 0] - x ** 2 * y ** 2).max() < 1e-12
     assert np.abs(vals[..., 1] - x * y ** 2).max() < 1e-12
 
@@ -197,7 +200,7 @@ def _reference_tables(s):
     sides = [basis(s.facet_qp[s.mesh.cell_facets[:, e]])
              for e in range(s.nsides)]
     ref["phi_f"] = np.stack([ph for ph, _, _ in sides], axis=1)
-    # the outward normal derivative, by the expression of `SpaceSet`
+    # the outward normal derivative, by the expression of `CellChunk`
     ref["dn_f"] = np.stack(
         [gx * n[:, None, 0, None] + gy * n[:, None, 1, None]
          for (_, gx, gy), n in zip(sides, s.normal.transpose(1, 0, 2))],
@@ -214,8 +217,10 @@ def test_power_tables_match_power_formula(shape, k, jitter):
     sums of the orthonormalization follow the memory order."""
     s = spaces.build_spaces(mesh.generate(3, 3, shape, jitter=jitter,
                                           seed=8), k)
+    tables = s.chunk()
     for name, table in _reference_tables(s).items():
-        assert np.array_equal(getattr(s, name), table), name
+        source = s if name.startswith("coeff") else tables
+        assert np.array_equal(getattr(source, name), table), name
     P = s._powers(s.cell_qp)
     for arr in (spaces._mono(*P, s.ex_v, s.ey_v),
                 spaces._mono(*P, s.ex_p, s.ey_p),

@@ -40,7 +40,7 @@ def test_schur_spectrum_matches_dense_oracle(oracle_sys):
     B = bs.divergence_matrix().toarray()
     M = bs.pressure_mass().toarray()
     S = B @ np.linalg.solve(A, B.T)
-    c = spaces.constant_pressure_vector(sp_)
+    c = sp_.constant_pressure
     Z = _complement(M @ c, len(c))
     w = sla.eigh(Z.T @ S @ Z, Z.T @ M @ Z, eigvals_only=True)
     lo, hi = spectra.schur_spectrum(cs)
@@ -54,7 +54,7 @@ def test_constant_pressure_rayleigh_quotient_zero(sys2):
     complement Bbar Abar^-1 Bbar^T - C, so its Rayleigh quotient is 0."""
     sp_, _, cs = sys2
     Bbar, C = spectra._pressure_rows(cs)
-    c = spaces.constant_pressure_vector(sp_)
+    c = sp_.constant_pressure
     y = amg.spd_lu(cs.Abar).solve(Bbar.T @ c)
     # the scale of each entry is the sum of the magnitudes of its terms
     scale = (abs(Bbar) @ abs(y) + abs(C) @ abs(c)).max()
@@ -172,14 +172,15 @@ def test_cell_infsup_positive_and_congruence_invariant(tri4x4, cavity):
 def test_cell_infsup_matches_dense_oracle(sys2):
     sp_, bs, _ = sys2
     alpha = bs.alpha
-    S1 = (assembly.scalar_stiffness(sp_) + dg_penalty(sp_, alpha))[0]
+    S1 = (assembly.scalar_stiffness(sp_.chunk())
+          + dg_penalty(sp_, alpha))[0]
     nb = sp_.nb
     N = np.zeros((2 * nb, 2 * nb))
     N[:nb, :nb] = S1
     N[nb:, nb:] = S1
-    D = assembly.local_divergence(sp_)[0]
+    D = assembly.local_divergence(sp_.chunk())[0]
     S = D @ np.linalg.solve(N, D.T)
-    psi, qw = sp_.psi[0], sp_.cell_qw[0]
+    psi, qw = sp_.chunk().psi[0], sp_.cell_qw[0]
     Mloc = psi.T @ (qw[:, None] * psi)
     w = sla.eigh(S, Mloc, eigvals_only=True)
     got = spectra.cell_infsup(bs)[0]
@@ -192,7 +193,7 @@ def test_facet_infsup_matches_element_schur(oracle_sys):
     sp_, bs, _ = oracle_sys
     val = spectra.facet_infsup(bs)
     assert val > 0
-    S1 = assembly.scalar_stiffness(sp_) + dg_penalty(sp_, bs.alpha)
+    S1 = assembly.scalar_stiffness(sp_.chunk()) + dg_penalty(sp_, bs.alpha)
     nc, nb = tuple([sp_.mesh.num_cells, sp_.nb])
     Ssum = np.zeros((sp_.n_pbar, sp_.n_pbar))
     Bsu = bs.B_su.toarray()
