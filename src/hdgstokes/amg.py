@@ -69,22 +69,19 @@ triangles at k = 2, and 6.8 ms against 8.8 ms on the 148,224 rows of
 128 x 128; 2 vCPU).  The solver builds the cycle on the scalar block of
 one velocity component and applies it to both components.
 
-`spd_lu` is the sparse factorization of every SPD matrix the solver
-factors, with the pivots taken from the diagonal.  The condensed
-velocity block is factored in natural order: its facets are numbered
-in the nested-dissection order of the mesh (`mesh.nested_dissection`),
-whose separators are the facets between the two halves of each
-bisected part of the cells.  Every other matrix is ordered by
-symmetric minimum degree on A^T + A, which halves the fill of the
-column ordering SuperLU uses by default: the coarse matrix here, -C_ss
-in `precond`, and the other matrices the spectral probes factor.  The
-velocity block takes the mesh's order because nested dissection left
-it fewer LU entries than minimum degree from 16 x 16 on, a gap that
-grew with the mesh, and factored it faster at 128 x 128; -C_ss keeps
-minimum degree because on unjittered meshes, where it is much sparser
-than the velocity block, the nested-dissection order raised its fill.
-`BENCH_25.json` holds the measurements (`fill_scalar_block`,
-`factor_only`, `minus_C_ss_fill_32x32`).
+`spd_lu` is the one sparse factorization of every SPD matrix the
+solver factors (the velocity block, -C_ss in `precond`, the coarse
+matrix here and the matrices of the spectral probes), with the pivots
+taken from the diagonal and one ordering: symmetric minimum degree on
+A^T + A, which halves the fill of the column ordering SuperLU uses by
+default.  Minimum degree starts from the mesh's nested-dissection
+numbering of the facets (`mesh.nested_dissection`), which breaks its
+ties: on 64 x 64 triangles at k = 2 the velocity block keeps 2.29M LU
+entries from that numbering, against 3.43M from lexicographic facet
+midpoints and 2.66M from a random numbering.  Natural order on the
+same numbering left 22% more entries on triangles and solved the
+two-column block more slowly; on jittered quadrilaterals at k = 3 it
+left 7% fewer and solved about 7% faster (`BENCH_32.json`).
 """
 
 import functools
@@ -97,13 +94,11 @@ import scipy.sparse.linalg as spla
 from . import krylov
 
 
-def spd_lu(A, natural=False):
-    """SuperLU factorization of a symmetric positive definite matrix,
-    with no off-diagonal pivoting: in the symmetric minimum-degree
-    ordering, or in the order of the rows as they stand when
-    `natural` (the facet-velocity blocks)."""
-    return spla.splu(A.tocsc(),
-                     permc_spec="NATURAL" if natural else "MMD_AT_PLUS_A",
+def spd_lu(A):
+    """SuperLU factorization of a symmetric positive definite matrix in
+    the symmetric minimum-degree ordering, with no off-diagonal
+    pivoting."""
+    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
                      diag_pivot_thresh=0.0,
                      options=dict(SymmetricMode=True))
 

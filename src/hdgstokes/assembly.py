@@ -17,7 +17,7 @@ pressure), s (facet pressure):
     A = [[A_uu, A_tu^T], [A_tu, A_tt]],   B = [[B_pu, 0], [B_su, 0]]
 
 The form of each cell vanishes on the constant pair v = vbar = 1;
-the coercivity guard of `velocity_blocks`, like
+the coercivity guard of `build_block_system`, like
 `spectra.coercivity_bounds`, removes it by dropping a constant mode.
 
 Everything coupled to the cell velocity is stored per cell, as static
@@ -245,7 +245,7 @@ class BlockSystem:
     mode, as in `_t`.  Global: the CSR blocks M_p, M_s and mass, their
     diagonal (n_p + n_s,) as `mass_diagonal` checked it; the right-hand
     sides L_u, L_t; g_values, the eliminated boundary datum; coercive,
-    the cell-wise coercivity guard of `velocity_blocks`.
+    the cell-wise coercivity guard of `build_block_system`.
     A_uu, A_tu, A_tt, B_pu and B_su are scattered from the per-cell and
     per-facet blocks on every access, through `_scatter`, so none of
     them stores an exact zero.

@@ -289,7 +289,7 @@ def solve_once(cfg, cs, pc_kind=None, method=None, tol=None):
 
 def run_solve(cfg, outdir, save_solution=False):
     os.makedirs(outdir, exist_ok=True)
-    (m,) = _mesh_ladder(cfg, cfg.nx, cfg.ny, 1)
+    m = _generate(cfg, cfg.nx, cfg.ny)
     result, fields, rep = solve_once(cfg, discretize(cfg, m)[2])
     with open(os.path.join(outdir, "report.json"), "w") as fh:
         json.dump(result, fh, indent=2)
@@ -430,7 +430,7 @@ def run_verify(cfg, outdir):
 
 def run_export(cfg, outdir):
     os.makedirs(outdir, exist_ok=True)
-    (m,) = _mesh_ladder(cfg, cfg.nx, cfg.ny, 1)
+    m = _generate(cfg, cfg.nx, cfg.ny)
     _, bs, cs = discretize(cfg, m)
     out = {
         "A": bs.velocity_matrix(), "B": bs.divergence_matrix(),

@@ -5,8 +5,8 @@ ordering.  Every facet (edge) is stored once; a facet knows its one or
 two adjacent cells and carries the unit normal that points out of the
 first of them.  The second cell sees the negated normal.  Facets are
 numbered in a nested-dissection order of the cells
-(`nested_dissection`), so a sparse factorization of a facet block in
-natural order eliminates the separators of the coarsest splits last.
+(`nested_dissection`), the numbering from which the minimum-degree
+ordering of every facet-block factorization (`amg.spd_lu`) starts.
 """
 
 import numpy as np
@@ -16,9 +16,10 @@ import numpy as np
 MAX_JITTER = 0.25
 
 # `nested_dissection` splits no part of at most this many cells.  The
-# LU of the velocity block has the same fill with leaves of one cell,
-# 1.5-2.2% more with leaves of 4 and 10-16% more with leaves of 8
-# (16 x 16 and 32 x 32 triangles and quadrilaterals, k = 1 to 3).
+# minimum-degree LU of the velocity block barely depends on it: leaves
+# of 1, 2, 4 and 8 cells give 453,960 / 453,960 / 453,960 / 453,618
+# entries (32 x 32 triangles, k = 2); any other value renumbers every
+# facet.
 _ND_LEAF = 2
 
 
@@ -210,8 +211,8 @@ def nested_dissection(mesh):
     common ancestor of the leaves of its cells.  Boundary facets, and
     facets inside a leaf, go with their leaf.  The facets come in
     post-order of their parts, both halves of a part before its
-    separator, so the separators of the coarsest splits are eliminated
-    last (George, SIAM J. Numer. Anal. 10, 1973).  Ties are broken by
+    separator, the separators of the coarsest splits last (George,
+    SIAM J. Numer. Anal. 10, 1973).  Ties are broken by
     stable sorts, by cell and by facet index, so the order does not
     depend on anything but the mesh.  `Mesh` numbers its facets in
     this order, so on a built mesh it is the identity."""

@@ -23,12 +23,10 @@ both components at once: the facet velocity is numbered one component
 after the other, so r.reshape(2, -1).T is the (n_t/2, 2) block of the
 two components, a Fortran-ordered view, the order SuperLU solves in;
 the same holds in both sweeps of the SGS kinds.  Every sparse
-factorization here is `amg.spd_lu` (diagonal pivots), since all
-factored blocks are SPD: the exact scalar velocity block in natural
-order, which is the nested-dissection order of the mesh
-(`mesh.nested_dissection`), -C_ss in the symmetric minimum-degree
-order, which keeps its fill lower.  -C_pp couples only the pressures
-of one cell, so the PC kinds invert its cell blocks
+factorization here is `amg.spd_lu` (diagonal pivots, symmetric
+minimum degree), since both factored blocks, the exact scalar velocity
+block and -C_ss, are SPD.  -C_pp couples only the pressures of one
+cell, so the PC kinds invert its cell blocks
 (`cs.pressure_blocks`) and apply it as one batched product.
 The modal bases are orthonormal, so the pressure masses of the PM
 kinds are diagonal: they are applied as r / d with d the slices of
@@ -66,9 +64,8 @@ SmoothedAggregation = AuxiliarySpace
 
 class OperatorApprox:
     """Approximate inverse of the scalar trace block `cs.Abar_scalar`
-    on `spaces`: 'exact' (`spd_lu` in natural order, which is the
-    nested-dissection order of the mesh) or 'multigrid' (`cycles`
-    auxiliary-space cycles per apply as a Chebyshev polynomial,
+    on `spaces`: 'exact' (one `spd_lu` factorization) or 'multigrid'
+    (`cycles` auxiliary-space cycles per apply as a Chebyshev polynomial,
     `amg.AuxiliarySpace`, with the continuous P1 coarse space of
     `spaces.vertex_trace_prolongator` and Chebyshev facet-block Jacobi
     smoothing).  Tiny problems, and meshes without an interior
@@ -89,7 +86,7 @@ class OperatorApprox:
                 self.degraded = True
         self.mode = mode
         if mode == "exact":
-            self.lu = spd_lu(A, natural=True)
+            self.lu = spd_lu(A)
             self.amg = None
         else:
             self.amg = SmoothedAggregation(A, P, spaces.nbf)

@@ -30,9 +30,8 @@ on operators that are never formed: the
 pressure Schur complement in its condensed form
 Bbar Abar^-1 Bbar^T - C, with Bbar and C the pressure rows of K and
 Abar^-1 one `amg.spd_lu` factorization of the scalar block
-`Abar_scalar` in natural order (the nested-dissection order of the
-mesh), applied to both velocity components as a two-column block
-(`schur_spectrum`);
+`Abar_scalar`, applied to both velocity components as a two-column
+block (`schur_spectrum`);
 the sparse facet block -C_ss (`element_block_spectrum`); the inverse
 of the facet inf-sup matrix, whose largest eigenvalue is the
 reciprocal of the wanted smallest one (`facet_infsup`); and the
@@ -50,10 +49,10 @@ Householder reflector that maps the scaled constant onto the first
 coordinate, which is then dropped (`_restricted`), so that the
 iteration runs in the complement and the constant cannot come back
 through roundoff.  The coercivity pencil drops one dof instead, the
-constant mode of cell 0, by the rule of the coercivity guard in
-`assembly.velocity_blocks`: both of its forms vanish on the constant
-field, which is nonzero there, so any complement gives the same
-eigenvalues.  Per-cell Schur pieces share the elimination of
+constant mode of cell 0, by the rule of the coercivity guard of
+`assembly.build_block_system`: both of its forms vanish on the
+constant field, which is nonzero there, so any complement gives the
+same eigenvalues.  Per-cell Schur pieces share the elimination of
 `condense.cell_schur`.
 """
 
@@ -218,12 +217,11 @@ def schur_spectrum(cs):
     The complement is applied in its condensed form
     Bbar Abar^-1 Bbar^T - C, the same matrix as B A^-1 B^T
     (`condensed_schur_identity` measures the difference).  Abar^-1 is
-    one `spd_lu` factorization of `cs.Abar_scalar` in natural order,
-    which is the nested-dissection order of the mesh, applied to both
+    one `spd_lu` factorization of `cs.Abar_scalar`, applied to both
     velocity components as one two-column block."""
     Bbar, C = _pressure_rows(cs)
     BbarT = Bbar.T.tocsr()
-    solve = _amg.spd_lu(cs.Abar_scalar, natural=True).solve
+    solve = _amg.spd_lu(cs.Abar_scalar).solve
 
     def apply(x):
         y = solve((BbarT @ x).reshape(2, -1).T).T.ravel()
@@ -256,16 +254,15 @@ def condensed_schur_identity(bs, cs):
     Bbar Abar^-1 Bbar^T - C = B A^-1 B^T, with Bbar and C the
     pressure rows of K.
 
-    A and Abar are factored once each by `spd_lu`, Abar in natural
-    order, which is the nested-dissection order of the mesh; the
-    difference of the two sides is formed `_IDENTITY_BLOCK` pressure
-    columns at a time, so no dense complement or dense right-hand side
-    of every pressure unknown is held."""
+    A and Abar are factored once each by `spd_lu`; the difference of
+    the two sides is formed `_IDENTITY_BLOCK` pressure columns at a
+    time, so no dense complement or dense right-hand side of every
+    pressure unknown is held."""
     B = bs.divergence_matrix().tocsr()
     Bbar, C = _pressure_rows(cs)
     BT, BbarT, C = B.T.tocsc(), Bbar.T.tocsc(), C.tocsc()
     full = _amg.spd_lu(bs.velocity_matrix()).solve
-    cond = _amg.spd_lu(cs.Abar, natural=True).solve
+    cond = _amg.spd_lu(cs.Abar).solve
     res = 0.0
     for j in range(0, B.shape[0], _IDENTITY_BLOCK):
         J = slice(j, j + _IDENTITY_BLOCK)

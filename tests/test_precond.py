@@ -179,7 +179,7 @@ def test_multigrid_without_interior_vertex_degraded(cavity):
 
 
 def test_exact_velocity_block_fill(cavity):
-    # nested dissection: 3.52; symmetric minimum degree 3.58, COLAMD 4.65
+    # symmetric minimum degree 2.78; natural order 3.52, COLAMD 4.68
     m = mesh.generate(16, 16)
     sp_ = spaces.build_spaces(m, cavity.degree)
     cs = condense.condense(assembly.build_block_system(sp_, cavity))
@@ -189,50 +189,55 @@ def test_exact_velocity_block_fill(cavity):
 
 @pytest.mark.parametrize("shape", ["triangle", "quadrilateral"])
 def test_ordered_lu_solves_like_minimum_degree(shape):
-    """spd_lu in natural order solves (n,) and both memory orders of
-    (n, 2) right-hand sides like the minimum-degree factorization, on
-    the scalar block and on the two-component one."""
+    """spd_lu solves (n,) and both memory orders of (n, 2) right-hand
+    sides like one solve per column, on the scalar block and on the
+    two-component one."""
     m = mesh.generate(6, 5, shape, jitter=0.2, seed=4)
     sp_ = spaces.build_spaces(m, 2)
     bs = assembly.build_block_system(sp_, spaces.lid_driven_cavity(2, 108.0))
     cs = condense.condense(bs)
     rng = np.random.default_rng(6)
     for A in (cs.Abar_scalar, cs.Abar):
-        lu, ref = amg.spd_lu(A, natural=True), amg.spd_lu(A)
+        lu = amg.spd_lu(A)
         assert isinstance(lu.nnz, int) and lu.nnz >= A.nnz
         B = rng.standard_normal((A.shape[0], 2))
-        for b in (B[:, 0].copy(), np.asfortranarray(B),
-                  np.ascontiguousarray(B)):
-            want, got = ref.solve(b), lu.solve(b)
+        W = np.column_stack([lu.solve(B[:, j].copy()) for j in range(2)])
+        assert np.abs(A @ W - B).max() <= 1e-10 * np.abs(B).max()
+        for b, want in ((B[:, 0].copy(), W[:, 0]), (np.asfortranarray(B), W),
+                        (np.ascontiguousarray(B), W)):
+            got = lu.solve(b)
             assert got.shape == b.shape
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # LU entries of the scalar velocity block (seed 1, alpha 108 on jittered
-# triangles), by (shape, k, n): in natural order of the mesh's
-# nested-dissection numbering, and in minimum degree on the
-# first-appearance numbering the mesh used before.  Jitter 0 and 0.2
-# give the same counts.
+# triangles), by (shape, k, n): in minimum degree on the mesh's
+# nested-dissection numbering, by jitter, and in minimum degree on the
+# first-appearance numbering the mesh used before.
 _VELOCITY_LU_NNZ = {
-    ("triangle", 1, 32): (264576, 289704),
-    ("triangle", 2, 32): (590400, 646938),
-    ("triangle", 3, 32): (1045248, 1145760),
-    ("quadrilateral", 1, 32): (226688, 273808),
-    ("quadrilateral", 2, 32): (506688, 612708),
-    ("quadrilateral", 3, 32): (897792, 1086272),
-    ("triangle", 1, 64): (1307392, 1533864),
-    ("triangle", 2, 64): (2922624, 3432186),
-    ("quadrilateral", 1, 64): (1153792, 1529728),
-    ("quadrilateral", 2, 64): (2583168, 3429024),
+    ("triangle", 1, 32): ({0.0: 203936, 0.2: 205152}, 289704),
+    ("triangle", 2, 32): ({0.0: 453960, 0.2: 456696}, 646938),
+    ("triangle", 3, 32): ({0.0: 802688, 0.2: 807552}, 1145760),
+    ("quadrilateral", 1, 32): ({0.0: 245672, 0.2: 247624}, 273808),
+    ("quadrilateral", 2, 32): ({0.0: 549402, 0.2: 553794}, 612708),
+    ("quadrilateral", 3, 32): ({0.0: 973728, 0.2: 981536}, 1086272),
+    ("triangle", 1, 64): ({0.0: 1026160}, 1533864),
+    ("triangle", 2, 64): ({0.0: 2289852}, 3432186),
+    ("quadrilateral", 1, 64): ({0.2: 1251048}, 1529728),
+    ("quadrilateral", 2, 64): ({0.2: 2801994}, 3429024),
 }
 
 
-def _velocity_lu_nnz(n, shape, k, jitter):
+def _velocity_block(n, shape, k, jitter):
     m = mesh.generate(n, n, shape, jitter=jitter, seed=1)
     sp_ = spaces.build_spaces(m, k)
     alpha = 108.0 if shape == "triangle" and jitter else None
     bs = assembly.build_block_system(sp_, spaces.lid_driven_cavity(k, alpha))
-    return amg.spd_lu(condense.condense(bs).Abar_scalar, natural=True).nnz
+    return sp_, condense.condense(bs).Abar_scalar
+
+
+def _velocity_lu_nnz(n, shape, k, jitter):
+    return amg.spd_lu(_velocity_block(n, shape, k, jitter)[1]).nnz
 
 
 @pytest.mark.parametrize("shape", ["triangle", "quadrilateral"])
@@ -240,21 +245,35 @@ def _velocity_lu_nnz(n, shape, k, jitter):
 @pytest.mark.parametrize("jitter", [0.0, 0.2])
 def test_nested_dissection_fill_at_most_minimum_degree(shape, k, jitter):
     """LU fill of the scalar velocity block on 32 x 32 meshes, pinned:
-    9% (triangles) and 17% (quadrilaterals) below minimum degree on the
-    first-appearance numbering."""
-    nd, md = _VELOCITY_LU_NNZ[shape, k, 32]
-    assert _velocity_lu_nnz(32, shape, k, jitter) == nd <= md
+    about 30% (triangles) and 10% (quadrilaterals) below minimum degree
+    on the first-appearance numbering."""
+    pins, first = _VELOCITY_LU_NNZ[shape, k, 32]
+    assert _velocity_lu_nnz(32, shape, k, jitter) == pins[jitter] < first
 
 
 @pytest.mark.parametrize("case", [("triangle", 0.0), ("quadrilateral", 0.2)])
 @pytest.mark.parametrize("k", [1, 2])
 def test_velocity_lu_fill_on_64x64(case, k):
-    """The same pin on 64 x 64 meshes: 15% (triangles) and 25%
+    """The same pin on 64 x 64 meshes: 33% (triangles) and 18%
     (jittered quadrilaterals) below minimum degree on the
     first-appearance numbering."""
     shape, jitter = case
-    nd, md = _VELOCITY_LU_NNZ[shape, k, 64]
-    assert _velocity_lu_nnz(64, shape, k, jitter) == nd <= md
+    pins, first = _VELOCITY_LU_NNZ[shape, k, 64]
+    assert _velocity_lu_nnz(64, shape, k, jitter) == pins[jitter] < first
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_nested_dissection_numbering_beats_lexicographic(k):
+    """Minimum degree leaves fewer LU entries on the velocity block of
+    32 x 32 triangles from the mesh's nested-dissection numbering than
+    from the facets sorted by their midpoints (203,936 against 289,600
+    at k = 1, 453,960 against 646,704 at k = 2).  On quadrilaterals the
+    two are level."""
+    sp_, A = _velocity_block(32, "triangle", k, 0.0)
+    mid = sp_.mesh.facet_midpoints
+    facets = np.lexsort((mid[:, 1], mid[:, 0]))
+    perm = (facets[:, None] * sp_.nbf + np.arange(sp_.nbf)).ravel()
+    assert amg.spd_lu(A).nnz < amg.spd_lu(A[perm][:, perm]).nnz
 
 
 @pytest.mark.parametrize("shape", ["triangle", "quadrilateral"])
@@ -279,7 +298,7 @@ def test_scalar_block_halves_fill(cavity):
     cs = condense.condense(bs)
     pc = precond.build_preconditioner(cs, "PM")
     assert cs.Abar_scalar.shape[0] * 2 == cs.n_t
-    assert 2 * pc.rbar.lu.nnz <= amg.spd_lu(cs.Abar, natural=True).nnz
+    assert 2 * pc.rbar.lu.nnz == amg.spd_lu(cs.Abar).nnz
 
 
 def test_multigrid_two_column_apply_matches_columns(cavity):
