@@ -10,7 +10,9 @@ configuration.
 
 All four share one pipeline of two stages: `discretize` (spaces,
 assembly, boundary-flux check, static condensation) and
-`krylov_solve` (block preconditioner, MINRES or GMRES).
+`krylov_solve` (block preconditioner, MINRES or GMRES), which builds
+what its RunConfig names; study and verify change the kind, method or
+tolerance through `with_options`, a RunConfig validated anew.
 
 Exit codes: 0 success, 1 failed verification or non-converged solve,
 2 configuration errors (a value that breaks its rule, an unknown
@@ -166,6 +168,11 @@ class RunConfig:
         return cls(**kw)
 
 
+def with_options(cfg, **changes):
+    """A RunConfig of cfg's options with `changes`, validated anew."""
+    return RunConfig(**{**vars(cfg), **changes})
+
+
 def json_default(obj):
     """`json.dump` hook: numpy arrays and scalars as lists and Python
     numbers."""
@@ -239,27 +246,27 @@ def discretize(cfg, m):
     return sp_, bs, condense.condense(bs)
 
 
-def krylov_solve(cfg, cs, kind, method, tol):
-    """Solve stage: preconditioner `kind` and MINRES or GMRES on the
+def krylov_solve(cfg, cs):
+    """Solve stage: the preconditioner `cfg.pc` (velocity block
+    `cfg.rbar`, `cfg.cycles`) and `cfg.method` to `cfg.tol` on the
     condensed system.  Returns the SolverReport (solution in .x)."""
-    pc = precond.build_preconditioner(cs, kind=kind, rbar_mode=cfg.rbar,
+    pc = precond.build_preconditioner(cs, kind=cfg.pc, rbar_mode=cfg.rbar,
                                       cycles=cfg.cycles)
-    opts = {"tol": tol, "maxiter": cfg.maxiter,
-            "nullspace": cs.nullspace_vector(), "label": kind}
-    if method == "minres":
+    opts = {"tol": cfg.tol, "maxiter": cfg.maxiter,
+            "nullspace": cs.nullspace_vector(), "label": cfg.pc}
+    if cfg.method == "minres":
         return krylov.minres(cs.K, cs.rhs, pc.apply, **opts)
     return krylov.gmres(cs.K, cs.rhs, pc.apply, restart=cfg.restart, **opts)
 
 
-def solve_once(cfg, cs, pc_kind=None, method=None, tol=None):
-    """The solve stage and the velocity recovery on a condensed system
-    `cs`, what `discretize` made of a mesh.
+def solve_once(cfg, cs):
+    """The solve stage of `cfg` and the velocity recovery on a
+    condensed system `cs`, what `discretize` made of a mesh.
 
     Returns (result dict, fields, solver report)."""
     sp_ = cs.spaces
     m = sp_.mesh
-    rep = krylov_solve(cfg, cs, pc_kind or cfg.pc, method or cfg.method,
-                       cfg.tol if tol is None else tol)
+    rep = krylov_solve(cfg, cs)
 
     ubar, p, pbar = cs.split(rep.x)
     u = condense.recover_velocity(cs, ubar, p, pbar)
@@ -310,7 +317,7 @@ def run_study(cfg, outdir):
         _, _, cs = discretize(cfg, m)
         row = {"level": level, "cells": m.num_cells, "dofs": cs.size}
         for kind in precond.KINDS:
-            rep = krylov_solve(cfg, cs, kind, cfg.method, cfg.tol)
+            rep = krylov_solve(with_options(cfg, pc=kind), cs)
             row[kind] = rep.iterations if rep.converged else -1
             failed = failed or not rep.converged
             detail.append({"level": level, **rep.to_dict()})
@@ -407,8 +414,8 @@ def run_verify(cfg, outdir):
     # one converged solve: conservation and kernel hygiene; the
     # pointwise bounds hold only on triangles (`spectra.field_checks`),
     # so on quadrilaterals they are recorded, not gated
-    result, _, rep = solve_once(cfg, base[3], pc_kind="PM",
-                                method="minres", tol=1e-10)
+    result, _, rep = solve_once(
+        with_options(cfg, pc="PM", method="minres", tol=1e-10), base[3])
     fc = result["field_checks"]
     scale = max(fc["velocity_scale"], 1e-300)
     ok = rep.converged and rep.nullspace_residual <= 1e-10

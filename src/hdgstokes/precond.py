@@ -56,8 +56,6 @@ from . import spaces as _spaces
 from .amg import AuxiliarySpace, spd_lu
 
 KINDS = ("PM", "PC", "PM-SGS", "PC-SGS")
-# multigrid on this many rows or fewer degrades to the exact mode
-_MIN_MULTIGRID_ROWS = 240
 # the benchmark's span hook for the multigrid setup, until it renames it
 SmoothedAggregation = AuxiliarySpace
 
@@ -68,26 +66,22 @@ class OperatorApprox:
     (`cycles` auxiliary-space cycles per apply as a Chebyshev polynomial,
     `amg.AuxiliarySpace`, with the continuous P1 coarse space of
     `spaces.vertex_trace_prolongator` and Chebyshev facet-block Jacobi
-    smoothing).  Tiny problems, and meshes without an interior
-    vertex, silently degrade multigrid to the exact mode; `degraded`
-    records that.  `apply` takes an (n,) or (n, m) right-hand side."""
+    smoothing).  Multigrid runs on every mesh with an interior vertex;
+    a mesh without one has no coarse space, so multigrid degrades to
+    the exact mode there, and `degraded` records that.  `apply` takes
+    an (n,) or (n, m) right-hand side."""
 
     def __init__(self, A, spaces, mode="exact", cycles=4):
         if mode not in ("exact", "multigrid"):
             raise ValueError("mode must be 'exact' or 'multigrid'")
-        self.shape = A.shape
         self.cycles = cycles
-        self.degraded = False
-        if mode == "multigrid":
-            P = (_spaces.vertex_trace_prolongator(spaces)
-                 if A.shape[0] > _MIN_MULTIGRID_ROWS else None)
-            if P is None or P.shape[1] == 0:
-                mode = "exact"
-                self.degraded = True
-        self.mode = mode
-        if mode == "exact":
+        P = (_spaces.vertex_trace_prolongator(spaces)
+             if mode == "multigrid" else None)
+        self.degraded = P is not None and P.shape[1] == 0
+        self.mode = "exact" if self.degraded else mode
+        self.lu = self.amg = None
+        if self.mode == "exact":
             self.lu = spd_lu(A)
-            self.amg = None
         else:
             self.amg = SmoothedAggregation(A, P, spaces.nbf)
 
@@ -98,15 +92,31 @@ class OperatorApprox:
 
 
 class Preconditioner:
-    """One of the four block preconditioners; `apply` maps a condensed
-    residual to the preconditioned vector."""
+    """One of the four block preconditioners for the condensed system
+    `cs`: Rbar is `OperatorApprox` on `cs.Abar_scalar` in `rbar_mode`
+    with `cycles`; the PM kinds divide by the pressure mass diagonal
+    `cs.mass`, the PC kinds solve with -C_pp and -C_ss.  `apply` maps a
+    condensed residual to the preconditioned vector."""
 
-    def __init__(self, cs, kind, rbar, solve2, solve3):
+    def __init__(self, cs, kind="PM", rbar_mode="exact", cycles=4):
+        if kind not in KINDS:
+            raise ValueError("unknown preconditioner kind %r; expected one "
+                             "of %s" % (kind, ", ".join(KINDS)))
         self.cs = cs
         self.kind = kind
-        self.rbar = rbar
-        self._solve2 = solve2
-        self._solve3 = solve3
+        self.rbar = OperatorApprox(cs.Abar_scalar, cs.spaces, mode=rbar_mode,
+                                   cycles=cycles)
+        if kind.startswith("PM"):
+            d_p, d_s = cs.mass[:cs.n_p], cs.mass[cs.n_p:]
+            self._solve2 = lambda r: r / d_p
+            self._solve3 = lambda r: r / d_s
+        else:
+            # -C_pp is block diagonal by cell: one batched product with
+            # the inverses of its cell blocks
+            inv = np.linalg.inv(cs.pressure_blocks)
+            self._solve2 = lambda r: (
+                inv @ r.reshape(*inv.shape[:2], 1)).ravel()
+            self._solve3 = spd_lu(-cs.block("s", "s")).solve
         self.is_sgs = kind.endswith("SGS")
         if self.is_sgs:
             # the off-diagonal blocks of K the sweeps read, keyed by
@@ -134,30 +144,6 @@ class Preconditioner:
         return np.concatenate([z1, z2, z3])
 
 
-def build_preconditioner(cs, kind="PM", rbar_mode="exact", cycles=4):
-    """Assemble one of the four preconditioners for a condensed system.
-
-    The PM kinds divide by the pressure mass diagonal `cs.mass`.  The
-    velocity block approximation is built on the scalar block
-    `cs.Abar_scalar`.
-    """
-    if kind not in KINDS:
-        raise ValueError("unknown preconditioner kind %r; expected one of %s"
-                         % (kind, ", ".join(KINDS)))
-    rbar = OperatorApprox(cs.Abar_scalar, cs.spaces, mode=rbar_mode,
-                          cycles=cycles)
-
-    if kind.startswith("PM"):
-        d_p, d_s = cs.mass[:cs.n_p], cs.mass[cs.n_p:]
-        solve2 = lambda r: r / d_p
-        solve3 = lambda r: r / d_s
-    else:
-        # -C_pp is block diagonal by cell: one batched product with the
-        # inverses of its cell blocks
-        inv = np.linalg.inv(cs.pressure_blocks)
-        solve2 = lambda r: (inv @ r.reshape(*inv.shape[:2], 1)).ravel()
-        solve3 = spd_lu(-cs.block("s", "s")).solve
-    # The sweep diagonal takes the positive-definite block variants so
-    # the composed operator (P_L + P_D) P_D^-1 (P_L^T + P_D) is SPD,
-    # which MINRES requires.
-    return Preconditioner(cs, kind, rbar, solve2, solve3)
+# the name the solve stage builds through: the benchmark's span hook
+# for the preconditioner setup
+build_preconditioner = Preconditioner

@@ -188,7 +188,7 @@ def test_05_flat_minres_iterations_beyond_k2_triangles(shape, degree, rbar):
     for n in (8, 16, 32):
         _, _, cs = cli.discretize(cfg, mesh.generate(n, n, shape))
         for kind, seq in counts.items():
-            rep = cli.krylov_solve(cfg, cs, kind, "minres", 1e-8)
+            rep = cli.krylov_solve(cli.with_options(cfg, pc=kind), cs)
             assert rep.converged, f"{kind} stalled on the {n}x{n} level"
             seq.append(rep.iterations)
     for kind, seq in counts.items():
@@ -214,7 +214,27 @@ def test_05_flat_minres_iterations_on_jittered_and_k2_quad_meshes(
     for n in (8, 16, 32):
         m = mesh.generate(n, n, shape, jitter=jitter, seed=1)
         _, _, cs = cli.discretize(cfg, m)
-        rep = cli.krylov_solve(cfg, cs, "PM", "minres", 1e-8)
+        rep = cli.krylov_solve(cfg, cs)
+        assert rep.converged, f"stalled on the {n}x{n} level"
+        seq.append(rep.iterations)
+    assert max(seq) / min(seq) <= 1.35, f"PM counts {seq}"
+
+
+def test_05_one_cycle_multigrid_ladder_from_4x4():
+    """PM MINRES with one multigrid cycle runs the cycle on every level
+    of 4x4, 8x8, 16x16 triangles at k = 2, the 168-row 4x4 block
+    included, and its counts stay flat (max/min <= 1.35, test_05's
+    bound)."""
+    cfg = cli.RunConfig(rbar="multigrid", cycles=1)
+    seq = []
+    for n in (4, 8, 16):
+        _, _, cs = cli.discretize(cfg, mesh.generate(n, n))
+        pc = precond.build_preconditioner(cs, "PM", rbar_mode="multigrid",
+                                          cycles=1)
+        assert pc.rbar.mode == "multigrid", f"{n}x{n} built {pc.rbar.mode}"
+        rep = krylov.minres(cs.K, cs.rhs, pc.apply, tol=cfg.tol,
+                            maxiter=cfg.maxiter,
+                            nullspace=cs.nullspace_vector())
         assert rep.converged, f"stalled on the {n}x{n} level"
         seq.append(rep.iterations)
     assert max(seq) / min(seq) <= 1.35, f"PM counts {seq}"

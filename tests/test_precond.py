@@ -154,6 +154,8 @@ def test_cell_pressure_schur_is_cell_block_diagonal(small):
 
 
 def test_operator_approx_exact_and_degraded(small):
+    """On the 2x2 mesh (a 48-row block, one interior vertex) multigrid
+    builds the cycle, whose bracket against the block lies in (0, 1]."""
     bs, cs = small
     A = cs.Abar_scalar
     exact = precond.OperatorApprox(A, cs.spaces, mode="exact")
@@ -161,21 +163,35 @@ def test_operator_approx_exact_and_degraded(small):
     r = rng.standard_normal(A.shape[0])
     assert np.allclose(A @ exact.apply(r), r, atol=1e-9)
     assert not exact.degraded
-    # mesh too small for a meaningful hierarchy: falls back to exact
-    mg = precond.OperatorApprox(A, cs.spaces, mode="multigrid")
-    assert mg.degraded
-    assert np.allclose(mg.apply(r), exact.apply(r))
+    for cycles in (1, 4):
+        mg = precond.OperatorApprox(A, cs.spaces, mode="multigrid",
+                                    cycles=cycles)
+        assert mg.mode == "multigrid" and not mg.degraded
+        assert mg.amg.P.shape == (48, 1)
+        lo, hi = _bracket(A, mg.apply)
+        assert 0.0 < lo <= hi <= 1.0 + 1e-9
 
 
-def test_multigrid_without_interior_vertex_degraded(cavity):
-    # a strip one cell wide has no interior vertex, hence no P1 space
-    m = mesh.generate(1, 24, domain=(0.0, 0.0, 0.1, 2.4))
+@pytest.mark.parametrize("nx, ny, domain, degraded", [
+    (1, 1, (-1.0, -1.0, 1.0, 1.0), True),
+    (2, 1, (-1.0, -1.0, 1.0, 1.0), True),
+    (1, 24, (0.0, 0.0, 0.1, 2.4), True),
+    (2, 2, (-1.0, -1.0, 1.0, 1.0), False)])
+def test_multigrid_without_interior_vertex_degraded(cavity, nx, ny, domain,
+                                                    degraded):
+    """Multigrid degrades to the exact mode exactly on a mesh without an
+    interior vertex (no P1 coarse space), whatever the block's size."""
+    m = mesh.generate(nx, ny, domain=domain)
     sp_ = spaces.build_spaces(m, cavity.degree)
     cs = condense.condense(assembly.build_block_system(sp_, cavity))
-    assert cs.Abar_scalar.shape[0] > 240
     rbar = precond.OperatorApprox(cs.Abar_scalar, mode="multigrid",
                                   spaces=sp_)
-    assert rbar.degraded and rbar.mode == "exact"
+    assert rbar.degraded == degraded
+    assert rbar.mode == ("exact" if degraded else "multigrid")
+    if degraded:
+        A = cs.Abar_scalar
+        r = np.random.default_rng(4).standard_normal(A.shape[0])
+        assert np.allclose(A @ rbar.apply(r), r, atol=1e-9)
 
 
 def test_exact_velocity_block_fill(cavity):
