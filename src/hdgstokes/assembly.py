@@ -24,10 +24,12 @@ Everything coupled to the cell velocity is stored per cell, as static
 condensation consumes it; A_uu, A_tu, B_pu and B_su are scattered from
 those blocks on access (probes, export, tests).  The element kernels
 are defined here once, for the norms of the spectra module as well.
-Each reads the basis tables of one `spaces.CellChunk`, a slice of
-cells, and every function here that covers the mesh walks the cells
-chunk by chunk, so no table of every cell is formed; no block depends
-on the chunk size.
+Each reads the basis tables of one `spaces.CellChunk`, and every
+function here that covers the mesh walks the cells chunk by chunk, so
+no table of every cell is formed; no block depends on the chunk size.
+The kernels run once per shape class of a chunk (translated cells,
+`mesh.shape_classes`) and their blocks are gathered to its cells
+(kernel section below).
 
 Pressure masses: M_p is the plain cell mass (identity in the modal
 basis); M_s carries the facet weight h_K+ + h_K- (interior) or h_K
@@ -131,8 +133,13 @@ def _dof_maps(sp_):
 # -- batched element kernels (scalar, shared by both components) ------
 #
 # Each kernel takes a `spaces.CellChunk` and returns the blocks of its
-# cells, (n, rows, cols); the functions below that cover the mesh walk
-# the cells chunk by chunk.
+# cells, (n, rows, cols).  The functions below that cover the mesh walk
+# the cells chunk by chunk and run the kernels on the chunk's shape
+# classes only, `CellChunk.shapes` (through `SpaceSet.shape_blocks`),
+# gathering the blocks to the cells: the velocity form and its
+# coercivity guard, `Side.normal_flux`, `local_divergence` and
+# `cell_pressure_mass`.  The body force, the boundary datum and its
+# elimination depend on the position and stay per cell or per facet.
 
 def scalar_stiffness(ch):
     """(n, nb, nb) cell gradient products."""
@@ -383,7 +390,8 @@ def _velocity_form(ch, alpha, consistency=True):
 
 def local_velocity_form(sp_, alpha, consistency=True):
     """(nc, m, m) unconstrained velocity form L of every cell, on one
-    component, evaluated chunk by chunk.
+    component, evaluated chunk by chunk on the shape classes
+    (`SpaceSet.shape_blocks`) and gathered to the cells.
 
     L is [[A_0, T^T], [T, P]], the cell basis first and then the facet
     basis of each side: A_0 is the cell block, T and P the
@@ -395,23 +403,33 @@ def local_velocity_form(sp_, alpha, consistency=True):
     kernels into the velocity form."""
     m = sp_.nb + sp_.nsides * sp_.nbf
     L = np.empty((sp_.mesh.num_cells, m, m))
-    for ch in sp_.chunks():
-        L[ch.cells] = _velocity_form(ch, alpha, consistency)
+    for ch, forms in sp_.shape_blocks(
+            lambda shapes: _velocity_form(shapes, alpha, consistency)):
+        L[ch.cells] = ch.gather(forms)
     return L
 
 
-def _add_velocity_form(bs, ch, consistency=True):
-    """Lay out the velocity form of the cells of chunk ch in bs:
-    local_auu_scalar, the facet-velocity rows of the per-cell stack,
-    their sums into facet_att, and the coercivity guard."""
-    sp_, c = bs.spaces, ch.cells
-    nb, nbf = sp_.nb, sp_.nbf
-    dt = bs._t.reshape(sp_.mesh.num_facets, 2, nbf)
-    L = _velocity_form(ch, bs.alpha, consistency)
+def _guarded_velocity_form(shapes, alpha, consistency=True):
+    """The velocity forms of the cells of chunk `shapes`, and whether
+    all of them are positive definite off their constant pair: the
+    coercivity guard of `velocity_blocks`."""
+    L = _velocity_form(shapes, alpha, consistency)
     try:
         np.linalg.cholesky(L[:, 1:, 1:])
     except np.linalg.LinAlgError:
-        bs.coercive = False
+        return L, False
+    return L, True
+
+
+def _add_velocity_form(bs, ch, forms):
+    """Lay out the velocity form of the cells of chunk ch in bs, from
+    `forms`, those of its `shapes`: local_auu_scalar, the
+    facet-velocity rows of the per-cell stack and their sums into
+    facet_att."""
+    sp_, c = bs.spaces, ch.cells
+    nb, nbf = sp_.nb, sp_.nbf
+    dt = bs._t.reshape(sp_.mesh.num_facets, 2, nbf)
+    L = ch.gather(forms)
     bs.local_auu_scalar[c] = L[:, :nb, :nb]
     for e in range(sp_.nsides):
         facets = sp_.mesh.cell_facets[c, e]
@@ -431,22 +449,40 @@ def velocity_blocks(sp_, alpha, consistency=True):
     the consistency terms, the velocity pair norm).  The forms are not
     kept: bs.coercive records whether each is positive definite off its
     constant pair, by a batched Cholesky of L with the cell's constant
-    mode (its first row and column) dropped.  L vanishes on the pair,
+    mode (its first row and column) dropped, once per shape class of
+    a chunk.  L vanishes on the pair,
     whose coefficient there is never zero, so that reduced block is
     positive definite if and only if L is off the pair.  That suffices
     for coercivity: the cell-wise sum is then positive off the constant
     fields, so the condensed velocity block is SPD, and so is every
     cell block that `condense` factors."""
     bs = BlockSystem(sp_, alpha)
-    for ch in sp_.chunks():
-        _add_velocity_form(bs, ch, consistency)
+    for ch, (forms, coercive) in sp_.shape_blocks(
+            lambda shapes: _guarded_velocity_form(shapes, alpha,
+                                                  consistency)):
+        bs.coercive &= coercive
+        _add_velocity_form(bs, ch, forms)
     return bs
+
+
+def _cell_blocks(shapes, alpha):
+    """Every block of `build_block_system` that does not depend on
+    the position, for the cells of chunk `shapes`: the guarded velocity
+    forms, the facet-pressure rows of each side, the divergence rows and
+    the cell pressure masses."""
+    forms, coercive = _guarded_velocity_form(shapes, alpha)
+    flux = [Side(shapes, e, alpha).normal_flux()
+            for e in range(shapes.spaces.nsides)]
+    return (forms, coercive, flux, local_divergence(shapes),
+            cell_pressure_mass(shapes))
 
 
 def build_block_system(sp_, problem, bcs=True):
     """Assemble the per-cell and per-facet blocks, the pressure masses
-    and the right-hand sides, one chunk of cells at a time, each
-    chunk's tables evaluated once for all of its blocks; with bcs=True
+    and the right-hand sides, one chunk of cells at a time.  The blocks
+    are evaluated once per shape class of a chunk (`_cell_blocks`,
+    through `SpaceSet.shape_blocks`) and gathered to its cells; the
+    body force is integrated on the chunk's own cells.  With bcs=True
     the boundary velocity datum is projected and eliminated
     symmetrically."""
     bs = BlockSystem(sp_, problem.alpha)
@@ -456,18 +492,19 @@ def build_block_system(sp_, problem, bcs=True):
     p_rows, p_offset, _ = bs.layout["p"]
     mass_p = np.empty((nc, sp_.np_cell, sp_.np_cell))
     L_u = np.empty((nc, 2, sp_.nb))
-    for ch in sp_.chunks():
+    for ch, (forms, coercive, flux, div, mass) in sp_.shape_blocks(
+            lambda shapes: _cell_blocks(shapes, problem.alpha)):
         c = ch.cells
-        _add_velocity_form(bs, ch)
-        for e in range(sp_.nsides):
-            side = Side(ch, e, problem.alpha)
+        bs.coercive &= coercive
+        _add_velocity_form(bs, ch, forms)
+        for e, facets in enumerate(sp_.mesh.cell_facets[c].T):
             r = slice(s_rows.start + e * nbf, s_rows.start + (e + 1) * nbf)
-            bs.local_coupling[c, r] = side.normal_flux()
-            bs.local_rows[c, r] = s_offset + dm["s"][side.facets]
-        bs.local_coupling[c, p_rows] = local_divergence(ch)
+            bs.local_coupling[c, r] = ch.gather(flux[e])
+            bs.local_rows[c, r] = s_offset + dm["s"][facets]
+        bs.local_coupling[c, p_rows] = ch.gather(div)
         bs.local_rows[c, p_rows] = p_offset + dm["p"][c]
-        mass_p[c] = cell_pressure_mass(ch)
-        # body force
+        mass_p[c] = ch.gather(mass)
+        # body force, at the chunk's own quadrature points
         F = _spaces._eval_vector(problem.body_force, sp_.cell_qp[c])
         L_u[c] = np.einsum("cq,cqd,cqi->cdi", ch.qw, F, ch.phi,
                            optimize=True)

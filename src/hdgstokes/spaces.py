@@ -24,11 +24,24 @@ as with per-monomial powers.
 The per-cell evaluation tables (bases and gradients at the cell
 quadrature points, traces and normal derivatives at the facet points
 of each side) are never formed for every cell at once.  `CellChunk`
-evaluates them for a slice of at most `_CHUNK` consecutive cells, and
+holds them for a slice of at most `_CHUNK` consecutive cells, and
 every reader, here, in `assembly`, `condense` and `spectra`, walks the
-cells in those slices (`cell_chunks`).  Each table entry is computed
-by the same operations whatever the slice, so no number depends on the
-chunk size.
+cells in those slices (`cell_chunks`).
+
+Where each quantity is evaluated.  Translated cells fall into one
+shape class (`mesh.shape_classes`; on an unjittered mesh a handful of
+classes, on a jittered one a class per cell).  What does not depend on
+the position is evaluated on `CellChunk.shapes`, the first cell of
+each class present in a chunk, and gathered to the chunk's cells: the
+basis coefficients (Gram matrix and Cholesky factor) and the cell part
+of the constant pressure here, the chunk tables, and the element blocks
+of `assembly` (`SpaceSet.shape_blocks`).  Consecutive chunks of the
+same classes share those evaluations.  What depends on the position is
+evaluated per cell or per facet: the quadrature rules, the facet basis,
+loads and projections of given functions.  Each table entry is computed
+by the same operations whatever the slice, and the first cell of a
+class is fixed by the mesh, so no number depends on the chunk size; on
+a jittered mesh the gathers are the identity.
 
 Degree-of-freedom layout:
   cell velocity   dof(c, comp, i) = c*2*nb + comp*nb + i
@@ -44,7 +57,7 @@ statement of the layout in code: every per-facet index map is derived
 from its (nf, 2, nbf) view.
 """
 
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 import scipy.sparse as sp
@@ -132,11 +145,13 @@ class SpaceSet:
 
     Only what is small or per facet is kept; the per-cell evaluation
     tables are evaluated a slice of cells at a time by `CellChunk`
-    (`chunks`).
+    (`chunks`), on the shape classes of the slice.
 
     coeff_v, coeff_p : (nc, m, m) per-cell coefficients of the
-        orthonormal velocity and pressure bases in the local monomials;
-        coeff_f likewise per facet.
+        orthonormal velocity and pressure bases in the local monomials,
+        orthonormalized once per shape class of a chunk and gathered to
+        its cells; coeff_f likewise per facet, orthonormalized per
+        facet.
     cell_qp, cell_qw : (nc, nq, 2), (nc, nq) the cell quadrature rule;
         facet_qp, facet_qw : (nf, nqf, 2), (nf, nqf) the facet rule.
     psibar : (nf, nqf, nbf) scalar facet basis at facet points;
@@ -177,19 +192,22 @@ class SpaceSet:
         self.facet_qp, self.facet_qw = quadrature.facet_rule(mesh, nqf)
 
         # cell bases, orthonormalized against the exact Gram matrix, and
-        # the cell part of the constant pressure, from the same powers
+        # the cell part of the constant pressure, from the same powers,
+        # once per shape class of a chunk (`shape_blocks`)
+        def coefficients(shapes):
+            P, qw = shapes._powers, shapes.qw
+            cv = _orthonormalize(_mono(*P, self.ex_v, self.ey_v), qw)
+            mono_p = _mono(*P, self.ex_p, self.ey_p)
+            cp = _orthonormalize(mono_p, qw)
+            return cv, cp, _cell_projection(_one, self.cell_qp[shapes.cells],
+                                            qw, mono_p @ cp)
+
         self.coeff_v = np.empty((nc, self.nb, self.nb))
         self.coeff_p = np.empty((nc, self.np_cell, self.np_cell))
         const = np.empty((nc, self.np_cell))
-        for c in cell_chunks(nc):
-            P = self._powers(self.cell_qp[c], c)
-            self.coeff_v[c] = _orthonormalize(
-                _mono(*P, self.ex_v, self.ey_v), self.cell_qw[c])
-            self.coeff_p[c] = _orthonormalize(
-                _mono(*P, self.ex_p, self.ey_p), self.cell_qw[c])
-            const[c] = _cell_projection(_one, self.cell_qp[c],
-                                        self.cell_qw[c],
-                                        self._pressure_basis(P, c))
+        for ch, blocks in self.shape_blocks(coefficients):
+            for out, block in zip((self.coeff_v, self.coeff_p, const), blocks):
+                out[ch.cells] = ch.gather(block)
 
         # facet basis in the arc-length coordinate
         xi = self._facet_coords(self.facet_qp, np.arange(nf))
@@ -264,8 +282,28 @@ class SpaceSet:
         return CellChunk(self, cells)
 
     def chunks(self):
-        """`CellChunk`s of the slices of `cell_chunks`, in order."""
-        return (CellChunk(self, c) for c in cell_chunks(self.mesh.num_cells))
+        """`CellChunk`s of the slices of `cell_chunks`, in order.  A
+        chunk whose cells fall into the same shape classes as those of
+        the chunk before shares its `shapes`, evaluated tables
+        included."""
+        shapes = None
+        for c in cell_chunks(self.mesh.num_cells):
+            ch = CellChunk(self, c, shapes)
+            # a chunk that is its own `shapes` is not held past its turn
+            shapes = ch._shapes
+            yield ch
+
+    def shape_blocks(self, evaluate):
+        """(chunk, evaluate(chunk.shapes)) for each of `chunks`:
+        position-independent blocks of the chunk's shape classes, for
+        the chunk to `gather`.  evaluate is called once for each
+        distinct `shapes`, so once for a run of chunks of the same
+        classes, and on a jittered mesh once per chunk."""
+        shapes = blocks = None
+        for ch in self.chunks():
+            if ch.shapes is not shapes:
+                shapes, blocks = ch._shapes, evaluate(ch.shapes)
+            yield ch, blocks
 
     # -- views of coefficient vectors ----------------------------------
 
@@ -283,10 +321,33 @@ class SpaceSet:
                             self.nbf).swapaxes(-3, -2)
 
 
+def _per_shape(evaluate):
+    """A table of the cells of a chunk, evaluated when the chunk is
+    its own `shapes` and gathered from the table of `shapes`
+    otherwise; cached with the chunk."""
+    @wraps(evaluate)
+    def table(self):
+        if self._shapes is None:
+            return evaluate(self)
+        return self.gather(getattr(self._shapes, evaluate.__name__))
+    return cached_property(table)
+
+
 class CellChunk:
     """Evaluation tables of the cells `cells`, a slice of consecutive
-    cells, each evaluated when it is first read and dropped with the
-    chunk.  n is the number of cells of the slice.
+    cells or an index array, each evaluated when it is first read and
+    dropped with the chunk.  n is the number of cells.
+
+    Translated cells have equal tables (`mesh.shape_classes`), so the
+    tables are evaluated on `shapes` alone, the chunk of the first cell
+    of each shape class present here (in the mesh, whatever the
+    chunk), and `gather` copies a stack of its results to the chunk's
+    cells.  The element kernels of `assembly` run on `shapes` and
+    gather their blocks; the tables below, on the chunk's cells, are
+    gathered the same way, for what depends on the position (loads,
+    projections) or on a coefficient vector per cell.  When every cell
+    is the first of its class, as on a jittered mesh, `shapes` is the
+    chunk itself and `gather` the identity.
 
     phi, gx, gy : (n, nq, nb) cell velocity basis and its physical
         gradients at the cell quadrature points; psi likewise for the
@@ -297,24 +358,50 @@ class CellChunk:
     dn_f : (n, nsides, nqf, nb) outward normal derivative of the cell
         basis at the same points, gx n_x + gy n_y; the one statement of
         it, read by the side kernels of `assembly`.
-    qw : (n, nq) the cell quadrature weights of the slice.
+    qw : (n, nq) the cell quadrature weights of the cells.
 
     The evaluations below take one vector or a stack of them along
-    leading axes, (..., n_u), and return the values on the slice's
+    leading axes, (..., n_u), and return the values on the chunk's
     cells, with the same leading axes.
     """
 
-    def __init__(self, spaces, cells):
+    def __init__(self, spaces, cells, previous=None):
         self.spaces = spaces
         self.cells = cells
         self.qw = spaces.cell_qw[cells]
+        mesh = spaces.mesh
+        ids = np.arange(mesh.num_cells)
+        first = mesh.first_of_class[mesh.shape_class[cells]]
+        # no reference from a chunk to itself: a cycle would keep its
+        # tables until the garbage collector runs
+        self._shapes = self._index = None
+        if np.array_equal(first, ids[cells]):
+            return
+        reps, self._index = np.unique(first, return_inverse=True)
+        # the `shapes` of the chunk before, when it has the same cells
+        if previous is not None and np.array_equal(ids[previous.cells], reps):
+            self._shapes = previous
+        else:
+            self._shapes = CellChunk(spaces, reps)
+
+    @property
+    def shapes(self):
+        """The chunk of the first cell of each shape class present
+        here; the chunk itself when every cell is the first of its
+        class."""
+        return self if self._shapes is None else self._shapes
+
+    def gather(self, blocks):
+        """The stack of the chunk's cells from a stack (along the first
+        axis) of the cells of `shapes`."""
+        return blocks if self._index is None else blocks[self._index]
 
     @cached_property
     def _powers(self):
         sp_ = self.spaces
         return sp_._powers(sp_.cell_qp[self.cells], self.cells)
 
-    @cached_property
+    @_per_shape
     def phi(self):
         return self.spaces._cell_values(self._powers, self.cells)
 
@@ -322,10 +409,15 @@ class CellChunk:
     def _gradients(self):
         return self.spaces._cell_gradients(self._powers, self.cells)
 
-    gx = property(lambda self: self._gradients[0])
-    gy = property(lambda self: self._gradients[1])
+    @_per_shape
+    def gx(self):
+        return self._gradients[0]
 
-    @cached_property
+    @_per_shape
+    def gy(self):
+        return self._gradients[1]
+
+    @_per_shape
     def psi(self):
         return self.spaces._pressure_basis(self._powers, self.cells)
 
@@ -340,7 +432,7 @@ class CellChunk:
         return np.empty((len(self.qw), sp_.nsides, sp_.facet_qp.shape[1],
                          sp_.nb))
 
-    @cached_property
+    @_per_shape
     def phi_f(self):
         sp_, c = self.spaces, self.cells
         out = self._side_table()
@@ -348,7 +440,7 @@ class CellChunk:
             out[:, e] = sp_._cell_values(P, c)
         return out
 
-    @cached_property
+    @_per_shape
     def dn_f(self):
         sp_, c = self.spaces, self.cells
         out = self._side_table()

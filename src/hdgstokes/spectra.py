@@ -17,7 +17,8 @@ the element kernels of the assembly module.  The probes compute:
   seminorm, over random facet fields lifted as stacks;
 * pointwise divergence and interelement normal-flux checks of a
   computed velocity (exactly zero, up to roundoff, on triangles),
-  with the basis tables evaluated a chunk of cells at a time.
+  with the basis tables evaluated on the shape classes of a chunk of
+  cells at a time.
 
 The pressure masses are diagonal (orthonormal modal bases, checked once
 by assembly), and the probes read only that diagonal D (`cs.mass`,
@@ -367,9 +368,12 @@ def field_checks(sp_, u):
     normal trace jump in the facet pressure space.  On physical
     quadrilaterals neither containment holds, so only smallness, not
     exactness, can be expected, and the divergence maximum depends on
-    where the cell rule puts its points.  The tables are evaluated a
-    chunk of cells at a time (`SpaceSet.chunks`); the maxima (NaN
-    whenever a value is) do not depend on the order they are taken in."""
+    where the cell rule puts its points.  The basis tables are
+    evaluated on the first cell of each shape class of a chunk of cells
+    (`CellChunk.shapes`, shared by consecutive chunks of the same
+    classes) and gathered to the chunk's cells, where they meet the
+    velocity coefficients of each cell; the maxima (NaN whenever a
+    value is) do not depend on the order they are taken in."""
     mesh = sp_.mesh
     div = scale = 0.0
     jump = np.zeros((mesh.num_facets, sp_.facet_qp.shape[1]))

@@ -177,17 +177,20 @@ def _power_monomial_grads(x, y, ex, ey):
 
 def _reference_tables(s):
     """Coefficients and evaluation tables of `s`, rebuilt from the
-    per-monomial power formula."""
+    per-monomial power formula on the first cell of each shape class
+    and gathered to every cell, as `SpaceSet` and `CellChunk` do."""
+    r = s.mesh.first_of_class
+
     def local(pts):
-        xl = s._local_coords(pts)
+        xl = s._local_coords(pts, r)
         return xl[..., 0], xl[..., 1]
 
-    x, y = local(s.cell_qp)
+    x, y = local(s.cell_qp[r])
     ref = {"coeff_v": spaces._orthonormalize(
-               _power_monomials(x, y, s.ex_v, s.ey_v), s.cell_qw),
+               _power_monomials(x, y, s.ex_v, s.ey_v), s.cell_qw[r]),
            "coeff_p": spaces._orthonormalize(
-               _power_monomials(x, y, s.ex_p, s.ey_p), s.cell_qw)}
-    h = s.mesh.h[:, None, None]
+               _power_monomials(x, y, s.ex_p, s.ey_p), s.cell_qw[r])}
+    h = s.mesh.h[r, None, None]
 
     def basis(pts):
         x, y = local(pts)
@@ -195,17 +198,17 @@ def _reference_tables(s):
         return (_power_monomials(x, y, s.ex_v, s.ey_v) @ ref["coeff_v"],
                 (dx @ ref["coeff_v"]) / h, (dy @ ref["coeff_v"]) / h)
 
-    ref["phi"], ref["gx"], ref["gy"] = basis(s.cell_qp)
+    ref["phi"], ref["gx"], ref["gy"] = basis(s.cell_qp[r])
     ref["psi"] = _power_monomials(x, y, s.ex_p, s.ey_p) @ ref["coeff_p"]
-    sides = [basis(s.facet_qp[s.mesh.cell_facets[:, e]])
+    sides = [basis(s.facet_qp[s.mesh.cell_facets[r, e]])
              for e in range(s.nsides)]
     ref["phi_f"] = np.stack([ph for ph, _, _ in sides], axis=1)
     # the outward normal derivative, by the expression of `CellChunk`
     ref["dn_f"] = np.stack(
         [gx * n[:, None, 0, None] + gy * n[:, None, 1, None]
-         for (_, gx, gy), n in zip(sides, s.normal.transpose(1, 0, 2))],
+         for (_, gx, gy), n in zip(sides, s.normal[r].transpose(1, 0, 2))],
         axis=1)
-    return ref
+    return {name: table[s.mesh.shape_class] for name, table in ref.items()}
 
 
 @pytest.mark.parametrize("jitter", [0.0, 0.2])
