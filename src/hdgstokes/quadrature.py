@@ -22,10 +22,17 @@ is positive).
 import numpy as np
 
 
+def segment_rule(n):
+    """n-point Gauss rule on the reference segment [-1/2, 1/2], exact
+    through degree 2n-1: nodes xi and weights summing to 1."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * x, 0.5 * w
+
+
 def gauss01(n):
     """n-point Gauss rule on [0, 1], exact through degree 2n-1."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    xi, w = segment_rule(n)
+    return xi + 0.5, w
 
 
 def triangle_rule(degree):
@@ -92,17 +99,16 @@ def cell_rule(mesh, degree):
 
 
 def facet_rule(mesh, n):
-    """n-point Gauss rule on every facet (exact through degree 2n-1).
+    """The n-point `segment_rule` on every facet from a to b: node xi
+    at (a + b) / 2 + xi (b - a), weight |F| w.
 
     Returns qp (nf, n, 2) and arc-length weights qw (nf, n).  Points
     follow the stored facet orientation, so both adjacent cells see
     the same physical points in the same order.
     """
-    x, w = np.polynomial.legendre.leggauss(n)
+    xi, w = segment_rule(n)
     a = mesh.vertices[mesh.facets[:, 0]]
     b = mesh.vertices[mesh.facets[:, 1]]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    qp = mid[:, None, :] + x[None, :, None] * half[:, None, :]
-    qw = 0.5 * mesh.facet_lengths[:, None] * w[None, :]
+    qp = (0.5 * (a + b))[:, None, :] + xi[None, :, None] * (b - a)[:, None, :]
+    qw = mesh.facet_lengths[:, None] * w[None, :]
     return qp, qw

@@ -6,13 +6,15 @@ cell pressures one degree lower, and both facet fields (velocity
 trace and pressure trace) are degree-k polynomials per facet.
 
 Every space carries a modal basis that is L2-orthonormal per cell or
-facet: centered and diameter-scaled monomials are orthonormalized
-against the exact local Gram matrix (Cholesky), with the constant as
-the first mode.  Cell mass matrices therefore come out as identities
-and facet masses as scaled identities, which the preconditioner
-relies on.  The representation of the constant function 1 is
-sqrt(|K|) (resp. sqrt(|F|)) in the first mode, not an all-ones
-vector.
+facet: monomials (on cells centered and diameter-scaled) are
+orthonormalized against the exact Gram matrix (Cholesky), with the
+constant as the first mode.  A facet's arc-length map is affine, so all
+facets share the basis of the reference segment [-1/2, 1/2],
+orthonormalized once at the nodes of `quadrature.segment_rule`, times
+|F|^-1/2.  Cell mass matrices therefore come out as identities and
+facet masses as scaled identities, which the preconditioner relies on.
+The representation of the constant function 1 is sqrt(|K|) (resp.
+sqrt(|F|)) in the first mode, not an all-ones vector.
 
 The monomials at a set of points are gathered from two power tables,
 x^0..x^k and y^0..y^k of the local coordinates, built once per point
@@ -37,11 +39,11 @@ basis coefficients (Gram matrix and Cholesky factor) and the cell part
 of the constant pressure here, the chunk tables, and the element blocks
 of `assembly` (`SpaceSet.shape_blocks`).  Consecutive chunks of the
 same classes share those evaluations.  What depends on the position is
-evaluated per cell or per facet: the quadrature rules, the facet basis,
-loads and projections of given functions.  Each table entry is computed
-by the same operations whatever the slice, and the first cell of a
-class is fixed by the mesh, so no number depends on the chunk size; on
-a jittered mesh the gathers are the identity.
+evaluated per cell or per facet: the quadrature rules, the |F|^-1/2 of
+the facet basis, loads and projections of given functions.  Each table
+entry is computed by the same operations whatever the slice, and the
+first cell of a class is fixed by the mesh, so no number depends on the
+chunk size; on a jittered mesh the gathers are the identity.
 
 Degree-of-freedom layout:
   cell velocity   dof(c, comp, i) = c*2*nb + comp*nb + i
@@ -150,12 +152,13 @@ class SpaceSet:
     coeff_v, coeff_p : (nc, m, m) per-cell coefficients of the
         orthonormal velocity and pressure bases in the local monomials,
         orthonormalized once per shape class of a chunk and gathered to
-        its cells; coeff_f likewise per facet, orthonormalized per
-        facet.
+        its cells.  The facet basis has one (nbf, nbf) coefficient
+        matrix, of the reference segment (`facet_basis`).
     cell_qp, cell_qw : (nc, nq, 2), (nc, nq) the cell quadrature rule;
         facet_qp, facet_qw : (nf, nqf, 2), (nf, nqf) the facet rule.
-    psibar : (nf, nqf, nbf) scalar facet basis at facet points;
-        shared by facet velocity components and facet pressure.
+    psibar : (nf, nqf, nbf) scalar facet basis at facet points,
+        `facet_basis` at the facet rule; shared by facet velocity
+        components and facet pressure.
     normal : (nc, nsides, 2) outward unit normal per cell side.
     constant_pressure : (n_p + n_pbar,) read-only, the L2 projection
         of the constant pressure 1 in the (p, pbar) slots; it spans the
@@ -209,15 +212,14 @@ class SpaceSet:
             for out, block in zip((self.coeff_v, self.coeff_p, const), blocks):
                 out[ch.cells] = ch.gather(block)
 
-        # facet basis in the arc-length coordinate
-        xi = self._facet_coords(self.facet_qp, np.arange(nf))
-        Vf = xi[..., None] ** np.arange(self.nbf)
-        self.coeff_f = _orthonormalize(Vf, self.facet_qw)
+        # the facet basis of the reference segment, on its own rule
+        xi, w = quadrature.segment_rule(nqf)
+        V = xi[:, None] ** np.arange(self.nbf)
+        self._facet_coeff = _orthonormalize(V[None], w[None])[0]
+        self.psibar = self.facet_basis(nqf)
 
         self.normal = (mesh.facet_normals[mesh.cell_facets]
                        * mesh.cell_facet_sign[..., None])
-        self.psibar = np.einsum("fqm,fmi->fqi",
-                                Vf, self.coeff_f, optimize=True)
         self.constant_pressure = np.concatenate(
             [const.ravel(), project_facet_pressure(self, _one)])
         self.constant_pressure.flags.writeable = False
@@ -232,15 +234,6 @@ class SpaceSet:
         m = self.mesh
         return ((pts - m.cell_centroids[cells, None, :])
                 / m.h[cells, None, None])
-
-    def _facet_coords(self, pts, facets):
-        m = self.mesh
-        a = m.vertices[m.facets[facets, 0]]
-        b = m.vertices[m.facets[facets, 1]]
-        L = m.facet_lengths[facets]
-        that = (b - a) / L[:, None]
-        rel = pts - 0.5 * (a + b)[:, None, :]
-        return np.einsum("fqd,fd->fq", rel, that) / L[:, None]
 
     def _powers(self, pts, cells=slice(None)):
         """Power tables of the local coordinates of pts (n, m, 2) on
@@ -269,13 +262,13 @@ class SpaceSet:
     def pressure_basis_at(self, pts):
         return self._pressure_basis(self._powers(pts), slice(None))
 
-    def facet_basis_at(self, pts, facets):
-        """Scalar facet basis at physical points on the given facets;
-        pts (len(facets), m, 2)."""
-        xi = self._facet_coords(pts, facets)
-        V = xi[..., None] ** np.arange(self.nbf)
-        return np.einsum("fqm,fmi->fqi", V, self.coeff_f[facets],
-                         optimize=True)
+    def facet_basis(self, n):
+        """Scalar facet basis at the points of the n-point
+        `quadrature.facet_rule`, (nf, n, nbf): the reference table
+        scaled by |F|^-1/2."""
+        xi, _ = quadrature.segment_rule(n)
+        scale = self.mesh.facet_lengths[:, None, None] ** -0.5
+        return (xi[:, None] ** np.arange(self.nbf) @ self._facet_coeff) * scale
 
     def chunk(self, cells=slice(None)):
         """The evaluation tables of the cells `cells`, a slice."""
@@ -538,13 +531,14 @@ def vertex_trace_prolongator(spaces):
     like one component of the facet velocity.  Column j is the
     facet-wise L2 projection of the hat function of interior vertex j,
     which is linear along every facet (on quadrilaterals too), so it is
-    zero on boundary facets."""
+    zero on boundary facets.  The hats are evaluated at the reference
+    nodes of the facet rule, where psibar is the facet basis."""
     mesh = spaces.mesh
     nf, nbf = mesh.num_facets, spaces.nbf
     # along a facet the hats of its end vertices are 1/2 -+ xi; facet
     # modes from the third on are orthogonal to linears
-    xi = spaces._facet_coords(spaces.facet_qp, np.arange(nf))
-    hats = np.stack([0.5 - xi, 0.5 + xi], axis=1)
+    xi, _ = quadrature.segment_rule(spaces.facet_qp.shape[1])
+    hats = np.stack([0.5 - xi, 0.5 + xi])
     vals = hats @ (spaces.facet_qw[..., None] * spaces.psibar[..., :2])
     interior = np.ones(mesh.num_vertices, dtype=bool)
     interior[mesh.facets[mesh.boundary_mask]] = False
@@ -568,13 +562,12 @@ def interpolate_boundary(spaces, g):
     """
     mesh = spaces.mesh
     bf = np.flatnonzero(mesh.boundary_mask)
-    qp, qw = quadrature.facet_rule(mesh, spaces.degree + 4)
-    qp, qw = qp[bf], qw[bf]
-    psib = spaces.facet_basis_at(qp, bf)
-    G = _eval_vector(g, qp)
+    n = spaces.degree + 4
+    qp, qw = quadrature.facet_rule(mesh, n)
     vec = np.zeros(spaces.n_ubar)
     spaces.facet_velocity_coeffs(vec)[bf] = np.einsum(
-        "fq,fqd,fqi->fdi", qw, G, psib, optimize=True)
+        "fq,fqd,fqi->fdi", qw[bf], _eval_vector(g, qp[bf]),
+        spaces.facet_basis(n)[bf], optimize=True)
     return vec
 
 

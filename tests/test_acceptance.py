@@ -203,21 +203,25 @@ def test_05_flat_minres_iterations_beyond_k2_triangles(shape, degree, rbar):
     ("quadrilateral", 0.0, 2, None)])
 def test_05_flat_minres_iterations_on_jittered_and_k2_quad_meshes(
         shape, jitter, degree, alpha, rbar):
-    """PM MINRES counts stay flat (max/min <= 1.35, test_05's bound)
-    over 8x8, 16x16, 32x32 (mesh seed 1) on jittered triangles at
+    """MINRES counts stay flat (max/min <= 1.35, test_05's bound) over
+    8x8, 16x16, 32x32 (mesh seed 1) on jittered triangles at
     alpha = 108 and jittered quadrilaterals at the default alpha,
-    k = 1, 2, 3, and on unjittered quadrilaterals at k = 2: with the
-    exact velocity block and with one multigrid cycle."""
+    k = 1, 2, 3, and on unjittered quadrilaterals at k = 2: PM with
+    the exact velocity block and with one multigrid cycle, and on the
+    jittered meshes every kind with the exact block."""
     cfg = cli.RunConfig(shape=shape, jitter=jitter, seed=1, degree=degree,
                         alpha=alpha, rbar=rbar, cycles=1)
-    seq = []
+    every_kind = rbar == "exact" and jitter > 0
+    counts = {kind: [] for kind in (KINDS if every_kind else ["PM"])}
     for n in (8, 16, 32):
         m = mesh.generate(n, n, shape, jitter=jitter, seed=1)
         _, _, cs = cli.discretize(cfg, m)
-        rep = cli.krylov_solve(cfg, cs)
-        assert rep.converged, f"stalled on the {n}x{n} level"
-        seq.append(rep.iterations)
-    assert max(seq) / min(seq) <= 1.35, f"PM counts {seq}"
+        for kind, seq in counts.items():
+            rep = cli.krylov_solve(cli.with_options(cfg, pc=kind), cs)
+            assert rep.converged, f"{kind} stalled on the {n}x{n} level"
+            seq.append(rep.iterations)
+    for kind, seq in counts.items():
+        assert max(seq) / min(seq) <= 1.35, f"{kind} counts {seq}"
 
 
 def test_05_one_cycle_multigrid_ladder_from_4x4():

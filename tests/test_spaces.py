@@ -41,10 +41,24 @@ def test_bases_orthonormal_independent_rule(tri_jitter):
     psi = s.pressure_basis_at(pts)
     Gp = np.einsum("cqi,cq,cqj->cij", psi, w, psi)
     assert np.abs(Gp - np.eye(s.np_cell)).max() < 1e-12
-    fpts, fw = quadrature.facet_rule(tri_jitter, 6)
-    psib = s.facet_basis_at(fpts, np.arange(tri_jitter.num_facets))
-    Gf = np.einsum("fqi,fq,fqj->fij", psib, fw, psib)
-    assert np.abs(Gf - np.eye(s.nbf)).max() < 1e-12
+    # the facet basis, also on facets far from unit length: an 8-point
+    # rule is finer than every facet rule of the spaces (at most 7)
+    for shape in ("triangle", "quadrilateral"):
+        for jitter in (0.0, 0.2):
+            for domain in ((-1.0, -1.0, 1.0, 1.0), (0.0, 0.0, 1e-3, 1e-3),
+                           (0.0, 0.0, 1e3, 1e3)):
+                m = mesh.generate(4, 3, shape, domain, jitter, seed=2)
+                _, fw = quadrature.facet_rule(m, 8)
+                root = np.sqrt(m.facet_lengths)[:, None, None]
+                for k in (1, 2, 3):
+                    sf = spaces.build_spaces(m, k)
+                    psib = sf.facet_basis(8)
+                    Gf = np.einsum("fqi,fq,fqj->fij", psib, fw, psib)
+                    assert np.abs(Gf - np.eye(sf.nbf)).max() < 1e-12
+                    # one table on the reference segment, scaled by
+                    # |F|^-1/2 on every facet
+                    ref = sf.psibar * root
+                    assert np.abs(ref - ref[0]).max() < 1e-14
 
 
 def test_constant_representation(tri2):
@@ -135,20 +149,29 @@ def test_interpolate_boundary_linear_data(tri4x4):
 
 def test_interpolate_boundary_matches_dense_projection(tri4x4, cavity):
     """The lid profile is quartic; facet quadratics only see its L2
-    shadow.  Check against a per-facet normal-equation solve."""
+    shadow.  Check against a per-facet normal-equation solve in the
+    monomials of the arc-length coordinate, compared as values at the
+    facet points, so a facet basis at the finer rule that disagreed
+    with psibar (a wrong sign on the odd modes) would show."""
     s = spaces.build_spaces(tri4x4, 2)
     vec = spaces.interpolate_boundary(s, cavity.boundary_velocity)
     bf = np.flatnonzero(tri4x4.boundary_mask)
     pts, w = quadrature.facet_rule(tri4x4, 9)
-    psib = s.facet_basis_at(pts[bf], bf)
+    a, b = (tri4x4.vertices[tri4x4.facets[bf, j]] for j in (0, 1))
+    L = tri4x4.facet_lengths[bf]
+
+    def monomials(p):
+        xi = np.einsum("fqd,fd->fq", p - 0.5 * (a + b)[:, None], b - a)
+        return (xi / L[:, None] ** 2)[..., None] ** np.arange(s.nbf)
+
+    V, Vown = monomials(pts[bf]), monomials(s.facet_qp[bf])
     gx, gy = cavity.boundary_velocity(pts[bf, :, 0], pts[bf, :, 1])
     c = vec.reshape(2, tri4x4.num_facets, s.nbf).transpose(1, 0, 2)
     for i, f in enumerate(bf):
-        G = psib[i].T * w[bf][i] @ psib[i]
+        G = V[i].T * w[bf][i] @ V[i]
         for d, data in ((0, gx[i]), (1, gy[i])):
-            rhs = psib[i].T @ (w[bf][i] * data)
-            ref = np.linalg.solve(G, rhs)
-            assert np.abs(c[f, d] - ref).max() < 1e-11
+            ref = Vown[i] @ np.linalg.solve(G, V[i].T @ (w[bf][i] * data))
+            assert np.abs(s.psibar[f] @ c[f, d] - ref).max() < 1e-11
 
 
 def test_cavity_datum(cavity):
