@@ -380,9 +380,10 @@ def run_verify(cfg, outdir):
     record("element_block_spectrum_drift", drift_ok(cond), extremes=cond)
 
     # coercivity (unconstrained form) on the base, whatever its size,
-    # and on the finer levels up to 8x8 triangles at k = 2: its Lanczos
-    # pencil takes 416 steps there, 816 at 16x16 (+0.6 s) and 1,656 at
-    # 32x32 (+4.8 s)
+    # and on the finer levels of at most 4000 unknowns (8x8 triangles
+    # at k = 2): its Lanczos pencil needs more steps on every finer
+    # mesh, and the steps cost more, so the finer levels would dominate
+    # verify's time
     coer = [spectra.coercivity_bounds(sp_, cfg.alpha)
             for i, (_, sp_, _, _) in enumerate(probes)
             if i == 0 or sp_.n_u + sp_.n_ubar <= 4000]

@@ -2,7 +2,7 @@
 
 Four kinds, all symmetric positive definite:
 
-  PM      bdiag(Rbar, M_p, M_s)
+  PM      bdiag(Rbar, 2 M_p, (2/alpha) M_s)
   PC      bdiag(Rbar, -C_pp, -C_ss)
   PM-SGS  symmetric block Gauss-Seidel around bdiag(Rbar, M_p, M_s)
   PC-SGS  symmetric block Gauss-Seidel around bdiag(Rbar, -C_pp, -C_ss)
@@ -32,6 +32,23 @@ The modal bases are orthonormal, so the pressure masses of the PM
 kinds are diagonal: they are applied as r / d with d the slices of
 `cs.mass`, the diagonal that assembly checked once
 (`assembly.mass_diagonal`).
+
+PM scales the paper's M = bdiag(M_p, M_s) to the pressure Schur
+complement S.  Any fixed positive scaling of the two masses keeps
+S ~ M, hence flat counts under refinement, but it moves the
+eigenvalues of P^-1 K.  The facet velocity rows of the condensed
+operator carry the penalty alpha/h, so S on the facet pressures
+scales as 1/alpha: on 8x8 triangles at k = 2 the extreme eigenvalues
+of (S, M) are a factor 412 apart at alpha = 24 and 4,345 at
+alpha = 1000, against 38 and 82 for (S, bdiag(M_p, M_s/alpha)).  The
+constants come from a scan of c/alpha, c in {0.5, 1, 2, 4}, on five
+32x32 meshes (ROADMAP.md, item 15): c = 2 is best or level on each,
+and doubling M_p as well takes about 10% more off; PM then needs
+39-61% fewer MINRES iterations on every mesh measured.  PM-SGS keeps
+the paper's M: scaled the same way, it passes the Euclidean stopping
+test of `krylov.minres` before the pressure rows are resolved (64x64
+jittered triangles: divergence 1.8e-4 of the velocity scale), so its
+scaling waits for a stopping test in the preconditioner's norm.
 
 The SGS kinds compose (P_L + P_D) P_D^-1 (P_D + P_L^T) with P_L the
 strictly lower block triangle of the condensed operator.  The sweep
@@ -95,8 +112,9 @@ class Preconditioner:
     """One of the four block preconditioners for the condensed system
     `cs`: Rbar is `OperatorApprox` on `cs.Abar_scalar` in `rbar_mode`
     with `cycles`; the PM kinds divide by the pressure mass diagonal
-    `cs.mass`, the PC kinds solve with -C_pp and -C_ss.  `apply` maps a
-    condensed residual to the preconditioned vector."""
+    `cs.mass` (PM by 2 d_p and (2/alpha) d_s), the PC kinds solve with
+    -C_pp and -C_ss.  `apply` maps a condensed residual to the
+    preconditioned vector."""
 
     def __init__(self, cs, kind="PM", rbar_mode="exact", cycles=4):
         if kind not in KINDS:
@@ -108,6 +126,8 @@ class Preconditioner:
                                    cycles=cycles)
         if kind.startswith("PM"):
             d_p, d_s = cs.mass[:cs.n_p], cs.mass[cs.n_p:]
+            if kind == "PM":
+                d_p, d_s = 2.0 * d_p, (2.0 / cs.alpha) * d_s
             self._solve2 = lambda r: r / d_p
             self._solve3 = lambda r: r / d_s
         else:

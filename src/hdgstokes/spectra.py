@@ -104,15 +104,15 @@ def trace_seminorm_matrix(sp_):
 
 # Lanczos accepts a requested Ritz value once its residual estimate is
 # at most this fraction of the largest |Ritz value|, and gives up after
-# this many steps.  On the default verify ladder (triangles, k = 2,
-# 4x4, 8x8, 16x16) the probes take: Schur 200, 264, 368 steps; facet
-# block -C_ss 72, 152, 280; facet inf-sup 32, 48, 88; coercivity 176
-# and 416 (4x4 and 8x8 only) and 184 at alpha = 0.01 on 4x4.  With no
-# stored basis the cap bounds time only; it leaves room for the
-# alpha = 0.01 probe on a larger verify base: 1296 steps on 16x16, 2688
-# on 32x32.  The Ritz values are checked every _LANCZOS_CHECK steps
-# (and at step n and the last step), since each check costs two
-# tridiagonal eigensolves, dearer than a step of the cheaper probes.
+# this many steps.  On the default verify ladder the coercivity pencil
+# takes the most steps, and its count grows with the mesh (the reason
+# `cli.run_verify` runs it only up to 4000 unknowns).
+# With no stored basis the cap bounds time only; it leaves room for the
+# alpha = 0.01 probe on a larger verify base, up to 32x32.  The exact
+# counts move with the rounding of the arithmetic, so none is pinned
+# here.  The Ritz values are checked every _LANCZOS_CHECK steps (and at
+# step n and the last step), since each check costs two tridiagonal
+# eigensolves, dearer than a step of the cheaper probes.
 _LANCZOS_TOL = 1e-12
 _LANCZOS_MAX_STEPS = 4000
 _LANCZOS_CHECK = 8

@@ -30,6 +30,14 @@ def _system(m, prob=None, bcs=True):
     return sp_, bs, condense.condense(bs)
 
 
+def _assert_pm_beats_pc(counts):
+    """PM, its masses scaled to the Schur complement, needs strictly
+    fewer iterations than PC on every level where both were solved."""
+    if "PC" in counts:
+        pairs = list(zip(counts["PM"], counts["PC"]))
+        assert all(m < c for m, c in pairs), f"(PM, PC) per level: {pairs}"
+
+
 def _drift(seq):
     """Largest per-level relative change, measured against the smaller
     neighbor."""
@@ -182,7 +190,8 @@ def test_05_flat_minres_iterations_beyond_k2_triangles(shape, degree, rbar):
     """MINRES counts stay flat (max/min <= 1.35, test_05's bound)
     over 8x8, 16x16, 32x32 at k = 1 and 3 on unjittered triangles and
     quadrilaterals: every kind with the exact velocity block, PM with
-    one multigrid cycle."""
+    one multigrid cycle.  With the exact block PM beats PC on every
+    level."""
     cfg = cli.RunConfig(shape=shape, degree=degree, rbar=rbar, cycles=1)
     counts = {kind: [] for kind in (KINDS if rbar == "exact" else ["PM"])}
     for n in (8, 16, 32):
@@ -193,6 +202,7 @@ def test_05_flat_minres_iterations_beyond_k2_triangles(shape, degree, rbar):
             seq.append(rep.iterations)
     for kind, seq in counts.items():
         assert max(seq) / min(seq) <= 1.35, f"{kind} counts {seq}"
+    _assert_pm_beats_pc(counts)
 
 
 @pytest.mark.parametrize("rbar", ["exact", "multigrid"])
@@ -208,7 +218,8 @@ def test_05_flat_minres_iterations_on_jittered_and_k2_quad_meshes(
     alpha = 108 and jittered quadrilaterals at the default alpha,
     k = 1, 2, 3, and on unjittered quadrilaterals at k = 2: PM with
     the exact velocity block and with one multigrid cycle, and on the
-    jittered meshes every kind with the exact block."""
+    jittered meshes every kind with the exact block, where PM beats PC
+    on every level."""
     cfg = cli.RunConfig(shape=shape, jitter=jitter, seed=1, degree=degree,
                         alpha=alpha, rbar=rbar, cycles=1)
     every_kind = rbar == "exact" and jitter > 0
@@ -222,6 +233,7 @@ def test_05_flat_minres_iterations_on_jittered_and_k2_quad_meshes(
             seq.append(rep.iterations)
     for kind, seq in counts.items():
         assert max(seq) / min(seq) <= 1.35, f"{kind} counts {seq}"
+    _assert_pm_beats_pc(counts)
 
 
 def test_05_one_cycle_multigrid_ladder_from_4x4():
@@ -250,6 +262,13 @@ def test_06_sgs_beats_block_diagonal_mass(cavity_ladder):
     counts, _, _ = cavity_ladder
     pairs = list(zip(counts["PM-SGS"], counts["PM"]))
     assert all(s < d for s, d in pairs), f"(sgs, diag) per level: {pairs}"
+
+
+def test_06_scaled_mass_beats_element_schur(cavity_ladder):
+    """PM with 2 M_p and (2/alpha) M_s needs strictly fewer iterations
+    than PC on every level of the cavity ladder."""
+    counts, _, _ = cavity_ladder
+    _assert_pm_beats_pc(counts)
 
 
 def test_07_gmres_at_most_minres_on_finest(cavity_ladder):

@@ -14,12 +14,13 @@ def small(cavity):
     return bs, condense.condense(bs)
 
 
-def _dense_sweep_operator(bs, cs, kind):
-    """(P_L + P_D) P_D^-1 (P_L^T + P_D) composed explicitly."""
+def _dense_sweep_operator(bs, cs, kind, scale=(1.0, 1.0)):
+    """(P_L + P_D) P_D^-1 (P_L^T + P_D) composed explicitly; PM-SGS's
+    pressure blocks are scale[0] M_p and scale[1] M_s."""
     n, nt, np_ = cs.size, cs.n_t, cs.n_p
     K = cs.K.toarray()
     if kind == "PM-SGS":
-        D2, D3 = bs.M_p.toarray(), bs.M_s.toarray()
+        D2, D3 = scale[0] * bs.M_p.toarray(), scale[1] * bs.M_s.toarray()
     else:
         D2, D3 = -K[nt:nt + np_, nt:nt + np_], -K[nt + np_:, nt + np_:]
     PD = np.zeros((n, n))
@@ -61,8 +62,8 @@ def test_block_diagonal_application(small):
     z = pc.apply(r)
     z1, z2, z3 = cs.split(z)
     assert np.allclose(cs.Abar @ z1, r1, atol=1e-10)
-    assert np.allclose(bs.M_p @ z2, r2, atol=1e-12)
-    assert np.allclose(bs.M_s @ z3, r3, atol=1e-12)
+    assert np.allclose(2.0 * (bs.M_p @ z2), r2, atol=1e-12)
+    assert np.allclose((2.0 / bs.alpha) * (bs.M_s @ z3), r3, atol=1e-12)
 
 
 @pytest.mark.parametrize("shape", ["triangle", "quadrilateral"])
@@ -76,7 +77,8 @@ def test_diagonal_mass_apply_matches_sparse_lu(shape, k):
     r = np.random.default_rng(6).standard_normal(cs.size)
     _, r2, r3 = cs.split(r)
     _, z2, z3 = cs.split(pc.apply(r))
-    for M, rr, z in ((bs.M_p, r2, z2), (bs.M_s, r3, z3)):
+    for M, rr, z in ((2.0 * bs.M_p, r2, z2),
+                     ((2.0 / bs.alpha) * bs.M_s, r3, z3)):
         want = spla.splu(M.tocsc()).solve(rr)
         assert np.abs(z - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -122,6 +124,27 @@ def test_sgs_sweep_matches_composition(small, kind):
         want = Pinv @ r
         got = pc.apply(r)
         assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("shape", ["triangle", "quadrilateral"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sgs_sweep_keeps_unscaled_masses(shape, k):
+    """PM-SGS's pressure solves invert M_p and M_s themselves, not PM's
+    2 M_p and (2/alpha) M_s: scaled, the sweep stops early under the
+    Euclidean stopping test."""
+    m = mesh.generate(3, 3, shape, jitter=0.2, seed=5)
+    sp_ = spaces.build_spaces(m, k)
+    bs = assembly.build_block_system(sp_, spaces.lid_driven_cavity(k))
+    cs = condense.condense(bs)
+    pc = precond.build_preconditioner(cs, "PM-SGS")
+    r = np.random.default_rng(8).standard_normal(cs.size)
+    got = pc.apply(r)
+    for scale, agrees in (((1.0, 1.0), True),
+                          ((2.0, 2.0 / bs.alpha), False)):
+        want = np.linalg.solve(
+            _dense_sweep_operator(bs, cs, "PM-SGS", scale), r)
+        err = np.abs(got - want).max() / np.abs(want).max()
+        assert (err < 1e-12) == agrees, (scale, err)
 
 
 @pytest.mark.parametrize("kind", ["PM-SGS", "PC-SGS"])
